@@ -50,10 +50,10 @@ class Executor:
     fixed sample of rows (the timed stream).
     """
 
-    def __init__(self, modules: dict, svg_path: str, tracer=None):
+    def __init__(self, modules: dict, svg_path: str):
         self.m = modules
         self.svg_path = svg_path
-        self.tracer = tracer
+        self.tracer = None  # set by the traced run
 
     def run(self, op: inputs.Op, full_check: bool = False) -> Outcome:
         return getattr(self, "_run_" + op.kind)(op.params, full_check)

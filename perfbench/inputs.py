@@ -8,9 +8,10 @@ Every workload draws two things from its seed:
   fail_ratio, max_rel_err and the output digests.  Its composition is the
   same for every seed, so those figures compare across seeds and commits.
 * an endless stream of rounds: each round draws every stratum of the
-  regular domain once (values jittered inside the stratum) and shuffles
-  them.  The timed loop consumes rounds until its time is up, so per-op
-  timings come from the same mixture whatever the seed.
+  regular domain a fixed number of times (values jittered inside the
+  stratum) and shuffles them.  The timed loop consumes rounds until its
+  time is up, so per-op timings come from the same mixture whatever the
+  seed.
 
 The generator imports nothing from abwkb: the program only receives the
 inputs.  The same (workload, seed) always gives the same inputs.
@@ -18,9 +19,10 @@ inputs.  The same (workload, seed) always gives the same inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 WORKLOADS = ("grid_cli", "wkb_roots", "shoot_oracle")
@@ -34,12 +36,15 @@ class Op:
     cls: the timing class ("light", "heavy" or "bulk", which only counts
     toward throughput); None for census ops, which are not timed.
     edge: True inside a documented known-defect region of the domain.
+    slot: the op's stratum, as its place in the unshuffled round; -1 for
+    census ops.
     """
 
     kind: str
     cls: str | None
     edge: bool
     params: dict = field(default_factory=dict)
+    slot: int = -1
 
 
 def census(workload: str, seed: int) -> list[Op]:
@@ -49,8 +54,8 @@ def census(workload: str, seed: int) -> list[Op]:
 
 def rounds(workload: str, seed: int) -> Iterator[list[Op]]:
     rng = random.Random(f"{workload}:stream:{seed}")
-    while True:
-        ops = _ROUND[workload](rng)
+    for ops in _ROUNDS[workload](rng):
+        ops = [replace(op, slot=i) for i, op in enumerate(ops)]
         rng.shuffle(ops)
         yield ops
 
@@ -328,16 +333,19 @@ def _shoot_op(cls: str | None, lam: float, nu: float, gamma: float, n: int, ref:
     return Op("shoot", cls, edge, {"lam": lam, "nu": nu, "gamma": gamma, "n": n, "ref": ref})
 
 
-def _tail_state(rng: random.Random, family: str, n: int, q: int) -> Op:
+def _tail_state(family: str, n: int, q: int, u: tuple[float, float]) -> Op:
     # n and q are fixed per stratum because they set the grid length, so
     # every seed gets the same cost mixture; each stratum is bounded to
     # states of moderate |E| so one solve stays within ~0.3-1.5 s on the
-    # uniform Numerov grid
-    gamma = round(q + rng.uniform(0.05, 0.95), 6)  # q + |k + mu0| with k = 0
+    # uniform Numerov grid.  Below nu = -1.45 solves get slower (up to
+    # 14 s at nu = -1.7) and below -1.55 the closed form leaves the
+    # plausibility band, so no timed stratum goes there.  u in [0, 1)^2
+    # places gamma and nu inside the stratum.
+    gamma = round(q + 0.05 + 0.9 * u[0], 6)  # q + |k + mu0| with k = 0
     if family == "coulomb":
         return _shoot_op("heavy", -1.0, -1.0, gamma, n, "coulomb")
     lo, hi = (-1.45, -1.1) if family == "strong" else (-0.95, -0.8)
-    return _shoot_op("heavy", -1.0, round(rng.uniform(lo, hi), 6), gamma, n)
+    return _shoot_op("heavy", -1.0, round(lo + (hi - lo) * u[1], 6), gamma, n)
 
 
 def _confined_state(rng: random.Random, stratum: int) -> Op:
@@ -374,13 +382,41 @@ def _shoot_census(rng: random.Random) -> list[Op]:
 # (family, n, q) of the tail strata
 _TAIL_STRATA = (("coulomb", 0, 0), ("coulomb", 1, 1), ("strong", 0, 1), ("strong", 1, 0), ("weak", 0, 0), ("weak", 1, 1))
 _CONFINED_STRATA = (0, 1, 2, 3, 4, 5)
+# a confined solve costs ~1/10 of a tail solve; drawing each confined
+# stratum this many times per round gives its median ~150 samples a run
+# instead of ~40, while every stratum of each class keeps an equal count
+_CONFINED_REPEATS = 4
 
 
-def _shoot_round(rng: random.Random) -> list[Op]:
-    tails = [_tail_state(rng, *stratum) for stratum in _TAIL_STRATA]
-    confined = [_confined_state(rng, s) for s in _CONFINED_STRATA]
-    return tails + confined
+# steps of the R2 low-discrepancy sequence (1/g and 1/g^2, g the plastic number)
+_R2 = (0.7548776662466927, 0.5698402909980532)
+
+
+def _shoot_rounds(rng: random.Random) -> Iterator[list[Op]]:
+    # A tail solve costs up to 4x more at one end of its stratum than at
+    # the other, and a run holds only ~7 rounds.  Independent draws would
+    # leave each stratum's median to chance; the R2 sequence from a seeded
+    # phase spreads a stratum's draws evenly over it in every run.
+    phase = (rng.random(), rng.random())
+    for i in itertools.count():
+        tails = []
+        for k, stratum in enumerate(_TAIL_STRATA):
+            shift = k / len(_TAIL_STRATA)
+            u = ((phase[0] + shift + i * _R2[0]) % 1.0, (phase[1] + shift + i * _R2[1]) % 1.0)
+            tails.append(_tail_state(*stratum, u))
+        confined = [_confined_state(rng, s) for s in _CONFINED_STRATA for _ in range(_CONFINED_REPEATS)]
+        yield tails + confined
+
+
+def _each_round(make_round):
+    """Endless rounds, each drawn afresh by make_round(rng)."""
+
+    def endless(rng: random.Random) -> Iterator[list[Op]]:
+        while True:
+            yield make_round(rng)
+
+    return endless
 
 
 _CENSUS = {"grid_cli": _grid_census, "wkb_roots": _wkb_census, "shoot_oracle": _shoot_census}
-_ROUND = {"grid_cli": _grid_round, "wkb_roots": _wkb_round, "shoot_oracle": _shoot_round}
+_ROUNDS = {"grid_cli": _each_round(_grid_round), "wkb_roots": _each_round(_wkb_round), "shoot_oracle": _shoot_rounds}

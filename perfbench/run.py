@@ -21,7 +21,9 @@ See README.md in this directory for what each metric means.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -40,7 +42,12 @@ OUT = os.path.join(HERE, "out")
 sys.path.insert(0, HERE)
 import inputs  # noqa: E402
 
-SETUP_REPEATS = 7
+# set-up times fall in two clusters ~60 ms apart; fifteen samples keep
+# the run's median from flipping between them
+SETUP_REPEATS = 15
+# whole stream rounds in a traced run, 25 to 35 s of work each on a
+# 2-vCPU x86-64 VM at the commit that added the benchmark
+TRACED_ROUNDS = {"grid_cli": 14, "wkb_roots": 350, "shoot_oracle": 6}
 
 # (name, unit, better) of every end-to-end metric, in report order
 END_TO_END = (
@@ -49,8 +56,8 @@ END_TO_END = (
     ("fail_ratio", "ratio", "lower"),
     ("max_rel_err", "ratio", "lower"),
     ("items_per_s", "1/s", "higher"),
-    ("light_p50_ms", "ms", "lower"),
-    ("heavy_p50_ms", "ms", "lower"),
+    ("light_op_ms", "ms", "lower"),
+    ("heavy_op_ms", "ms", "lower"),
 )
 
 
@@ -121,20 +128,22 @@ def run_census(executor, ops: list) -> dict:
     }
 
 
-def run_stream(executor, workload: str, seed: int, seconds: float, tracer=None, setup=None) -> dict:
-    """Closed loop over the seeded rounds until `seconds` have passed.
+def run_stream(executor, workload: str, seed: int, seconds: float = math.inf, max_rounds: int | None = None,
+               tracer=None, setup=None) -> dict:
+    """Closed loop over the seeded rounds until `seconds` have passed or
+    `max_rounds` whole rounds have run.
 
     Given a `setup` list, it also takes SETUP_REPEATS set-up samples at
     evenly spaced moments between ops, so that set-up time sees the same
     machine speed as the ops (the speed drifts over tens of seconds).
     """
-    times = {"light": [], "heavy": [], "bulk": []}
+    times = {cls: collections.defaultdict(list) for cls in ("light", "heavy", "bulk")}
     items, busy, attempted = 0, 0.0, 0
     failures = []
     start = time.perf_counter()
     deadline = start + seconds
     ticks = [] if setup is None else [start + i * seconds / SETUP_REPEATS for i in range(SETUP_REPEATS)]
-    for ops in inputs.rounds(workload, seed):
+    for ops in itertools.islice(inputs.rounds(workload, seed), max_rounds):
         for op in ops:
             now = time.perf_counter()
             if ticks and now >= ticks[0]:
@@ -149,12 +158,28 @@ def run_stream(executor, workload: str, seed: int, seconds: float, tracer=None, 
             out = executor.run(op)
             attempted += 1
             if out.ok:
-                times[op.cls].append(out.seconds)
+                times[op.cls][op.slot].append(out.seconds)
                 items += out.items
                 busy += out.seconds
             else:
                 failures.append({"params": _plain(op.params), "error": out.error})
-    raise AssertionError("unreachable")
+    return {"times": times, "items": items, "busy_s": busy, "attempted": attempted, "failures": failures}
+
+
+def typical_ms(by_slot: dict[int, list[float]]) -> float:
+    """Geometric mean over a class's strata of each stratum's median time.
+
+    A class mixes strata whose costs differ several-fold.  With few samples
+    per stratum, the median of the pooled times jumps between the cost
+    levels of neighbouring strata from run to run; this estimator weights
+    every stratum alike and moves smoothly.
+    """
+    medians = [statistics.median(ts) for ts in by_slot.values()]
+    return 1e3 * statistics.geometric_mean(medians) if medians else 0.0
+
+
+def _samples(by_slot: dict[int, list[float]]) -> int:
+    return sum(len(ts) for ts in by_slot.values())
 
 
 def end_to_end(setup: list[float], census: dict, stream: dict) -> tuple[dict, dict]:
@@ -165,8 +190,8 @@ def end_to_end(setup: list[float], census: dict, stream: dict) -> tuple[dict, di
         "fail_ratio": census["failed"] / census["attempted"],
         "max_rel_err": census["max_rel_err"],
         "items_per_s": stream["items"] / stream["busy_s"] if stream["busy_s"] else 0.0,
-        "light_p50_ms": 1e3 * statistics.median(light) if light else 0.0,
-        "heavy_p50_ms": 1e3 * statistics.median(heavy) if heavy else 0.0,
+        "light_op_ms": typical_ms(light),
+        "heavy_op_ms": typical_ms(heavy),
     }
     samples = {
         "setup_s": len(setup),
@@ -174,16 +199,18 @@ def end_to_end(setup: list[float], census: dict, stream: dict) -> tuple[dict, di
         "fail_ratio": census["attempted"],
         "max_rel_err": census["attempted"],
         "items_per_s": stream["items"],
-        "light_p50_ms": len(light),
-        "heavy_p50_ms": len(heavy),
+        "light_op_ms": _samples(light),
+        "heavy_op_ms": _samples(heavy),
     }
     return values, samples
 
 
-def traced_run(m: dict, executor, workload: str, seed: int, seconds: float, census_ops: list):
+def traced_run(m: dict, executor, workload: str, seed: int, census_ops: list):
     """Census untraced (warm-up), census untraced (timed), then the tracer
     goes in: census traced (timed; the difference is the tracing
-    overhead), then the stream traced."""
+    overhead), then TRACED_ROUNDS[workload] whole rounds of the stream
+    traced.  Both traced passes are a fixed amount of work, so the
+    per-layer totals measure the cost of that work, not a time share."""
     import tracing
 
     run_census(executor, census_ops)
@@ -198,7 +225,7 @@ def traced_run(m: dict, executor, workload: str, seed: int, seconds: float, cens
         start = time.perf_counter()
         census = run_census(executor, census_ops)
         traced = time.perf_counter() - start
-        stream = run_stream(executor, workload, seed, seconds, tracer)
+        stream = run_stream(executor, workload, seed, max_rounds=TRACED_ROUNDS[workload], tracer=tracer)
     finally:
         tracer.restore()
         executor.tracer = None
@@ -236,7 +263,7 @@ def run_workload(args) -> int:
     if args.trace:
         import tracing
 
-        values, census, stream, tracer = traced_run(m, executor, args.workload, args.seed, args.seconds, census_ops)
+        values, census, stream, tracer = traced_run(m, executor, args.workload, args.seed, census_ops)
         units = {name: unit for name, unit, _ in tracing.PER_LAYER}
         samples = {}
         spans_path = os.path.join(OUT, f"spans-{args.workload}-seed{args.seed}.jsonl")
@@ -254,7 +281,7 @@ def run_workload(args) -> int:
         "attempted": stream["attempted"],
         "failed": len(stream["failures"]),
         "failures": stream["failures"][:20],
-        "samples": {cls: len(ts) for cls, ts in stream["times"].items()},
+        "samples": {cls: _samples(ts) for cls, ts in stream["times"].items()},
     }
     record["metric_samples"] = samples
     correct = census["wrong"] == 0 and not stream["failures"]

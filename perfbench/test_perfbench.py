@@ -146,3 +146,14 @@ def test_run_prints_result_last(trace):
     assert result["correct"] and result["attempted"] >= 1 and result["failed"] == 0
     expected = run.END_TO_END if trace == 0 else tracing.PER_LAYER
     assert [(k, v["unit"]) for k, v in result["metrics"].items()] == [(n, u) for n, u, _ in expected]
+
+
+def test_traced_stream_runs_whole_rounds(executor):
+    per_round = len(next(inputs.rounds("wkb_roots", 2)))
+    stream = run.run_stream(executor, "wkb_roots", 2, max_rounds=2)
+    assert stream["attempted"] == 2 * per_round and not stream["failures"]
+
+
+def test_typical_ms_weights_every_stratum_alike():
+    assert run.typical_ms({0: [0.001, 0.001, 0.001], 1: [0.004]}) == pytest.approx(2.0)
+    assert run.typical_ms({}) == 0.0

@@ -17,16 +17,18 @@ from contextlib import contextmanager
 
 _now = time.perf_counter
 
+# spans kept in memory; later calls are still timed and counted
+MAX_SPANS = 200_000
+
 
 class Tracer:
     """Spans and per-name totals: calls, busy_s, self_s, failures, counters.
 
-    Spans beyond ``max_spans`` are still timed and counted but not kept,
+    Spans beyond ``MAX_SPANS`` are still timed and counted but not kept,
     which bounds memory on the hottest kernels; ``dropped`` says how many.
     """
 
-    def __init__(self, max_spans: int = 200_000):
-        self.max_spans = max_spans
+    def __init__(self):
         self.op_id = -1
         self._patched: list[tuple[object, str, object]] = []
         self.spans: list[tuple[int, int, int, str, float, float]] = []
@@ -56,7 +58,7 @@ class Tracer:
             self.failures[name] += 1
         if self._stack:
             self._stack[-1][3] += duration
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append((span_id, parent, self.op_id, name, start, end))
         else:
             self.dropped += 1
