@@ -11,7 +11,10 @@ Workloads (closed loop, one client, one process, one thread):
 
 A run executes the workload's census once (untimed), then the timed
 stream for --seconds; set-up is sampled in fresh interpreters at evenly
-spaced moments of the stream.  With --trace 0
+spaced moments of the stream, each next to a bare interpreter.  Op
+costs are reported in passes of the yardstick (yardstick.py) timed next
+to each op and set-up time in units of the bare interpreter, because
+the machine's speed drifts more than the bounds allow.  With --trace 0
 it reports the end-to-end metrics; with --trace 1 it wraps the package's
 module entry points and reports the per-layer metrics instead.  The last
 line of stdout is one JSON object: correct, attempted, failed, metrics.
@@ -41,10 +44,18 @@ OUT = os.path.join(HERE, "out")
 
 sys.path.insert(0, HERE)
 import inputs  # noqa: E402
+import yardstick  # noqa: E402
 
 # set-up times fall in two clusters ~60 ms apart; fifteen samples keep
 # the run's median from flipping between them
 SETUP_REPEATS = 15
+# Set-up is interpreter start and imports, whose speed drifts apart from
+# the yardstick's.  Each set-up sample is divided by a bare interpreter
+# that imports what set-up imports from outside abwkb, run just before
+# it, and scaled to NOMINAL_BARE_S, the bare interpreter's wall time on
+# a 2-vCPU x86-64 VM (Python 3.11, NumPy 2.4).
+BARE_IMPORTS = "import numpy, json, math, random"
+NOMINAL_BARE_S = 0.17
 # whole stream rounds in a traced run, 25 to 35 s of work each on a
 # 2-vCPU x86-64 VM at the commit that added the benchmark
 TRACED_ROUNDS = {"grid_cli": 14, "wkb_roots": 350, "shoot_oracle": 6}
@@ -55,9 +66,9 @@ END_TO_END = (
     ("peak_rss_mb", "MiB", "lower"),
     ("fail_ratio", "ratio", "lower"),
     ("max_rel_err", "ratio", "lower"),
-    ("items_per_s", "1/s", "higher"),
-    ("light_op_ms", "ms", "lower"),
-    ("heavy_op_ms", "ms", "lower"),
+    ("items_per_ref", "1/ref", "higher"),
+    ("light_op_ref", "ref", "lower"),
+    ("heavy_op_ref", "ref", "lower"),
 )
 
 
@@ -77,17 +88,23 @@ def load_program() -> dict:
     }
 
 
-def setup_sample(workload: str, seed: int) -> float:
-    """Wall time of a fresh interpreter that imports abwkb and abwkb.cli
-    and generates the run's inputs."""
-    code = (
-        f"import sys; sys.path[:0] = [{SRC!r}, {HERE!r}]; import abwkb, abwkb.cli, inputs; "
-        f"inputs.census({workload!r}, {seed}); next(inputs.rounds({workload!r}, {seed}))"
-    )
+def _interpreter_s(code: str) -> float:
     start = time.perf_counter()
     # no timeout: Popen.wait with a timeout polls every 50 ms, which would quantize the figure
     subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
     return time.perf_counter() - start
+
+
+def setup_sample(workload: str, seed: int) -> tuple[float, float]:
+    """Wall times of a fresh interpreter that imports abwkb and abwkb.cli
+    and generates the run's inputs, and of a bare one run just before it
+    that imports only BARE_IMPORTS."""
+    bare = _interpreter_s(BARE_IMPORTS)
+    setup = _interpreter_s(
+        f"import sys; sys.path[:0] = [{SRC!r}, {HERE!r}]; import abwkb, abwkb.cli, inputs; "
+        f"inputs.census({workload!r}, {seed}); next(inputs.rounds({workload!r}, {seed}))"
+    )
+    return setup, bare
 
 
 def environment(m: dict) -> dict:
@@ -133,41 +150,44 @@ def run_stream(executor, workload: str, seed: int, seconds: float = math.inf, ma
     """Closed loop over the seeded rounds until `seconds` have passed or
     `max_rounds` whole rounds have run.
 
-    Given a `setup` list, it also takes SETUP_REPEATS set-up samples at
-    evenly spaced moments between ops, so that set-up time sees the same
-    machine speed as the ops (the speed drifts over tens of seconds).
+    Between ops it takes a yardstick pass every YARDSTICK_EVERY_S
+    seconds, and one more at the end.  Given a `setup` list, it also
+    takes SETUP_REPEATS set-up samples at evenly spaced moments between
+    ops, so that set-up time sees the same machine speed as the ops (the
+    speed drifts over seconds to minutes).
     """
-    times = {cls: collections.defaultdict(list) for cls in ("light", "heavy", "bulk")}
-    items, busy, attempted = 0, 0.0, 0
-    failures = []
+    timed = []  # (cls, slot, start, seconds, items) of every op that passed
+    marks = yardstick.Marks()
+    attempted, failures = 0, []
     start = time.perf_counter()
     deadline = start + seconds
     ticks = [] if setup is None else [start + i * seconds / SETUP_REPEATS for i in range(SETUP_REPEATS)]
-    for ops in itertools.islice(inputs.rounds(workload, seed), max_rounds):
-        for op in ops:
-            now = time.perf_counter()
-            if ticks and now >= ticks[0]:
-                ticks.pop(0)
-                setup.append(setup_sample(workload, seed))
-            if now >= deadline:
-                for _ in ticks:  # ticks a long last op skipped past
-                    setup.append(setup_sample(workload, seed))
-                return {"times": times, "items": items, "busy_s": busy, "attempted": attempted, "failures": failures}
-            if tracer is not None:
-                tracer.op_id = attempted
-            out = executor.run(op)
-            attempted += 1
-            if out.ok:
-                times[op.cls][op.slot].append(out.seconds)
-                items += out.items
-                busy += out.seconds
-            else:
-                failures.append({"params": _plain(op.params), "error": out.error})
-    return {"times": times, "items": items, "busy_s": busy, "attempted": attempted, "failures": failures}
+    for op in itertools.chain.from_iterable(itertools.islice(inputs.rounds(workload, seed), max_rounds)):
+        now = time.perf_counter()
+        if ticks and now >= ticks[0]:
+            ticks.pop(0)
+            setup.append(setup_sample(workload, seed))
+        if now >= deadline:
+            break
+        if marks.due(now):
+            marks.take()
+        if tracer is not None:
+            tracer.op_id = attempted
+        op_start = time.perf_counter()
+        out = executor.run(op)
+        attempted += 1
+        if out.ok:
+            timed.append((op.cls, op.slot, op_start, out.seconds, out.items))
+        else:
+            failures.append({"params": _plain(op.params), "error": out.error})
+    for _ in ticks:  # ticks a long last op skipped past
+        setup.append(setup_sample(workload, seed))
+    marks.take()
+    return {"timed": timed, "marks": marks, "attempted": attempted, "failures": failures}
 
 
-def typical_ms(by_slot: dict[int, list[float]]) -> float:
-    """Geometric mean over a class's strata of each stratum's median time.
+def typical(by_slot: dict[int, list[float]]) -> float:
+    """Geometric mean over a class's strata of each stratum's median.
 
     A class mixes strata whose costs differ several-fold.  With few samples
     per stratum, the median of the pooled times jumps between the cost
@@ -175,34 +195,69 @@ def typical_ms(by_slot: dict[int, list[float]]) -> float:
     every stratum alike and moves smoothly.
     """
     medians = [statistics.median(ts) for ts in by_slot.values()]
-    return 1e3 * statistics.geometric_mean(medians) if medians else 0.0
+    return statistics.geometric_mean(medians) if medians else 0.0
+
+
+def stream_figures(stream: dict) -> tuple[dict, dict, dict]:
+    """Per-op costs of the stream in yardstick passes ("ref") and, for
+    the record, in wall time.
+
+    Returns (ref figures, wall figures, sample counts)."""
+    marks = stream["marks"]
+    ref = {cls: collections.defaultdict(list) for cls in ("light", "heavy")}
+    wall = {cls: collections.defaultdict(list) for cls in ("light", "heavy")}
+    items, busy_ref, busy_s = 0, 0.0, 0.0
+    for cls, slot, at, seconds, n in stream["timed"]:
+        cost = seconds / marks.local(at)
+        if cls in ref:
+            ref[cls][slot].append(cost)
+            wall[cls][slot].append(seconds)
+        items += n
+        busy_ref += cost
+        busy_s += seconds
+    by_ref = {
+        "items_per_ref": items / busy_ref if busy_ref else 0.0,
+        "light_op_ref": typical(ref["light"]),
+        "heavy_op_ref": typical(ref["heavy"]),
+    }
+    by_wall = {
+        "items_per_s": items / busy_s if busy_s else 0.0,
+        "light_op_ms": 1e3 * typical(wall["light"]),
+        "heavy_op_ms": 1e3 * typical(wall["heavy"]),
+        "yardstick_ms": 1e3 * statistics.median(marks.seconds),
+    }
+    samples = {
+        "items_per_ref": items,
+        "light_op_ref": _samples(ref["light"]),
+        "heavy_op_ref": _samples(ref["heavy"]),
+        "yardstick_passes": len(marks.seconds),
+    }
+    return by_ref, by_wall, samples
 
 
 def _samples(by_slot: dict[int, list[float]]) -> int:
     return sum(len(ts) for ts in by_slot.values())
 
 
-def end_to_end(setup: list[float], census: dict, stream: dict) -> tuple[dict, dict]:
-    light, heavy = stream["times"]["light"], stream["times"]["heavy"]
+def end_to_end(setup: list[tuple[float, float]], census: dict, stream: dict) -> tuple[dict, dict, dict]:
+    by_ref, by_wall, stream_samples = stream_figures(stream)
+    by_wall["setup_s"] = statistics.median(s for s, _ in setup)
+    by_wall["bare_interpreter_s"] = statistics.median(b for _, b in setup)
     values = {
-        "setup_s": statistics.median(setup),
+        "setup_s": NOMINAL_BARE_S * statistics.median(s / b for s, b in setup),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "fail_ratio": census["failed"] / census["attempted"],
         "max_rel_err": census["max_rel_err"],
-        "items_per_s": stream["items"] / stream["busy_s"] if stream["busy_s"] else 0.0,
-        "light_op_ms": typical_ms(light),
-        "heavy_op_ms": typical_ms(heavy),
+        **by_ref,
     }
     samples = {
         "setup_s": len(setup),
         "peak_rss_mb": 1,
         "fail_ratio": census["attempted"],
         "max_rel_err": census["attempted"],
-        "items_per_s": stream["items"],
-        "light_op_ms": _samples(light),
-        "heavy_op_ms": _samples(heavy),
+        **stream_samples,
     }
-    return values, samples
+    return values, samples, by_wall
 
 
 def traced_run(m: dict, executor, workload: str, seed: int, census_ops: list):
@@ -249,7 +304,7 @@ def run_workload(args) -> int:
     os.makedirs(OUT, exist_ok=True)
     import execute
 
-    setup: list[float] = []
+    setup: list[tuple[float, float]] = []
     executor = execute.Executor(m, os.path.join(OUT, f"{args.workload}-figure.svg"))
     census_ops = inputs.census(args.workload, args.seed)
     record = {
@@ -258,7 +313,7 @@ def run_workload(args) -> int:
         "seconds": args.seconds,
         "trace": args.trace,
         "env": environment(m),
-        "setup_samples_s": setup,
+        "setup_samples_s": setup,  # (set-up, bare interpreter) wall times
     }
     if args.trace:
         import tracing
@@ -272,8 +327,9 @@ def run_workload(args) -> int:
     else:
         census = run_census(executor, census_ops)
         stream = run_stream(executor, args.workload, args.seed, args.seconds, setup=setup)
-        values, samples = end_to_end(setup, census, stream)
+        values, samples, by_wall = end_to_end(setup, census, stream)
         units = {name: unit for name, unit, _ in END_TO_END}
+        record["wall"] = by_wall
     digest_key = "stdout_sha256" if args.workload == "grid_cli" else "results_sha256"
     record["digests"] = {digest_key: census["sha256"]}
     record["census"] = {k: census[k] for k in ("attempted", "failed", "wrong", "max_rel_err", "failures")}
@@ -281,7 +337,7 @@ def run_workload(args) -> int:
         "attempted": stream["attempted"],
         "failed": len(stream["failures"]),
         "failures": stream["failures"][:20],
-        "samples": {cls: _samples(ts) for cls, ts in stream["times"].items()},
+        "samples": dict(collections.Counter(cls for cls, *_ in stream["timed"])),
     }
     record["metric_samples"] = samples
     correct = census["wrong"] == 0 and not stream["failures"]
@@ -306,6 +362,8 @@ def run_workload(args) -> int:
     for f in stream["failures"][:5]:
         print(f"    WRONG: {f['error'][:110]}")
     _print_table(values, units, samples)
+    if "wall" in record:
+        print(f"  wall time, for reference only: {json.dumps(record['wall'])}")
     print(json.dumps({"record": {k: record[k] for k in ("workload", "seed", "env", "digests", "metric_samples")}}))
     print(json.dumps(result))
     return 0

@@ -22,6 +22,7 @@ import execute  # noqa: E402
 import inputs  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
+import yardstick  # noqa: E402
 
 NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 UNIT = re.compile(r"[A-Za-z0-9_/%.-]{1,16}")
@@ -154,6 +155,18 @@ def test_traced_stream_runs_whole_rounds(executor):
     assert stream["attempted"] == 2 * per_round and not stream["failures"]
 
 
-def test_typical_ms_weights_every_stratum_alike():
-    assert run.typical_ms({0: [0.001, 0.001, 0.001], 1: [0.004]}) == pytest.approx(2.0)
-    assert run.typical_ms({}) == 0.0
+def test_typical_weights_every_stratum_alike():
+    assert run.typical({0: [1.0, 1.0, 1.0], 1: [4.0]}) == pytest.approx(2.0)
+    assert run.typical({}) == 0.0
+
+
+def test_op_cost_is_divided_by_the_nearest_yardstick_passes():
+    marks = yardstick.Marks()
+    marks.at, marks.seconds = [0.0, 1.0, 2.0, 10.0, 11.0, 12.0, 13.0], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+    stream = {"marks": marks, "timed": [("light", 0, 0.5, 0.003, 1), ("light", 0, 12.5, 0.006, 1)]}
+    by_ref, by_wall, samples = run.stream_figures(stream)
+    # the first op sees passes of 1 s only, the second of 2 s only
+    assert by_ref["light_op_ref"] == pytest.approx(0.003)
+    assert by_ref["items_per_ref"] == pytest.approx(2 / 0.006)
+    assert by_wall["light_op_ms"] == pytest.approx(4.5)
+    assert samples["light_op_ref"] == 2
