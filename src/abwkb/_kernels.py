@@ -1,59 +1,32 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
-Each kernel exists twice: a plain Python/NumPy implementation and a
-numba-jitted one.  The active backend is picked at import time; setting
-the environment variable ABWKB_DISABLE_NUMBA=1 (or a missing numba)
-selects the fallback.  Both paths implement identical arithmetic and are
-compared in the test suite and in benchmarks/benchmark_kernels.py.
-
-The kernel bodies are deliberately self-contained (the power-law
-potential is inlined) so numba can compile them without helper lookups.
+One implementation per kernel: the action sum is vectorized with NumPy,
+the Numerov sweeps are plain Python recurrences.  The power-law potential
+is inlined in each body.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_DISABLE = "ABWKB_DISABLE_NUMBA"
+BACKEND = "numpy"
 
 # r below which r**nu (nu < 0) would overflow a double; the truncated mass
 # is negligible for nu >= -1.84 and reaches ~1e-8 only as nu -> -2
 _POW_GUARD_EXP = -280.0
 
 
-def action_sum_loop(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) -> float:
+def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) -> float:
     """tanh-sinh node sum of sqrt(E - lam r**nu) over (0, rc) at mesh h.
 
-    Nodes are r = rc / (1 + exp(-pi sinh(t))); the exponential form keeps
-    r accurate near both endpoints, which carry integrable singularities
-    (r**(nu/2) at 0 for nu < 0, sqrt(rc - r) at the turning point).
+    Nodes are r = rc / (1 + exp(-pi sinh(t))), t = k h for |k| <= kmax;
+    the exponential form keeps r accurate near both endpoints, which carry
+    integrable singularities (r**(nu/2) at 0 for nu < 0, sqrt(rc - r) at
+    the turning point).  Nodes past the overflow clamps or inside the
+    r**nu guard contribute nothing.
     """
-    guard = 10.0 ** (_POW_GUARD_EXP / -nu) if nu < 0.0 else 0.0
-    total = 0.0
-    for k in range(-kmax, kmax + 1):
-        t = k * h
-        u = 0.5 * math.pi * math.sinh(t)
-        if u > 345.0:
-            continue
-        if u < -345.0:
-            r = rc * math.exp(2.0 * u)
-        else:
-            r = rc / (1.0 + math.exp(-2.0 * u))
-        if r <= guard or r >= rc:
-            continue
-        cu = math.cosh(u)
-        w = 0.25 * math.pi * rc * math.cosh(t) / (cu * cu)
-        g = E - lam * r**nu
-        if g > 0.0:
-            total += w * math.sqrt(g)
-    return total * h
-
-
-def action_sum_numpy(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) -> float:
-    """Vectorized twin of action_sum_loop."""
     guard = 10.0 ** (_POW_GUARD_EXP / -nu) if nu < 0.0 else 0.0
     t = h * np.arange(-kmax, kmax + 1, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
@@ -70,7 +43,7 @@ def action_sum_numpy(E: float, lam: float, nu: float, rc: float, h: float, kmax:
     return float(vals.sum()) * h
 
 
-def numerov_count_loop(
+def numerov_count(
     E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int
 ) -> int:
     """Outward Numerov sweep of u'' + (E - lam r**nu - g(g+1)/r^2) u = 0
@@ -104,7 +77,7 @@ def numerov_count_loop(
     return nodes
 
 
-def numerov_match_loop(
+def numerov_match(
     E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int, im: int
 ):
     """Two-sided Numerov sweep matched at grid index im.
@@ -191,39 +164,3 @@ def numerov_match_loop(
         nodes += 1
     disc = ((uo_p1 - uo_m1) - scale * (ui_p1 - ui_m1)) / (2.0 * h * abs(uo_0))
     return disc, nodes
-
-
-PY_IMPLS = {
-    "action_sum": action_sum_numpy,
-    "numerov_count": numerov_count_loop,
-    "numerov_match": numerov_match_loop,
-}
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-NUMBA_IMPLS: dict | None = None
-if not _env_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_IMPLS = {
-            "action_sum": njit(cache=True)(action_sum_loop),
-            "numerov_count": njit(cache=True)(numerov_count_loop),
-            "numerov_match": njit(cache=True)(numerov_match_loop),
-        }
-    except ImportError:  # pragma: no cover - numba is a hard dep in normal installs
-        NUMBA_IMPLS = None
-
-if NUMBA_IMPLS is not None:
-    BACKEND = "numba"
-    action_sum = NUMBA_IMPLS["action_sum"]
-    numerov_count = NUMBA_IMPLS["numerov_count"]
-    numerov_match = NUMBA_IMPLS["numerov_match"]
-else:
-    BACKEND = "numpy"
-    action_sum = PY_IMPLS["action_sum"]
-    numerov_count = PY_IMPLS["numerov_count"]
-    numerov_match = PY_IMPLS["numerov_match"]

@@ -93,21 +93,18 @@ def quantization_constant(
 ) -> float:
     """Additive constant c in the condition action = (n + c) pi.
 
-    With maslov=None the defaults are the exponent-dependent constant for
-    nu < 0, g/2 + 3/4 for nu > 0 and g/2 + 1 for the well.  An explicit
-    MaslovConstant m replaces the boundary part: c = g/2 + m (positive
-    powers and well only; the negative-power constant has no such split).
+    With maslov=None c is the closed form's slope * g + offset: the
+    exponent-dependent constant for nu < 0, g/2 + 3/4 for nu > 0 and
+    g/2 + 1 for the well.  An explicit MaslovConstant m replaces the
+    boundary part: c = g/2 + m (positive powers and well only; the
+    negative-power constant has no such split).
     """
-    if isinstance(potential, InfiniteWell):
-        m = 1.0 if maslov is None else maslov.value
-        return 0.5 * gamma + m
-    if potential.nu > 0.0:
-        m = 0.75 if maslov is None else maslov.value
-        return 0.5 * gamma + m
-    if maslov is not None:
+    c = closed_form.level_coefficients(potential)
+    if maslov is None:
+        return c.slope * gamma + c.offset
+    if isinstance(potential, PowerLaw) and potential.nu < 0.0:
         raise ValueError("explicit Maslov override applies to nu > 0 or the well")
-    nu = potential.nu
-    return (2.0 * gamma + nu + 3.0) / (2.0 * (nu + 2.0))
+    return c.slope * gamma + maslov.value
 
 
 @dataclass(frozen=True)
@@ -156,9 +153,7 @@ def quantize_energy(setup: QuantizationSetup, n: int) -> float:
 def _initial_guess(pot: PotentialSpec, gamma: float, constant: float, n: int) -> float:
     if isinstance(pot, InfiniteWell):
         return ((n + constant) * math.pi / pot.a) ** 2
-    if pot.lam < 0.0:
-        return closed_form.energy_negative_power(n, gamma, pot.lam, pot.nu)
-    return closed_form.energy_positive_power(n, gamma, pot.lam, pot.nu)
+    return closed_form.closed_form_energy(pot, n, gamma)
 
 
 def _bracket(f, guess: float, negative: bool, max_expand: int = 80) -> tuple[float, float]:

@@ -4,6 +4,8 @@ classification, derivative ratios and the flux-slope effect.
 Quantum numbers are promoted to continuous reals here (and only here) so
 the closed forms can be differentiated; |k + mu0| is treated as a single
 variable, which sidesteps the kink of the absolute value at k + mu0 = 0.
+Every closed form is E = s (K x)**p with x = n + a (q + kmu) + b, so
+all derivatives are exact.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closed_form import _energy_smooth
+from .closed_form import LevelCoefficients, level_coefficients
 from .model import InfiniteWell, PotentialSpec, PowerLaw
 
 __all__ = [
@@ -30,13 +32,7 @@ BENDS_DOWN = "bends-down"
 LINEAR = "linear"
 BENDS_UP = "bends-up"
 
-_FD_STEP = 1e-4
 _KMU_FLOOR = 1e-3
-
-
-def _energy(potential: PotentialSpec, n: float, q: float, kmu: float) -> float:
-    # closed forms are smooth in n and gamma; kmu >= 0 enters through gamma
-    return _energy_smooth(potential, n, q + kmu)
 
 
 def spectral_derivative(
@@ -46,8 +42,9 @@ def spectral_derivative(
     which: str,
     order: int = 1,
 ) -> float:
-    """Central finite difference of the closed-form energy (reduced units)
-    with respect to one of the continuous variables n, q or kmu = |k+mu0|.
+    """Exact first or second derivative of the closed-form energy (reduced
+    units) with respect to one of the continuous variables n, q or
+    kmu = |k+mu0|.
 
     point is (n, q, k) with real components; differentiating in kmu
     requires |k + mu0| >= 1e-3 to stay clear of the absolute-value kink.
@@ -60,17 +57,13 @@ def spectral_derivative(
         raise ValueError(f"order must be 1 or 2, got {order}")
     if which == "kmu" and kmu < _KMU_FLOOR:
         raise ValueError(f"|k + mu0| = {kmu} too close to the kink for a kmu derivative")
-    h = _FD_STEP
-    args = {"n": n, "q": q, "kmu": kmu}
-
-    def at(delta: float) -> float:
-        a = dict(args)
-        a[which] += delta
-        return _energy(potential, a["n"], a["q"], a["kmu"])
-
+    c = level_coefficients(potential)
+    kx = c.factor * c.level_index(n, q + kmu)
+    # d/dn of x is 1, d/dq and d/dkmu are the slope a
+    dx = 1.0 if which == "n" else c.slope
     if order == 1:
-        return (at(h) - at(-h)) / (2.0 * h)
-    return (at(h) - 2.0 * at(0.0) + at(-h)) / (h * h)
+        return c.scale * c.power * c.factor * kx ** (c.power - 1.0) * dx
+    return c.scale * c.power * (c.power - 1.0) * (c.factor * dx) ** 2 * kx ** (c.power - 2.0)
 
 
 def tendency_classify(nu: float) -> str:
@@ -91,38 +84,35 @@ def derivative_ratios(nu: float) -> tuple[float, float, float]:
 
     The positive branch depends on n + gamma/2 + 3/4, so the slopes in n
     and in gamma stand in the fixed ratio 2:1; the negative branch depends
-    on n + (2 gamma + nu + 3)/(2 nu + 4), giving (nu + 2):1.
+    on n + (2 gamma + nu + 3)/(2 nu + 4), giving (nu + 2):1.  The well
+    (nu = inf) depends on n + gamma/2 + 1 and shares the ratio 2.
     """
     if nu > 0.0:
         return (2.0, 2.0, 1.0)
     if -2.0 < nu < 0.0:
         return (nu + 2.0, nu + 2.0, 1.0)
-    raise ValueError(f"nu={nu} outside (-2, 0) u (0, inf)")
+    raise ValueError(f"nu={nu} outside (-2, 0) u (0, inf]")
 
 
-def _probe_potential(nu: float) -> PotentialSpec:
+def _probe_coefficients(nu: float) -> LevelCoefficients:
+    # the signs depend on the exponent alone: |lam| and the well radius
+    # scale s by a positive factor, which for nu -> -2 can underflow
     if nu == math.inf:
-        return InfiniteWell(1.0)
-    return PowerLaw(-1.0 if nu < 0.0 else 1.0, nu)
+        return level_coefficients(InfiniteWell(1.0))
+    return level_coefficients(PowerLaw(-1.0 if nu < 0.0 else 1.0, nu))
 
 
-def flux_slope_effect(nu: float, threshold: float = 1e-6) -> int:
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+def flux_slope_effect(nu: float) -> int:
     """Sign of d^2 E / (dn d|k+mu0|): -1 when the flux depresses the
     n-slope (nu < 2), 0 at the marginal oscillator (nu = 2), +1 when it
-    steepens it (nu > 2).  Measured by a mixed central difference on the
-    closed form at a representative grid point."""
-    pot = _probe_potential(nu)
-    n0, q0, kmu0 = 1.0, 1.0, 0.75
-    h = _FD_STEP
-
-    def e(dn: float, dk: float) -> float:
-        return _energy(pot, n0 + dn, q0, kmu0 + dk)
-
-    mixed = (e(h, h) - e(h, -h) - e(-h, h) + e(-h, -h)) / (4.0 * h * h)
-    scale = abs((e(h, 0.0) - e(-h, 0.0)) / (2.0 * h)) + 1e-300
-    if abs(mixed) <= threshold * scale:
-        return 0
-    return 1 if mixed > 0.0 else -1
+    steepens it (nu > 2).  The mixed derivative is s p (p - 1) K^2 a
+    (K x)**(p - 2) with K, a, x > 0, so its sign is that of s p (p - 1)."""
+    c = _probe_coefficients(nu)
+    return _sign(c.scale * c.power * (c.power - 1.0))
 
 
 @dataclass(frozen=True)
@@ -136,27 +126,17 @@ class TendencyReport:
     flux_slope_sign: str
 
 
-def build_tendency_report(
-    potential: PotentialSpec,
-    mu0: float,
-    point: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> TendencyReport:
-    """Measure the tendency quantities by finite differences at `point`
-    and cross-check the curvature class against the exponent rule."""
+_SIGN_TEXT = {1: "+", 0: "0", -1: "-"}
+
+
+def build_tendency_report(potential: PotentialSpec) -> TendencyReport:
+    """Exact tendency quantities of the closed form: the curvature class
+    and the slope ratios (dE/dn : dE/dkmu, dE/dq : dE/dkmu, 1) from the
+    exponent rules, the derivative signs from the closed-form record
+    (dE/dn = s p K (K x)**(p - 1) and dE/dq = dE/dkmu = a dE/dn)."""
     nu = math.inf if isinstance(potential, InfiniteWell) else potential.nu
-    firsts = [spectral_derivative(potential, mu0, point, w, 1) for w in ("n", "q", "kmu")]
-    second = spectral_derivative(potential, mu0, point, "n", 2)
-    signs = tuple("+" if d > 0.0 else ("-" if d < 0.0 else "0") for d in firsts)
-    scale = abs(firsts[0]) + 1e-300
-    if abs(second) <= 1e-6 * scale:
-        curvature = LINEAR
-    else:
-        curvature = BENDS_UP if second > 0.0 else BENDS_DOWN
-    expected = tendency_classify(nu)
-    if curvature != expected:
-        raise ArithmeticError(
-            f"measured curvature {curvature} disagrees with rule {expected} at nu={nu}"
-        )
-    ratios = (firsts[0] / firsts[2], firsts[1] / firsts[2], 1.0)
-    slope = flux_slope_effect(nu)
-    return TendencyReport(nu, curvature, signs, ratios, {1: "+", 0: "0", -1: "-"}[slope])
+    c = _probe_coefficients(nu)
+    dn = _SIGN_TEXT[_sign(c.scale * c.power)]
+    dg = _SIGN_TEXT[_sign(c.scale * c.power * c.slope)]
+    ratios = (derivative_ratios(nu)[1], 1.0, 1.0)
+    return TendencyReport(nu, tendency_classify(nu), (dn, dg, dg), ratios, _SIGN_TEXT[flux_slope_effect(nu)])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import action as action_mod
@@ -206,8 +205,7 @@ def _cmd_spectrum(args, config: dict) -> int:
     potential = _potential_from_args(args)
     unit = _unit_from_args(args, potential)
     k_range = args.k_range if args.k_range else (args.k, args.k)
-    workers = int(os.environ.get("ABWKB_WORKERS", "1"))
-    table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, k_range, unit, workers)
+    table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, k_range, unit)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     _write_output(text, args.out)
     if args.svg:
@@ -275,7 +273,7 @@ def _cmd_tendency(args, config: dict) -> int:
     preset = args.units or _TENDENCY_DEFAULT_UNITS.get(args.nu, "reduced")
     unit = unit_scale(preset, potential)
     table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, (args.k, args.k), unit)
-    report = analysis.build_tendency_report(potential, args.mu0, point=(1.0, 1.0, args.k))
+    report = analysis.build_tendency_report(potential)
     report_obj = {
         "nu": "inf" if report.nu == math.inf else round12(report.nu),
         "curvature": report.curvature,

@@ -10,13 +10,15 @@ master formulas are
     E = lam**(2/(nu+2)) * [ 2 nu sqrt(pi) (n + g/2 + 3/4)
           * G(1/nu + 3/2)/G(1/nu) ]**(2nu/(nu+2))           (lam, nu, E > 0)
 
-with g the effective angular momentum q + |k + mu0|.
+with g the effective angular momentum q + |k + mu0|.  Both, and the well
+limit, are evaluated from one LevelCoefficients record per potential.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 from .model import InfiniteWell, PotentialSpec, UnitScale, effective_gamma
@@ -24,6 +26,7 @@ from .special_functions import gamma as gamma_fn
 
 __all__ = [
     "EnergyLevel",
+    "LevelCoefficients",
     "SpectrumTable",
     "METHOD_CLOSED_FORM",
     "METHOD_ACTION_ROOT",
@@ -34,6 +37,7 @@ __all__ = [
     "energy_oscillator",
     "energy_well_semiclassical",
     "closed_form_energy",
+    "level_coefficients",
     "spectrum_table",
 ]
 
@@ -44,31 +48,60 @@ METHOD_EXACT_ORACLE = "exact-oracle"
 REDUCED = UnitScale("reduced", 1.0)
 
 
-def _negative_power_smooth(n: float, gamma: float, lam: float, nu: float) -> float:
-    # formula body without the integer-index check; n may sit slightly
-    # below zero when the analysis module differentiates at n = 0
-    if not (lam < 0.0 and -2.0 < nu < 0.0):
-        raise ValueError(f"negative-power branch needs lam < 0, -2 < nu < 0; got {lam}, {nu}")
-    shift = (2.0 * gamma + nu + 3.0) / (2.0 * nu + 4.0)
-    if not n + shift > 0.0:
-        raise ValueError(f"non-positive level index n + {shift}")
-    bracket = (
-        2.0 * abs(nu) * math.sqrt(math.pi) * (n + shift)
-        * gamma_fn(1.0 - 1.0 / nu) / gamma_fn(-1.0 / nu - 0.5)
-    )
-    return -abs(lam) ** (2.0 / (nu + 2.0)) * bracket ** (2.0 * nu / (nu + 2.0))
+@dataclass(frozen=True)
+class LevelCoefficients:
+    """Both master formulas and the well limit share one shape,
+
+        E(n, g) = scale * (factor * (n + slope * g + offset)) ** power,
+
+    with the Gamma ratio folded into factor.  One record per potential
+    serves the levels, their exact derivatives and the quantization
+    constant slope * g + offset.
+    """
+
+    scale: float
+    factor: float
+    slope: float
+    offset: float
+    power: float
+
+    def level_index(self, n: float, gamma: float) -> float:
+        x = n + self.slope * gamma + self.offset
+        if not x > 0.0:
+            raise ValueError(f"non-positive level index n + {self.slope} g + {self.offset} = {x}")
+        return x
+
+    def energy(self, n: float, gamma: float) -> float:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
+        if not abs(e) >= sys.float_info.min:
+            raise ValueError(f"level n={n}, gamma={gamma} underflows: |E| = {abs(e):.3g}")
+        return e
 
 
-def _positive_power_smooth(n: float, gamma: float, lam: float, nu: float) -> float:
-    if not (lam > 0.0 and nu > 0.0):
-        raise ValueError(f"positive-power branch needs lam > 0, nu > 0; got {lam}, {nu}")
-    if not n + 0.5 * gamma + 0.75 > 0.0:
-        raise ValueError("non-positive level index")
-    bracket = (
-        2.0 * nu * math.sqrt(math.pi) * (n + 0.5 * gamma + 0.75)
-        * gamma_fn(1.0 / nu + 1.5) / gamma_fn(1.0 / nu)
-    )
-    return lam ** (2.0 / (nu + 2.0)) * bracket ** (2.0 * nu / (nu + 2.0))
+def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
+    if lam < 0.0 and -2.0 < nu < 0.0:
+        factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_fn(1.0 - 1.0 / nu) / gamma_fn(-1.0 / nu - 0.5)
+        return LevelCoefficients(
+            -abs(lam) ** (2.0 / (nu + 2.0)),
+            factor,
+            1.0 / (nu + 2.0),
+            (nu + 3.0) / (2.0 * nu + 4.0),
+            2.0 * nu / (nu + 2.0),
+        )
+    if lam > 0.0 and nu > 0.0:
+        factor = 2.0 * nu * math.sqrt(math.pi) * gamma_fn(1.0 / nu + 1.5) / gamma_fn(1.0 / nu)
+        return LevelCoefficients(lam ** (2.0 / (nu + 2.0)), factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
+    raise ValueError(f"need lam < 0, -2 < nu < 0 or lam, nu > 0; got {lam}, {nu}")
+
+
+@functools.lru_cache(maxsize=64)
+def level_coefficients(potential: PotentialSpec) -> LevelCoefficients:
+    """The closed-form record of a potential (reduced units), computed once."""
+    if isinstance(potential, InfiniteWell):
+        return LevelCoefficients(math.pi**2 / potential.a**2, 1.0, 0.5, 1.0, 2.0)
+    return _power_law_coefficients(potential.lam, potential.nu)
 
 
 def energy_negative_power(n: int, gamma: float, lam: float, nu: float) -> float:
@@ -78,16 +111,16 @@ def energy_negative_power(n: int, gamma: float, lam: float, nu: float) -> float:
     duality transform are accepted as long as the level index stays
     positive, since the formula only sees n + (2 gamma + nu + 3)/(2 nu + 4).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _negative_power_smooth(n, gamma, lam, nu)
+    if not (lam < 0.0 and -2.0 < nu < 0.0):
+        raise ValueError(f"negative-power branch needs lam < 0, -2 < nu < 0; got {lam}, {nu}")
+    return _power_law_coefficients(lam, nu).energy(n, gamma)
 
 
 def energy_positive_power(n: int, gamma: float, lam: float, nu: float) -> float:
     """Level n of V = lam r**nu for lam, nu > 0 (reduced units, E > 0)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _positive_power_smooth(n, gamma, lam, nu)
+    if not (lam > 0.0 and nu > 0.0):
+        raise ValueError(f"positive-power branch needs lam > 0, nu > 0; got {lam}, {nu}")
+    return _power_law_coefficients(lam, nu).energy(n, gamma)
 
 
 def energy_coulomb(n: int, q: int, k: int, mu0: float) -> float:
@@ -117,19 +150,12 @@ def energy_well_semiclassical(n: int, gamma: float, a: float) -> float:
 
 
 def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:
-    """Closed-form level for any supported potential, in reduced units."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _energy_smooth(potential, n, gamma)
+    """Closed-form level for any supported potential, in reduced units.
 
-
-def _energy_smooth(potential: PotentialSpec, n: float, gamma: float) -> float:
-    # continuous-n dispatcher used by the derivative machinery
-    if isinstance(potential, InfiniteWell):
-        return (n + 0.5 * gamma + 1.0) ** 2 * math.pi**2 / potential.a**2
-    if potential.lam < 0.0:
-        return _negative_power_smooth(n, gamma, potential.lam, potential.nu)
-    return _positive_power_smooth(n, gamma, potential.lam, potential.nu)
+    Raises ValueError when |E| falls below the normal double range, where
+    the level would print as -0 or a subnormal.
+    """
+    return level_coefficients(potential).energy(n, gamma)
 
 
 @dataclass(frozen=True)
@@ -162,35 +188,21 @@ def spectrum_table(
     q_max: int,
     k_range: tuple[int, int],
     unit: UnitScale | None = None,
-    workers: int | None = None,
 ) -> SpectrumTable:
     """Closed-form levels for every (n, q, k) in the requested ranges.
 
-    Rows are emitted in lexicographic (n, q, k) order.  With workers > 1
-    the grid is evaluated on a thread pool; assembly order is still
-    deterministic.
+    Rows are emitted in lexicographic (n, q, k) order.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
         raise ValueError(f"empty grid: n_max={n_max}, q_max={q_max}, k_range={k_range}")
     unit = unit or REDUCED
 
-    keys = [
-        (n, q, k)
-        for n in range(n_max + 1)
-        for q in range(q_max + 1)
-        for k in range(k_lo, k_hi + 1)
-    ]
-
-    def level(key: tuple[int, int, int]) -> EnergyLevel:
-        n, q, k = key
-        g = effective_gamma(q, k, mu0)
-        e = closed_form_energy(potential, n, g) * unit.factor
-        return EnergyLevel(n, q, k, g, e)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(level, keys))
-    else:
-        rows = tuple(level(key) for key in keys)
-    return SpectrumTable(potential, mu0, unit, METHOD_CLOSED_FORM, rows)
+    factor = unit.factor
+    rows = []
+    for n in range(n_max + 1):
+        for q in range(q_max + 1):
+            for k in range(k_lo, k_hi + 1):
+                g = effective_gamma(q, k, mu0)
+                rows.append(EnergyLevel(n, q, k, g, closed_form_energy(potential, n, g) * factor))
+    return SpectrumTable(potential, mu0, unit, METHOD_CLOSED_FORM, tuple(rows))

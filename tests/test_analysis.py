@@ -8,6 +8,7 @@ dE/dn = 1/(2 N^3), d2E/dn2 = -3/(2 N^4); for the oscillator with coupling
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from abwkb import (
     tendency_classify,
 )
 from abwkb.analysis import BENDS_DOWN, BENDS_UP, LINEAR
+from abwkb.closed_form import closed_form_energy
 
 COULOMB = PowerLaw(-1.0, -1.0)
 LINEAR_POT = PowerLaw(1.0, 1.0)
@@ -82,6 +84,32 @@ class TestSpectralDerivative:
         for point in [(0.0, 0.0, 0.5), (1.0, 2.0, 1.5), (3.0, 0.0, 0.25)]:
             for which in ("n", "q", "kmu"):
                 assert spectral_derivative(pot, 0.0, point, which, 1) > 0.0
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize("pot", [COULOMB, PowerLaw(-1.0, -0.5), LINEAR_POT, OSC, PowerLaw(1.0, 4.0), WELL])
+    @pytest.mark.parametrize("which", ["n", "q", "kmu"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_central_difference_of_closed_form(self, pot, which, order):
+        h = 1e-4
+        mu0 = 0.3
+        for point in [(1.0, 1.0, 1.0), (0.5, 0.0, 0.2), (3.0, 2.0, -1.0)]:
+            n, q, k = point
+            g = q + abs(k + mu0)
+
+            def e(d):
+                if which == "n":
+                    return closed_form_energy(pot, n + d, g)
+                return closed_form_energy(pot, n, g + d)
+
+            if order == 1:
+                fd = (e(h) - e(-h)) / (2.0 * h)
+            else:
+                fd = (e(h) - 2.0 * e(0.0) + e(-h)) / (h * h)
+            # the difference quotient carries rounding noise ~ eps |E| / h**order
+            noise = 8.0 * sys.float_info.epsilon * abs(e(0.0)) / h**order
+            exact = spectral_derivative(pot, mu0, point, which, order)
+            assert exact == pytest.approx(fd, rel=1e-6, abs=noise)
 
 
 class TestTendencyClassify:
@@ -176,7 +204,7 @@ class TestFluxSlope:
 
 class TestTendencyReport:
     def test_oscillator_report(self):
-        rep = build_tendency_report(OSC, 0.5)
+        rep = build_tendency_report(OSC)
         assert rep.curvature == LINEAR
         assert rep.first_derivative_signs == ("+", "+", "+")
         assert rep.ratios[0] == pytest.approx(2.0, abs=1e-8)
@@ -184,11 +212,19 @@ class TestTendencyReport:
         assert rep.flux_slope_sign == "0"
 
     def test_coulomb_report(self):
-        rep = build_tendency_report(COULOMB, 0.5)
+        rep = build_tendency_report(COULOMB)
         assert rep.curvature == BENDS_DOWN
         assert rep.flux_slope_sign == "-"
 
+    @pytest.mark.parametrize("nu", [-1.985, -1.99])
+    def test_exact_ratios_near_minus_two(self, nu):
+        rep = build_tendency_report(PowerLaw(-0.7, nu))
+        assert rep.ratios == (nu + 2.0, 1.0, 1.0)
+        assert rep.curvature == BENDS_DOWN
+        assert rep.first_derivative_signs == ("+", "+", "+")
+        assert rep.flux_slope_sign == "-"
+
     def test_well_report(self):
-        rep = build_tendency_report(WELL, 0.5)
+        rep = build_tendency_report(WELL)
         assert rep.curvature == BENDS_UP
         assert rep.flux_slope_sign == "+"

@@ -147,6 +147,27 @@ class TestTendency:
         assert out.startswith(CSV_HEADER)
         assert json.loads(err)["curvature"] == "bends-down"
 
+    def test_underflowing_levels_exit_2_without_rows(self, capsys):
+        # the lowest levels near nu = -2 fall below the normal double range
+        code, out, err = run_cli(
+            capsys,
+            "tendency", "--nu", "-1.992219", "--lambda", "-0.695849", "--mu0", "0.900908",
+            "--k", "1", "--n-max", "4", "--q-max", "3", "--units", "fig2a", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "underflows" in err
+
+    def test_flux_at_the_kink_is_accepted(self, capsys):
+        # the exact report needs no kmu derivative at the point k + mu0 = 0
+        code, out, err = run_cli(
+            capsys,
+            "tendency", "--nu", "-1", "--lambda", "-1", "--mu0", "0", "--k", "0",
+            "--n-max", "1", "--q-max", "1",
+        )
+        assert code == 0
+        assert json.loads(err)["ratios"] == [1.0, 1.0, 1.0]
+
 
 class TestJsonCommands:
     def test_verify_action(self, capsys):

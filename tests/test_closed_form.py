@@ -6,6 +6,7 @@ branches, and flux periodicity.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -190,6 +191,20 @@ class TestFluxPeriodicity:
             assert shifted == pytest.approx(plain, rel=1e-12)
 
 
+class TestUnderflow:
+    def test_zero_level_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            closed_form_energy(PowerLaw(-0.695849, -1.992219), 0, 1.900908)
+
+    def test_subnormal_level_rejected(self):
+        # |E| ~ 4e-316 here, below sys.float_info.min
+        with pytest.raises(ValueError, match="underflows"):
+            energy_negative_power(0, 3.436, -1.0, -1.99)
+
+    def test_smallest_normal_levels_pass(self):
+        assert energy_negative_power(0, 3.2, -1.0, -1.99) < -sys.float_info.min
+
+
 class TestSpectrumTable:
     def test_sorted_and_complete(self):
         table = spectrum_table(PowerLaw(-1.0, -1.0), 0.0, 2, 1, (-1, 1))
@@ -208,10 +223,22 @@ class TestSpectrumTable:
         with pytest.raises(ValueError):
             spectrum_table(PowerLaw(-1.0, -1.0), 0.0, -1, 1, (0, 0))
 
-    def test_workers_give_identical_table(self):
-        serial = spectrum_table(PowerLaw(1.0, 2.0), 0.5, 3, 2, (-2, 2))
-        parallel = spectrum_table(PowerLaw(1.0, 2.0), 0.5, 3, 2, (-2, 2), workers=4)
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "pot, preset",
+        [
+            (PowerLaw(-1.3, -1.0), "fig2a"),
+            (PowerLaw(-0.7, -0.5), "reduced"),
+            (PowerLaw(1.2, 1.0), "fig2b"),
+            (PowerLaw(0.8, 2.0), "fig2c"),
+            (PowerLaw(1.5, 4.0), "reduced"),
+            (InfiniteWell(1.7), "fig1"),
+        ],
+    )
+    def test_rows_are_the_scaled_closed_form(self, pot, preset):
+        unit = unit_scale(preset, pot)
+        table = spectrum_table(pot, 0.3, 4, 3, (-2, 2), unit)
+        for r in table.rows:
+            assert r.energy == closed_form_energy(pot, r.n, r.gamma) * unit.factor
 
     def test_oscillator_increasing_in_n(self):
         table = spectrum_table(PowerLaw(1.0, 2.0), 0.5, 4, 1, (-1, 1))

@@ -1,89 +1,28 @@
-"""Backend parity: the numba kernels and the Python/NumPy fallbacks must
-implement identical arithmetic."""
+"""Kernel checks: one NumPy/Python implementation per kernel."""
 
-import os
-import subprocess
-import sys
+import math
 
 import pytest
 
 from abwkb import _kernels
 
-NEEDS_NUMBA = pytest.mark.skipif(
-    _kernels.NUMBA_IMPLS is None, reason="numba unavailable or disabled"
-)
 
-
-@NEEDS_NUMBA
-class TestParity:
-    def test_action_sum(self):
-        cases = [
-            (-0.25, -1.0, -1.0, 4.0),
-            (-0.04, -1.0, -1.5, (0.04) ** (-1.0 / 1.5)),
-            (3.0, 1.0, 2.0, 3.0**0.5),
-            (2.32, 1.0, 1.0, 2.32),
-        ]
-        for E, lam, nu, rc in cases:
-            for level in (4, 6, 8):
-                h = 1.0 / 2**level
-                kmax = int(6.0 / h) + 1
-                a = _kernels.PY_IMPLS["action_sum"](E, lam, nu, rc, h, kmax)
-                b = _kernels.NUMBA_IMPLS["action_sum"](E, lam, nu, rc, h, kmax)
-                assert b == pytest.approx(a, rel=1e-13)
-
-    def test_numerov_count_bitwise(self):
-        for E, lam, nu, g in [(-0.04, -1.0, -1.0, 1.5), (7.9, 1.0, 2.0, 0.5), (2.3, 1.0, 1.0, 0.0)]:
-            a = _kernels.PY_IMPLS["numerov_count"](E, lam, nu, g, 0.01, 0.005, 4000)
-            b = _kernels.NUMBA_IMPLS["numerov_count"](E, lam, nu, g, 0.01, 0.005, 4000)
-            assert a == b
-
-    def test_numerov_match_bitwise(self):
-        args = (-0.04, -1.0, -1.0, 1.5, 0.01, 0.01, 12000, 2500)
-        da, na = _kernels.PY_IMPLS["numerov_match"](*args)
-        db, nb = _kernels.NUMBA_IMPLS["numerov_match"](*args)
-        assert na == nb
-        assert da == db
-
+class TestNumerov:
     def test_rescaling_keeps_counts_finite(self):
         # deep classically forbidden sweep grows like exp(kappa r); the
         # in-loop rescaling must keep values representable
-        count = _kernels.NUMBA_IMPLS["numerov_count"](0.5, 1.0, 2.0, 0.0, 0.01, 0.01, 40000)
+        count = _kernels.numerov_count(0.5, 1.0, 2.0, 0.0, 0.01, 0.01, 40000)
         assert count >= 0
 
 
 class TestBackendSelection:
     def test_backend_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, ABWKB_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from abwkb import BACKEND; print(BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    @NEEDS_NUMBA
-    def test_default_is_numba(self):
-        env = {k: v for k, v in os.environ.items() if k != "ABWKB_DISABLE_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", "from abwkb import BACKEND; print(BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numba"
+        assert _kernels.BACKEND == "numpy"
 
 
 class TestFallbackEndToEnd:
     def test_action_and_shoot_on_numpy_backend(self):
-        # run a tiny physics problem through the fallback path in-process
-        import math
-
+        # Coulomb ground-state action at E = -1/4 is exactly pi
         E = -0.25
-        val = _kernels.PY_IMPLS["action_sum"](E, -1.0, -1.0, 4.0, 1.0 / 64.0, 385)
+        val = _kernels.action_sum(E, -1.0, -1.0, 4.0, 1.0 / 64.0, 385)
         assert val == pytest.approx(math.pi, abs=1e-9)
