@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import _kernels, closed_form
 from .errors import ConvergenceError
 from .model import InfiniteWell, MaslovConstant, PotentialSpec, PowerLaw
-from .special_functions import gamma as gamma_fn
+from .special_functions import gamma_ratio
 
 __all__ = [
     "QuantizationSetup",
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _T_MAX = 6.0  # tanh-sinh truncation; weights underflow well before this
+_MAX_LEVEL = 11  # finest mesh h = 2**-11, 24577 nodes
 
 
 def turning_point(E: float, potential: PotentialSpec) -> float:
@@ -46,33 +47,30 @@ def turning_point(E: float, potential: PotentialSpec) -> float:
     return (E / lam) ** (1.0 / nu)
 
 
-def action_integral_numeric(
-    E: float,
-    potential: PotentialSpec,
-    rel_tol: float = 1e-12,
-    max_level: int = 11,
-) -> float:
+def action_integral_numeric(E: float, potential: PotentialSpec, rel_tol: float = 1e-12) -> float:
     """Reduced-units action integral_0^rc sqrt(E - V) dr by tanh-sinh quadrature.
 
-    The double-exponential substitution absorbs the inverse-square-root
-    behaviour at rc and the r**(nu/2) endpoint singularity at the origin
-    (nu < 0) without case analysis.  Mesh levels are halved until two
-    consecutive refinements agree to rel_tol.
+    The kernel maps r = rc y**p with p = 2/(nu + 2) for nu < 0 (p = 1
+    otherwise), which leaves a bounded integrand with a square-root zero
+    at the turning point; the double-exponential nodes absorb that.  The
+    mesh is halved until two consecutive levels agree to rel_tol; raises
+    ConvergenceError when they still disagree at the finest level.
     """
     rc = turning_point(E, potential)
     if isinstance(potential, InfiniteWell):
         lam, nu = 0.0, 1.0  # integrand reduces to the constant sqrt(E)
     else:
         lam, nu = potential.lam, potential.nu
-    prev = None
-    for level in range(2, max_level + 1):
+    prev = math.nan
+    for level in range(2, _MAX_LEVEL + 1):
         h = 1.0 / 2**level
         kmax = int(math.ceil(_T_MAX / h))
         cur = _kernels.action_sum(E, lam, nu, rc, h, kmax)
-        if prev is not None and abs(cur - prev) <= rel_tol * abs(cur):
+        delta = abs(cur - prev)
+        if delta <= rel_tol * abs(cur):
             return cur
         prev = cur
-    return prev
+    raise ConvergenceError(f"action quadrature at E={E}: the two finest mesh levels differ by {delta:.3g}")
 
 
 def action_integral_closed(E: float, lam: float, nu: float) -> float:
@@ -85,7 +83,7 @@ def action_integral_closed(E: float, lam: float, nu: float) -> float:
     if not (lam < 0.0 and -2.0 < nu < 0.0 and E < 0.0):
         raise ValueError(f"closed action needs lam<0, -2<nu<0, E<0; got {lam}, {nu}, {E}")
     pref = -(2.0 / nu) * (E / lam) ** (1.0 / nu) * math.sqrt(abs(E))
-    return pref * 0.25 * math.sqrt(math.pi) * gamma_fn(-1.0 / nu - 0.5) / gamma_fn(1.0 - 1.0 / nu)
+    return pref * 0.25 * math.sqrt(math.pi) * gamma_ratio(-1.0 / nu - 0.5, 1.0 - 1.0 / nu)
 
 
 def quantization_constant(

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import InfiniteWell, PotentialSpec, UnitScale, effective_gamma
-from .special_functions import gamma as gamma_fn
+from .special_functions import gamma_ratio
 
 __all__ = [
     "EnergyLevel",
@@ -82,7 +82,7 @@ class LevelCoefficients:
 
 def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
     if lam < 0.0 and -2.0 < nu < 0.0:
-        factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_fn(1.0 - 1.0 / nu) / gamma_fn(-1.0 / nu - 0.5)
+        factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_ratio(1.0 - 1.0 / nu, -1.0 / nu - 0.5)
         return LevelCoefficients(
             -abs(lam) ** (2.0 / (nu + 2.0)),
             factor,
@@ -91,7 +91,7 @@ def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
             2.0 * nu / (nu + 2.0),
         )
     if lam > 0.0 and nu > 0.0:
-        factor = 2.0 * nu * math.sqrt(math.pi) * gamma_fn(1.0 / nu + 1.5) / gamma_fn(1.0 / nu)
+        factor = 2.0 * nu * math.sqrt(math.pi) * gamma_ratio(1.0 / nu + 1.5, 1.0 / nu)
         return LevelCoefficients(lam ** (2.0 / (nu + 2.0)), factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
     raise ValueError(f"need lam < 0, -2 < nu < 0 or lam, nu > 0; got {lam}, {nu}")
 

@@ -1,9 +1,9 @@
 """Self-contained real-valued special functions.
 
-Provides the gamma function for positive real arguments, the Bessel
-function of the first kind J_v(x) for real order v >= 0, and its positive
-zeros j_{v,m}.  Everything is plain double precision; no third-party
-special-function library is used.
+Provides the gamma function and Gamma ratios for positive real
+arguments, the Bessel function of the first kind J_v(x) for real order
+v >= 0, and its positive zeros j_{v,m}.  Everything is plain double
+precision; no third-party special-function library is used.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 from .errors import ConvergenceError
 
-__all__ = ["gamma", "bessel_j", "bessel_j_zero", "bessel_j_zeros", "mcmahon_zero_estimate"]
+__all__ = ["gamma", "gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros", "mcmahon_zero_estimate"]
 
 # Lanczos coefficients, g = 7, n = 9 (classic double-precision set).
 _LANCZOS = (
@@ -50,6 +50,12 @@ def gamma(x: float) -> float:
     t = z + 7.5
     # exp of the combined log avoids intermediate overflow of t**(z+0.5)
     return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
+
+
+def gamma_ratio(a: float, b: float) -> float:
+    """Gamma(a)/Gamma(b) for a, b > 0 from lgamma, finite also where
+    Gamma(a) alone overflows (a > 171.6)."""
+    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 _MAX_ORDER = 100.0  # beyond this the (x/2)**order scaling leaves double range

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from abwkb import InfiniteWell, PowerLaw, spectrum_table, unit_scale
+from abwkb import InfiniteWell, PowerLaw, _kernels, energy_negative_power, spectrum_table, unit_scale
 from abwkb.cli import (
     CSV_HEADER,
     main,
@@ -52,6 +52,13 @@ class TestSpectrumCommand:
         )
         assert code == 2
         assert "excluded" in err or "range" in err
+
+    def test_small_exponent_exits_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--nu", "-0.001", "--lambda", "-1", "--n-max", "1", "--q-max", "1"
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 5
 
     def test_k_range_and_json(self, capsys, tmp_path):
         out_file = tmp_path / "t.json"
@@ -187,6 +194,31 @@ class TestJsonCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["energy"] == pytest.approx((1.5 * math.pi) ** (2.0 / 3.0), rel=1e-6)
+
+    @pytest.mark.parametrize("nu", ["-1.99", "-0.005"])
+    def test_verify_action_at_the_ends(self, capsys, nu):
+        code, out, _ = run_cli(
+            capsys, "verify-action", "--nu", nu, "--lambda", "-1", "--energy", "-0.5"
+        )
+        assert code == 0
+        assert json.loads(out)["rel_err"] < 1e-12
+
+    def test_verify_action_non_convergence_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(_kernels, "action_sum", lambda E, lam, nu, rc, h, kmax: 1.0 + h)
+        code, out, err = run_cli(
+            capsys, "verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25"
+        )
+        assert code == 3
+        assert out == ""
+        assert "converge" in err
+
+    def test_quantize_near_minus_two(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "quantize", "--nu", "-1.99", "--lambda", "-1", "--gamma", "0.5", "--n", "1"
+        )
+        assert code == 0
+        expected = energy_negative_power(1, 0.5, -1.0, -1.99)
+        assert json.loads(out)["energy"] == pytest.approx(expected, rel=1e-9)
 
     def test_shoot(self, capsys):
         code, out, _ = run_cli(

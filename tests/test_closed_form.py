@@ -205,6 +205,16 @@ class TestUnderflow:
         assert energy_negative_power(0, 3.2, -1.0, -1.99) < -sys.float_info.min
 
 
+class TestSmallExponents:
+    @pytest.mark.parametrize("nu", [-1e-3, -1e-5, 1e-5, 1e-3])
+    def test_levels_are_finite(self, nu):
+        # Gamma(1 - 1/nu) and Gamma(1/nu) alone overflow for |nu| < 0.0059
+        pot = PowerLaw(-1.0 if nu < 0 else 1.0, nu)
+        levels = [closed_form_energy(pot, n, g) for n in (0, 3) for g in (0.0, 1.5)]
+        assert all(math.isfinite(e) for e in levels)
+        assert levels == sorted(levels)
+
+
 class TestSpectrumTable:
     def test_sorted_and_complete(self):
         table = spectrum_table(PowerLaw(-1.0, -1.0), 0.0, 2, 1, (-1, 1))
