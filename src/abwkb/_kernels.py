@@ -1,8 +1,8 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
-One implementation per kernel: the action sum is vectorized with NumPy,
-the Numerov sweeps are plain Python recurrences.  The power-law potential
-is inlined in each body.
+One implementation per kernel: the action sum is vectorized with NumPy;
+both Numerov sweeps run the one plain Python recurrence _sweep.  The
+power-law potential is inlined in each body.
 """
 
 from __future__ import annotations
@@ -34,38 +34,61 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     return rc * math.sqrt(abs(E)) * p * float(w.sum()) * h
 
 
-def numerov_count(
-    E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int
-) -> int:
-    """Outward Numerov sweep of u'' + (E - lam r**nu - g(g+1)/r^2) u = 0
-    over r_i = r0 + i h, i = 0..n-1; returns the interior node count."""
+def _sweep(E, lam, nu, gamma, r0, h, i, stop, step, u_prev, u_cur):
+    """Numerov walk of u'' + g u = 0, g = E - lam r**nu - gamma(gamma+1)/r**2,
+    over r_j = r0 + j h from u[i] = u_prev, u[i + step] = u_cur to u[stop + step].
+
+    u_cur=None starts a decaying solution, u[i + step] = u[i] exp(kappa h)
+    with kappa = sqrt(-g(r_i)).  Returns (crossings, u[stop - step], u[stop],
+    u[stop + step]), crossings being the sign changes from u[i + step]
+    through u[stop].  A value above 1e250 rescales all three carried values
+    by 1e-250.
+    """
     h12 = h * h / 12.0
     cg = gamma * (gamma + 1.0)
-    sa = -E / (2.0 * (2.0 * gamma + 3.0))
-    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-    r = r0
-    g_prev = E - lam * r**nu - cg / (r * r)
-    u_prev = r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0))
-    r = r0 + h
-    g_cur = E - lam * r**nu - cg / (r * r)
-    u_cur = r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0))
-    nodes = 0
-    for i in range(1, n - 1):
-        r = r0 + (i + 1) * h
+    r = r0 + i * h
+    g_prev, g_cur = (E - lam * r**nu - cg / (r * r) for r in (r, r + step * h))
+    if u_cur is None:
+        u_cur = u_prev * math.exp(min(math.sqrt(max(-g_prev, 1e-12)) * h, 600.0))
+    crossings = 0
+    # u_last trails u_cur by one step, except that the start pair is not tested
+    u_back, u_last = math.nan, u_cur
+    for j in range(i + 2 * step, stop + 2 * step, step):
+        if (u_last < 0.0 and u_cur > 0.0) or (u_last > 0.0 and u_cur < 0.0):
+            crossings += 1
+        r = r0 + j * h
         g_next = E - lam * r**nu - cg / (r * r)
         u_next = (
             2.0 * u_cur * (1.0 - 5.0 * h12 * g_cur) - u_prev * (1.0 + h12 * g_prev)
         ) / (1.0 + h12 * g_next)
-        if (u_next < 0.0 and u_cur > 0.0) or (u_next > 0.0 and u_cur < 0.0):
-            nodes += 1
         if abs(u_next) > 1e250:
             u_next *= 1e-250
             u_cur *= 1e-250
-        u_prev = u_cur
+            u_prev *= 1e-250
+        u_back = u_prev
+        u_prev = u_last = u_cur
         u_cur = u_next
         g_prev = g_cur
         g_cur = g_next
-    return nodes
+    return crossings, u_back, u_prev, u_cur
+
+
+def _outward(E, lam, nu, gamma, r0, h, stop):
+    """_sweep from r0 upward, started on the regular series
+    u = r**(gamma+1) (1 + sa r**2 + sb r**(nu+2)) at r0 and r0 + h."""
+    sa = -E / (2.0 * (2.0 * gamma + 3.0))
+    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
+    u0, u1 = (r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0)) for r in (r0, r0 + h))
+    return _sweep(E, lam, nu, gamma, r0, h, 0, stop, 1, u0, u1)
+
+
+def numerov_count(
+    E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int
+) -> int:
+    """Outward Numerov sweep of u'' + (E - lam r**nu - g(g+1)/r^2) u = 0
+    over r_i = r0 + i h, i = 0..n-1; returns the interior node count.
+    The sweep also steps to r_n, whose value is not used."""
+    return _outward(E, lam, nu, gamma, r0, h, n - 1)[0]
 
 
 def numerov_match(
@@ -75,83 +98,15 @@ def numerov_match(
 
     Returns (disc, nodes): disc is the normalised difference of outward
     and inward log-derivatives at im (zero exactly at a discrete
-    eigenvalue), nodes the sign-change count of the matched composite.
+    eigenvalue), nodes the sign-change count of the matched composite:
+    outward crossings through u[im], inward ones through v[im].
     """
-    h12 = h * h / 12.0
-    cg = gamma * (gamma + 1.0)
-    sa = -E / (2.0 * (2.0 * gamma + 3.0))
-    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-
-    # outward, remembering the last three values u[im-1], u[im], u[im+1]
-    r = r0
-    g_prev = E - lam * r**nu - cg / (r * r)
-    u_prev = r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0))
-    r = r0 + h
-    g_cur = E - lam * r**nu - cg / (r * r)
-    u_cur = r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0))
-    nodes_out = 0
-    u_prev2 = 0.0
-    for i in range(1, im + 1):
-        r = r0 + (i + 1) * h
-        g_next = E - lam * r**nu - cg / (r * r)
-        u_next = (
-            2.0 * u_cur * (1.0 - 5.0 * h12 * g_cur) - u_prev * (1.0 + h12 * g_prev)
-        ) / (1.0 + h12 * g_next)
-        if i < im and ((u_next < 0.0 and u_cur > 0.0) or (u_next > 0.0 and u_cur < 0.0)):
-            nodes_out += 1
-        if abs(u_next) > 1e250:
-            u_next *= 1e-250
-            u_cur *= 1e-250
-            u_prev *= 1e-250
-        u_prev2 = u_prev
-        u_prev = u_cur
-        u_cur = u_next
-        g_prev = g_cur
-        g_cur = g_next
-    uo_m1 = u_prev2  # u[im-1]
-    uo_0 = u_prev  # u[im]
-    uo_p1 = u_cur  # u[im+1]
-
-    # inward from the far edge, remembering v[im+1], v[im], v[im-1]
-    r_top = r0 + (n - 1) * h
-    g_top = E - lam * r_top**nu - cg / (r_top * r_top)
-    kappa = math.sqrt(max(-g_top, 1e-12))
-    v_next = 1e-280
-    v_cur = 1e-280 * math.exp(min(kappa * h, 600.0))
-    g_next = g_top
-    r = r_top - h
-    g_cur = E - lam * r**nu - cg / (r * r)
-    nodes_in = 0
-    v_next2 = 0.0
-    for i in range(n - 2, im - 1, -1):
-        r = r0 + (i - 1) * h
-        g_prev2 = E - lam * r**nu - cg / (r * r)
-        v_prev = (
-            2.0 * v_cur * (1.0 - 5.0 * h12 * g_cur) - v_next * (1.0 + h12 * g_next)
-        ) / (1.0 + h12 * g_prev2)
-        if i - 1 > im and ((v_prev < 0.0 and v_cur > 0.0) or (v_prev > 0.0 and v_cur < 0.0)):
-            nodes_in += 1
-        if abs(v_prev) > 1e250:
-            v_prev *= 1e-250
-            v_cur *= 1e-250
-            v_next *= 1e-250
-        v_next2 = v_next
-        v_next = v_cur
-        v_cur = v_prev
-        g_next = g_cur
-        g_cur = g_prev2
-    ui_p1 = v_next2  # v[im+1]
-    ui_0 = v_next  # v[im]
-    ui_m1 = v_cur  # v[im-1]
-
+    nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, r0, h, im)
+    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, r0, h, n - 1, im, -1, 1e-280, None)
     if ui_0 == 0.0:
         ui_0 = 1e-300
     if uo_0 == 0.0:
         uo_0 = 1e-300
     scale = uo_0 / ui_0
-    right = scale * ui_p1
-    nodes = nodes_out + nodes_in
-    if (uo_0 > 0.0 and right < 0.0) or (uo_0 < 0.0 and right > 0.0):
-        nodes += 1
     disc = ((uo_p1 - uo_m1) - scale * (ui_p1 - ui_m1)) / (2.0 * h * abs(uo_0))
-    return disc, nodes
+    return disc, nodes_out + nodes_in

@@ -44,7 +44,10 @@ def turning_point(E: float, potential: PotentialSpec) -> float:
         raise ValueError(f"bound energies for lam < 0 are negative, got E={E}")
     if lam > 0.0 and not E > 0.0:
         raise ValueError(f"bound energies for lam > 0 are positive, got E={E}")
-    return (E / lam) ** (1.0 / nu)
+    try:
+        return (E / lam) ** (1.0 / nu)
+    except OverflowError:
+        raise ValueError(f"turning point (E/lam)**(1/nu) overflows at E={E}, lam={lam}, nu={nu}") from None
 
 
 def action_integral_numeric(E: float, potential: PotentialSpec, rel_tol: float = 1e-12) -> float:

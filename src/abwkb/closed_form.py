@@ -75,6 +75,8 @@ class LevelCoefficients:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
+        if not math.isfinite(e):
+            raise ValueError(f"level n={n}, gamma={gamma} is not finite: E = {e}")
         if not abs(e) >= sys.float_info.min:
             raise ValueError(f"level n={n}, gamma={gamma} underflows: |E| = {abs(e):.3g}")
         return e

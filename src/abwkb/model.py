@@ -42,6 +42,8 @@ class PowerLaw:
     nu: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.nu)):
+            raise ValueError(f"lam and nu must be finite, got lam={self.lam}, nu={self.nu}")
         if abs(self.nu) < _NU_EDGE or abs(self.nu + 2.0) < _NU_EDGE:
             raise ValueError(f"exponent nu={self.nu} too close to an excluded endpoint (0, -2)")
         if self.nu > 0.0:
@@ -64,8 +66,8 @@ class InfiniteWell:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"well radius must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"well radius must be positive and finite, got {self.a}")
 
     def __call__(self, r: float) -> float:
         return 0.0 if r < self.a else math.inf

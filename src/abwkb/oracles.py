@@ -41,31 +41,34 @@ class ShootingConfig:
 
     r_min defaults to twice the step (close enough to the origin for the
     series start, far enough that the centrifugal term stays integrable
-    by Numerov); r_max follows rmax_multiplier * turning point plus
-    decay_lengths decay lengths, then grows until the forbidden-region
-    decay exponent integral reaches ~18.5 (tail below 1e-8 of the
-    interior amplitude).  Explicit r_min/r_max pins the grid, which the
-    convergence tests use.
+    by Numerov); r_max follows _RMAX_MULTIPLIER * turning point plus
+    _DECAY_LENGTHS decay lengths, then grows until the forbidden-region
+    decay exponent integral reaches _DECAY_TARGET.  Explicit r_min/r_max
+    pins the grid, which the convergence tests use.
     """
 
     step: float = 0.01
     min_points: int = 2000
-    max_points: int = 4_000_000
     r_min: float | None = None
     r_max: float | None = None
-    rmax_multiplier: float = 2.0
-    decay_lengths: float = 10.0
     energy_tol: float = 1e-9
     max_iterations: int = 260
 
     def __post_init__(self):
-        if not (self.step > 0.0 and self.energy_tol > 0.0):
-            raise ValueError("step and energy_tol must be positive")
+        if not (0.0 < self.step < math.inf and self.energy_tol > 0.0):
+            raise ValueError("step must be positive and finite, energy_tol positive")
         if self.min_points < 8 or self.max_iterations < 8:
             raise ValueError("min_points and max_iterations too small")
+        if self.r_min is not None and not self.r_min > 0.0:
+            raise ValueError(f"r_min must be positive, got {self.r_min}")
+        if self.r_max is not None and not self.r_max > (self.r_min or 0.0):
+            raise ValueError(f"r_max must exceed r_min, got r_min={self.r_min}, r_max={self.r_max}")
 
 
-_DECAY_TARGET = 18.5  # -ln(1e-8)
+_DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
+_RMAX_MULTIPLIER = 2.0  # first guess of r_max in turning-point radii ...
+_DECAY_LENGTHS = 10.0  # ... plus this many decay lengths
+_MAX_POINTS = 4_000_000  # grid cap; a larger grid raises ConvergenceError
 
 
 def _grid(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
@@ -76,11 +79,11 @@ def _grid(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
         rmax = cfg.r_max
     else:
         if nu > 0.0:
-            probe = cfg.rmax_multiplier * rc
+            probe = _RMAX_MULTIPLIER * rc
             decay_len = 1.0 / math.sqrt(max(lam * probe**nu - E, 1e-12))
         else:
             decay_len = 1.0 / math.sqrt(-E)
-        rmax = cfg.rmax_multiplier * rc + cfg.decay_lengths * decay_len
+        rmax = _RMAX_MULTIPLIER * rc + _DECAY_LENGTHS * decay_len
         # enlarge until the WKB decay exponent past rc is comfortably large
         for _ in range(60):
             rr = np.linspace(rc, rmax, 512)[1:]
@@ -95,38 +98,28 @@ def _grid(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
     # h^2 gamma(gamma+1)/(12 r0^2) small; at h/2 it would be O(1) for any h
     r0 = cfg.r_min if cfg.r_min is not None else 2.0 * h
     n = int(math.ceil((rmax - r0) / h)) + 1
-    if n > cfg.max_points:
-        raise ConvergenceError(f"shooting grid would need {n} points (cap {cfg.max_points})")
+    if n > _MAX_POINTS:
+        raise ConvergenceError(f"shooting grid would need {n} points (cap {_MAX_POINTS})")
     im = int(round((rc - r0) / h))
     im = max(2, min(n - 4, im))
     return r0, h, n, im
 
 
-def _count(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig) -> int:
-    r0, h, n, _ = _grid(E, pot, gamma, cfg)
-    return _kernels.numerov_count(E, pot.lam, pot.nu, gamma, r0, h, n)
-
-
-def _match(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
-    r0, h, n, im = _grid(E, pot, gamma, cfg)
-    return _kernels.numerov_match(E, pot.lam, pot.nu, gamma, r0, h, n, im)
-
-
-def _search_window(pot: PowerLaw, gamma: float, n: int, cfg: ShootingConfig):
-    """Energy window (lo, hi) with count(lo) <= n < count(hi)."""
+def _search_window(pot: PowerLaw, n: int, nodes):
+    """Energy window (lo, hi) with nodes(lo) <= n < nodes(hi)."""
     lam, nu = pot.lam, pot.nu
     scale = abs(lam) ** (2.0 / (nu + 2.0))
     if nu < 0.0:
         lo = -100.0 * scale
         for _ in range(8):
-            if _count(lo, pot, gamma, cfg) == 0:
+            if nodes(lo) == 0:
                 break
             lo *= 10.0
         else:
             raise ConvergenceError("no lower window edge for nu < 0")
         hi = -1e-3 * scale
         for _ in range(60):
-            if _count(hi, pot, gamma, cfg) >= n + 1:
+            if nodes(hi) >= n + 1:
                 return lo, hi
             hi *= 0.25
         raise ConvergenceError("no upper window edge for nu < 0")
@@ -134,7 +127,7 @@ def _search_window(pot: PowerLaw, gamma: float, n: int, cfg: ShootingConfig):
     radius = 1.0
     for _ in range(60):
         hi = lam * radius**nu
-        if _count(hi, pot, gamma, cfg) >= n + 1:
+        if nodes(hi) >= n + 1:
             return lo, hi
         radius *= 2.0
     raise ConvergenceError("no upper window edge for nu > 0")
@@ -159,56 +152,51 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or ShootingConfig()
 
-    lo, hi = _search_window(potential, gamma, n, cfg)
-    iters = 0
+    lam, nu = potential.lam, potential.nu
+
+    def nodes(E):
+        return _kernels.numerov_count(E, lam, nu, gamma, *_grid(E, potential, gamma, cfg)[:3])
+
+    def match(E):
+        return _kernels.numerov_match(E, lam, nu, gamma, *_grid(E, potential, gamma, cfg))
+
+    def isolated(lo, hi):
+        return hi - lo <= 1e-2 * max(abs(lo), abs(hi)) and nodes(lo) == n and nodes(hi) == n + 1
+
     # phase 1: node-count bisection until the window isolates level n
+    lo, hi = _search_window(potential, n, nodes)
+    below = lambda E: nodes(E) <= n
+    lo, hi, iters, done = _bisect(lo, hi, below, 0, cfg, 1e-13, isolated)
+    if not done:
+        # phase 2: discriminant-sign bisection inside the isolated window;
+        # if it does not straddle (a match-point pole), keep counting nodes
+        d_lo, d_hi = match(lo)[0], match(hi)[0]
+        if (d_lo < 0.0) != (d_hi < 0.0):
+            below = lambda E: (match(E)[0] < 0.0) == (d_lo < 0.0)
+        lo, hi, iters, done = _bisect(lo, hi, below, iters, cfg)
+        if not done:
+            raise ConvergenceError("shooting bisection exhausted its iteration budget")
+    E = 0.5 * (lo + hi)
+    _, found = match(E)
+    if found != n:
+        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={E!r})")
+    return E
+
+
+def _bisect(lo, hi, below, iters, cfg, rel_tol=0.0, isolated=None):
+    """Halve (lo, hi) on below(mid) until hi - lo <= max(energy_tol,
+    rel_tol |mid|); returns (lo, hi, iters, done).  iters counts against
+    cfg.max_iterations across calls; isolated(lo, hi) stops it, not done.
+    """
     while iters < cfg.max_iterations:
         iters += 1
         mid = 0.5 * (lo + hi)
-        if _count(mid, potential, gamma, cfg) <= n:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= max(cfg.energy_tol, 1e-13 * abs(mid)):
-            return _verified(0.5 * (lo + hi), potential, gamma, n, cfg)
-        if (
-            hi - lo <= 1e-2 * max(abs(lo), abs(hi))
-            and _count(lo, potential, gamma, cfg) == n
-            and _count(hi, potential, gamma, cfg) == n + 1
-        ):
+        if hi - lo <= max(cfg.energy_tol, rel_tol * abs(mid)):
+            return lo, hi, iters, True
+        if isolated is not None and isolated(lo, hi):
             break
-    # phase 2: discriminant-sign bisection inside the isolated window
-    d_lo, _ = _match(lo, potential, gamma, cfg)
-    d_hi, _ = _match(hi, potential, gamma, cfg)
-    if (d_lo < 0.0) == (d_hi < 0.0):
-        # discriminant did not straddle (match-point pole); fall back to nodes
-        while hi - lo > cfg.energy_tol and iters < cfg.max_iterations:
-            iters += 1
-            mid = 0.5 * (lo + hi)
-            if _count(mid, potential, gamma, cfg) <= n:
-                lo = mid
-            else:
-                hi = mid
-        if hi - lo > cfg.energy_tol:
-            raise ConvergenceError("shooting bisection exhausted its iteration budget")
-        return _verified(0.5 * (lo + hi), potential, gamma, n, cfg)
-    while hi - lo > cfg.energy_tol and iters < cfg.max_iterations:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        d_mid, _ = _match(mid, potential, gamma, cfg)
-        if (d_mid < 0.0) == (d_lo < 0.0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    if hi - lo > cfg.energy_tol:
-        raise ConvergenceError("shooting bisection exhausted its iteration budget")
-    return _verified(0.5 * (lo + hi), potential, gamma, n, cfg)
-
-
-def _verified(E: float, pot: PowerLaw, gamma: float, n: int, cfg: ShootingConfig) -> float:
-    _, nodes = _match(E, pot, gamma, cfg)
-    if nodes != n:
-        raise ConvergenceError(
-            f"converged solution has {nodes} nodes, expected {n} (E={E!r})"
-        )
-    return E
+    return lo, hi, iters, False

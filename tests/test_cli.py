@@ -53,6 +53,22 @@ class TestSpectrumCommand:
         assert code == 2
         assert "excluded" in err or "range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--nu", "2", "--lambda", "1", "--mu0", "inf", "--n-max", "1", "--q-max", "0"),
+            ("spectrum", "--nu", "2", "--lambda", "inf", "--n-max", "1", "--q-max", "0"),
+            ("spectrum", "--nu", "1e308", "--lambda", "1", "--n-max", "1", "--q-max", "0"),
+            ("spectrum", "--nu", "inf", "--radius", "inf", "--n-max", "1", "--q-max", "0"),
+            ("shoot", "--nu", "inf", "--lambda", "1", "--gamma", "0", "--n", "0"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_small_exponent_exits_0(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum", "--nu", "-0.001", "--lambda", "-1", "--n-max", "1", "--q-max", "1"
@@ -211,6 +227,15 @@ class TestJsonCommands:
         assert code == 3
         assert out == ""
         assert "converge" in err
+
+    def test_verify_action_turning_point_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-action", "--nu", "-0.01", "--lambda", "-1", "--energy", "-0.0001"
+        )
+        assert code == 2
+        assert out == ""
+        assert "turning point" in err
+        assert "E=-0.0001, lam=-1.0, nu=-0.01" in err
 
     def test_quantize_near_minus_two(self, capsys):
         code, out, _ = run_cli(

@@ -204,6 +204,14 @@ class TestUnderflow:
     def test_smallest_normal_levels_pass(self):
         assert energy_negative_power(0, 3.2, -1.0, -1.99) < -sys.float_info.min
 
+    @pytest.mark.parametrize(
+        "pot,gamma",
+        [(PowerLaw(1.0, 2.0), math.inf), (PowerLaw(1.0, 1e308), 0.0)],
+    )
+    def test_infinite_level_rejected(self, pot, gamma):
+        with pytest.raises(ValueError, match="not finite"):
+            closed_form_energy(pot, 0, gamma)
+
 
 class TestSmallExponents:
     @pytest.mark.parametrize("nu", [-1e-3, -1e-5, 1e-5, 1e-3])

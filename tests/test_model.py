@@ -35,6 +35,11 @@ class TestPotentialValidation:
             (1.0, 0.0),  # excluded endpoint
             (1.0, 1e-9),  # inside the exclusion band
             (-1.0, -2.0000000001),
+            (math.inf, 2.0),  # non-finite coupling
+            (-math.inf, -1.0),
+            (math.nan, 2.0),
+            (1.0, math.inf),  # non-finite exponent
+            (1.0, math.nan),
         ],
     )
     def test_invalid_power_law(self, lam, nu):
@@ -46,6 +51,10 @@ class TestPotentialValidation:
             InfiniteWell(0.0)
         with pytest.raises(ValueError):
             InfiniteWell(-2.0)
+        with pytest.raises(ValueError):
+            InfiniteWell(math.inf)
+        with pytest.raises(ValueError):
+            InfiniteWell(math.nan)
 
     def test_power_law_evaluates(self):
         assert PowerLaw(-1.0, -1.0)(4.0) == -0.25

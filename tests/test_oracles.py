@@ -169,3 +169,13 @@ class TestShootingBehaviour:
             ShootingConfig(step=0.0)
         with pytest.raises(ValueError):
             ShootingConfig(energy_tol=-1.0)
+        for step in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ShootingConfig(step=step)
+        for r_min in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="r_min"):
+                ShootingConfig(r_min=r_min)
+        for r_min, r_max in ((None, 0.0), (None, -1.0), (1.0, 1.0), (2.0, 1.0), (1e-3, math.nan)):
+            with pytest.raises(ValueError, match="r_max"):
+                ShootingConfig(r_min=r_min, r_max=r_max)
+        ShootingConfig(r_min=1e-3, r_max=9.001)
