@@ -120,8 +120,8 @@ class QuantizationSetup:
     constant: float = field(init=False)
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (self.quad_rel_tol > 0.0 and self.root_rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         object.__setattr__(

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage/domain error, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -77,33 +78,37 @@ def table_to_csv(table: SpectrumTable) -> str:
         nu_s, lam_s = "inf", fmt12(0.0)
     else:
         nu_s, lam_s = fmt12(pot.nu), fmt12(pot.lam)
+    head = f"{nu_s},{lam_s},{fmt12(table.mu0)},"
+    tail = f",{table.unit.label}"
     lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(
-            f"{nu_s},{lam_s},{fmt12(table.mu0)},{r.n},{r.q},{r.k},"
-            f"{fmt12(r.gamma)},{fmt12(r.energy)},{table.unit.label}"
-        )
+    lines += [f"{head}{r.n},{r.q},{r.k},{r.gamma:.12g},{r.energy:.12g}{tail}" for r in table.rows]
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: SpectrumTable) -> str:
-    obj = {
-        "potential": _potential_json(table.potential),
-        "mu0": round12(table.mu0),
-        "unit": {"label": table.unit.label, "factor": round12(table.unit.factor)},
-        "method": table.method,
-        "rows": [
-            {
-                "n": r.n,
-                "q": r.q,
-                "k": r.k,
-                "gamma": round12(r.gamma),
-                "energy": round12(r.energy),
-            }
-            for r in table.rows
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes json.dumps(indent=2) writes for the table's dict form: the
+    metadata goes through json.dumps and each row through one f-string,
+    since repr(round12(x)) is what json.dumps writes for a finite x."""
+    head = _dump_json(
+        {
+            "potential": _potential_json(table.potential),
+            "mu0": round12(table.mu0),
+            "unit": {"label": table.unit.label, "factor": round12(table.unit.factor)},
+            "method": table.method,
+            "rows": [],
+        }
+    )
+    if not table.rows:
+        return head
+    rows = [
+        f'    {{\n      "n": {r.n},\n      "q": {r.q},\n      "k": {r.k},\n'
+        f'      "gamma": {float(f"{r.gamma:.12g}")!r},\n      "energy": {float(f"{r.energy:.12g}")!r}\n    }}'
+        for r in table.rows
+    ]
+    # head ends with '"rows": []\n}\n'; one join, so the output is copied once
+    rows[0] = head[:-5] + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def table_from_json(text: str) -> SpectrumTable:
@@ -282,8 +287,8 @@ def _cmd_tendency(args, config: dict) -> int:
         "flux_slope_sign": report.flux_slope_sign,
     }
     if args.format == "json":
-        text = _dump_json({"report": report_obj, "table": json.loads(table_to_json(table))})
-        _write_output(text, args.out)
+        nested = table_to_json(table)[:-1].replace("\n", "\n  ")  # the table's JSON, one level deeper
+        _write_output(f'{_dump_json({"report": report_obj})[:-3]},\n  "table": {nested}\n}}\n', args.out)
     else:
         _write_output(table_to_csv(table), args.out)
         sys.stderr.write(json.dumps(report_obj) + "\n")
@@ -488,9 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() builds its parser on its first call, not at import, and reuses it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         return args.func(args, config)

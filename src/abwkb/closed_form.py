@@ -20,6 +20,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import InfiniteWell, PotentialSpec, UnitScale, effective_gamma
 from .special_functions import gamma_ratio
@@ -160,8 +161,7 @@ def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:
     return level_coefficients(potential).energy(n, gamma)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One bound-state energy with its quantum numbers and provenance."""
 
     n: int
@@ -193,18 +193,21 @@ def spectrum_table(
 ) -> SpectrumTable:
     """Closed-form levels for every (n, q, k) in the requested ranges.
 
-    Rows are emitted in lexicographic (n, q, k) order.
+    Rows are emitted in lexicographic (n, q, k) order.  Each level is the
+    scalar closed_form_energy(potential, n, gamma) times the unit factor.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
         raise ValueError(f"empty grid: n_max={n_max}, q_max={q_max}, k_range={k_range}")
+    if not math.isfinite(mu0):
+        raise ValueError(f"mu0 must be finite, got {mu0}")
     unit = unit or REDUCED
 
     factor = unit.factor
-    rows = []
-    for n in range(n_max + 1):
-        for q in range(q_max + 1):
-            for k in range(k_lo, k_hi + 1):
-                g = effective_gamma(q, k, mu0)
-                rows.append(EnergyLevel(n, q, k, g, closed_form_energy(potential, n, g) * factor))
-    return SpectrumTable(potential, mu0, unit, METHOD_CLOSED_FORM, tuple(rows))
+    qk_gammas = [(q, k, effective_gamma(q, k, mu0)) for q in range(q_max + 1) for k in range(k_lo, k_hi + 1)]
+    rows = tuple(
+        EnergyLevel(n, q, k, g, closed_form_energy(potential, n, g) * factor)
+        for n in range(n_max + 1)
+        for q, k, g in qk_gammas
+    )
+    return SpectrumTable(potential, mu0, unit, METHOD_CLOSED_FORM, rows)

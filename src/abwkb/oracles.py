@@ -27,8 +27,8 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
     sqrt(r) J_{gamma+1/2}(kr), so u(a) = 0 picks k a = j_{gamma+1/2, m}
     and E_n = (j_{gamma+1/2, n+1} / pi)^2 in well units.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if not a > 0.0:
         raise ValueError(f"well radius must be positive, got {a}")
     zeros = bessel_j_zeros(gamma + 0.5, count)
@@ -146,8 +146,8 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or ShootingConfig()

@@ -172,3 +172,8 @@ class TestQuantizeEnergy:
             QuantizationSetup(PowerLaw(1.0, 2.0), -0.5)
         with pytest.raises(ValueError):
             QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            QuantizationSetup(PowerLaw(1.0, 2.0), gamma)

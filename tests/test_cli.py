@@ -69,6 +69,23 @@ class TestSpectrumCommand:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("shoot", "--nu", "2", "--lambda", "1", "--gamma", "nan", "--n", "0"), "gamma"),
+            (("shoot", "--nu", "2", "--lambda", "1", "--gamma", "inf", "--n", "0"), "gamma"),
+            (("quantize", "--nu", "1", "--lambda", "1", "--gamma", "nan", "--n", "0"), "gamma"),
+            (("compare-well", "--gamma", "nan", "--n-max", "2"), "gamma"),
+            (("spectrum", "--nu", "2", "--lambda", "1", "--mu0", "nan", "--n-max", "1", "--q-max", "0"), "mu0"),
+            (("tendency", "--nu", "-1", "--lambda", "-1", "--mu0", "nan", "--n-max", "1", "--q-max", "0"), "mu0"),
+        ],
+    )
+    def test_non_finite_gamma_or_mu0_exits_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
+
     def test_small_exponent_exits_0(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum", "--nu", "-0.001", "--lambda", "-1", "--n-max", "1", "--q-max", "1"

@@ -241,6 +241,11 @@ class TestSpectrumTable:
         with pytest.raises(ValueError):
             spectrum_table(PowerLaw(-1.0, -1.0), 0.0, -1, 1, (0, 0))
 
+    @pytest.mark.parametrize("mu0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu0(self, mu0):
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            spectrum_table(PowerLaw(1.0, 2.0), mu0, 1, 1, (0, 0))
+
     @pytest.mark.parametrize(
         "pot, preset",
         [

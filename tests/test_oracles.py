@@ -88,6 +88,11 @@ class TestWellExactSpectrum:
         with pytest.raises(ValueError):
             well_exact_spectrum(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            well_exact_spectrum(gamma, 1.0, 3)
+
 
 FAST = ShootingConfig(step=0.005, energy_tol=1e-8)
 
@@ -158,6 +163,12 @@ class TestShootingBehaviour:
             shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, -1, FAST)
         with pytest.raises(ValueError):
             shoot_eigenvalue(InfiniteWell(1.0), 0.0, 0, FAST)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma(self, gamma):
+        # NaN passed the old `gamma < 0` test and sized a 6.5e6-point grid
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, 0, FAST)
 
     def test_budget_exhaustion_raises(self):
         cfg = ShootingConfig(step=0.01, energy_tol=1e-15, max_iterations=10)
