@@ -2,15 +2,19 @@
 """Best-of-N wall times of the closed-form grid path, layer by layer.
 
     python3 benchmarks/bench_grid.py
-    python3 benchmarks/bench_grid.py --repeat 7 --label change --record BENCH_6.json
+    python3 benchmarks/bench_grid.py --label change --record BENCH_6.json
     python3 benchmarks/bench_grid.py --src OTHER_CHECKOUT/src --label parent --record BENCH_6.json
+
+A diagnostic: it shows where the grid path spends its time.  Its figures
+move from run to run on a shared machine; performance claims rest on
+perfbench (perfbench/run.py), not on this script.
 
 For each grid it times closed_form.spectrum_table, cli.table_to_csv and
 cli.table_to_json on the built table, and cli.main end to end with
 --format json and --format csv (stdout captured in memory).  The grids
 are the fixed 1e5-row nu = 3 census grid of perfbench's grid_cli
 workload, a 10k-row grid and a 12-row command.  Each figure is the best
-of --repeat samples; a sample loops a call enough times to last about
+of REPEAT samples; a sample loops a call enough times to last about
 50 ms, so the 12-row figures are not timer noise.  The first cli.main
 call of the process is timed on its own, because it also pays for
 whatever the CLI sets up once.
@@ -41,6 +45,7 @@ GRIDS = (
 )
 NU, LAM, MU0 = 3.0, 1.0, 0.3
 SAMPLE_S = 0.05
+REPEAT = 7
 
 
 def _argv(n_max: int, q_max: int, k_range: tuple[int, int], fmt: str) -> list[str]:
@@ -60,14 +65,14 @@ def _run_main(cli, argv: list[str]) -> str:
     return out.getvalue()
 
 
-def best_of(fn, repeat: int) -> float:
-    """Seconds per call: the best of `repeat` samples of a loop of calls."""
+def best_of(fn) -> float:
+    """Seconds per call: the best of REPEAT samples of a loop of calls."""
     start = time.perf_counter()
     fn()
     once = time.perf_counter() - start
     number = max(1, int(SAMPLE_S / once)) if once > 0 else 1
     best = once
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         for _ in range(number):
             fn()
@@ -75,7 +80,7 @@ def best_of(fn, repeat: int) -> float:
     return best
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     import numpy
 
     from abwkb import cli, closed_form
@@ -99,11 +104,11 @@ def measure(repeat: int) -> dict:
             "csv_bytes": len(csv_text.encode()),
             "json_bytes": len(json_text.encode()),
             "seconds": {
-                "spectrum_table": best_of(lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), repeat),
-                "table_to_csv": best_of(lambda: cli.table_to_csv(table), repeat),
-                "table_to_json": best_of(lambda: cli.table_to_json(table), repeat),
-                "main_json": best_of(lambda: _run_main(cli, argv_json), repeat),
-                "main_csv": best_of(lambda: _run_main(cli, argv_csv), repeat),
+                "spectrum_table": best_of(lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range)),
+                "table_to_csv": best_of(lambda: cli.table_to_csv(table)),
+                "table_to_json": best_of(lambda: cli.table_to_json(table)),
+                "main_json": best_of(lambda: _run_main(cli, argv_json)),
+                "main_csv": best_of(lambda: _run_main(cli, argv_csv)),
             },
         }
     return {
@@ -113,9 +118,9 @@ def measure(repeat: int) -> dict:
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
         },
-        "repeat": repeat,
+        "repeat": REPEAT,
         "first_main_call_s": first_call_s,
-        "build_parser_s": best_of(cli.build_parser, repeat),
+        "build_parser_s": best_of(cli.build_parser),
         "grids": grids,
     }
 
@@ -123,14 +128,13 @@ def measure(repeat: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds the abwkb package")
-    parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--label", default="current")
     parser.add_argument("--record", help="JSON file to merge the result into, under --label")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
-    result = measure(args.repeat)
-    print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {args.repeat}")
+    result = measure()
+    print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {REPEAT}")
     print(f"  first cli.main call {1e3 * result['first_main_call_s']:.2f} ms, "
           f"build_parser {1e3 * result['build_parser_s']:.3f} ms")
     for name, grid in result["grids"].items():

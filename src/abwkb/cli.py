@@ -88,7 +88,10 @@ def table_to_csv(table: SpectrumTable) -> str:
 def table_to_json(table: SpectrumTable) -> str:
     """The bytes json.dumps(indent=2) writes for the table's dict form: the
     metadata goes through json.dumps and each row through one f-string,
-    since repr(round12(x)) is what json.dumps writes for a finite x."""
+    since repr(round12(x)) is what json.dumps writes for a finite x.  A
+    non-finite gamma or energy has no JSON form and raises ValueError."""
+    if not all(math.isfinite(r.gamma) and math.isfinite(r.energy) for r in table.rows):
+        raise ValueError("table_to_json: gamma and energy must be finite")
     head = _dump_json(
         {
             "potential": _potential_json(table.potential),
@@ -287,8 +290,12 @@ def _cmd_tendency(args, config: dict) -> int:
         "flux_slope_sign": report.flux_slope_sign,
     }
     if args.format == "json":
-        nested = table_to_json(table)[:-1].replace("\n", "\n  ")  # the table's JSON, one level deeper
-        _write_output(f'{_dump_json({"report": report_obj})[:-3]},\n  "table": {nested}\n}}\n', args.out)
+        # _dump_json({"report": ..., "table": ...}) without parsing the table's
+        # JSON again: with indent=2, a value nested one level down is its own
+        # dump with every line after the first indented two more spaces
+        report_text = json.dumps(report_obj, indent=2).replace("\n", "\n  ")
+        table_text = table_to_json(table)[:-1].replace("\n", "\n  ")
+        _write_output(f'{{\n  "report": {report_text},\n  "table": {table_text}\n}}\n', args.out)
     else:
         _write_output(table_to_csv(table), args.out)
         sys.stderr.write(json.dumps(report_obj) + "\n")

@@ -104,6 +104,21 @@ def test_json_without_rows():
     assert table_to_json(table) == dict_json(table)
 
 
+@pytest.mark.parametrize("gamma, energy", [(0.3, float("nan")), (float("inf"), 1.0), (0.3, float("-inf"))])
+def test_json_rejects_non_finite_rows(gamma, energy):
+    rows = (closed_form.EnergyLevel(0, 0, 0, gamma, energy), closed_form.EnergyLevel(1, 0, 0, 0.3, 2.0))
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), closed_form.METHOD_CLOSED_FORM, rows)
+    with pytest.raises(ValueError, match="must be finite"):
+        table_to_json(table)
+
+
+def test_json_rejects_non_finite_rows_read_back():
+    # json.dumps wrote NaN for a non-finite level; table_from_json reads it
+    text = dict_json(_table(PowerLaw(1.0, 2.0), 0.3, 1, 0, (0, 0))).replace('"energy": 3.6', '"energy": NaN')
+    with pytest.raises(ValueError, match="must be finite"):
+        table_to_json(table_from_json(text))
+
+
 TENDENCY_ARGV = [
     ("--nu", "2", "--lambda", "1", "--mu0", "0.5", "--k", "0", "--n-max", "3", "--q-max", "2"),
     ("--nu", "-1", "--lambda", "-1", "--mu0", "0", "--k=-2", "--n-max", "120", "--q-max", "0"),
