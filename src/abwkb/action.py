@@ -59,6 +59,8 @@ def action_integral_numeric(E: float, potential: PotentialSpec, rel_tol: float =
     mesh is halved until two consecutive levels agree to rel_tol; raises
     ConvergenceError when they still disagree at the finest level.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     rc = turning_point(E, potential)
     if isinstance(potential, InfiniteWell):
         lam, nu = 0.0, 1.0  # integrand reduces to the constant sqrt(E)
@@ -122,8 +124,8 @@ class QuantizationSetup:
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (self.quad_rel_tol > 0.0 and self.root_rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.quad_rel_tol < math.inf and 0.0 < self.root_rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         object.__setattr__(
             self, "constant", quantization_constant(self.potential, self.gamma, self.maslov)
         )

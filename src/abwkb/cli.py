@@ -21,7 +21,7 @@ from . import analysis, closed_form, oracles, svg
 from ._kernels import BACKEND
 from .closed_form import SpectrumTable, spectrum_table
 from .errors import ConvergenceError
-from .model import InfiniteWell, MaslovConstant, PowerLaw, UnitScale, unit_scale
+from .model import UNIT_PRESETS, InfiniteWell, MaslovConstant, PowerLaw, UnitScale, unit_scale
 
 __all__ = ["main", "build_parser", "table_to_csv", "table_to_json", "table_from_json"]
 
@@ -33,15 +33,6 @@ _MASLOV_NAMES = {
     "wall-smooth": MaslovConstant.WALL_SMOOTH,
     "wall-wall": MaslovConstant.WALL_WALL,
 }
-
-_CONFIG_KEYS = (
-    "quad-rel-tol",
-    "root-rel-tol",
-    "shoot-step",
-    "shoot-min-points",
-    "shoot-energy-tol",
-    "shoot-max-iterations",
-)
 
 
 def fmt12(x: float) -> str:
@@ -151,30 +142,10 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            out[key] = value.strip()
-    return out
-
-
-def _cfg_value(args, config: dict, flag: str, key: str, cast, default):
-    explicit = getattr(args, flag, None)
-    if explicit is not None:
-        return explicit
-    if key in config:
-        return cast(config[key])
-    return default
+def _given(args, *dests: str) -> dict:
+    """The named tuning flags the user gave, by dest; the library's own
+    defaults stand in for the rest."""
+    return {d: v for d in dests if (v := getattr(args, d)) is not None}
 
 
 def _potential_from_args(args) -> PowerLaw | InfiniteWell:
@@ -198,10 +169,9 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_svg(markup: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(markup)
+def _write_svg(markup: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(markup)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +179,21 @@ def _write_svg(markup: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args, config: dict) -> int:
+def _levels_svg(table: SpectrumTable, title: str, key, label: str) -> str:
+    """One E(n) panel with a series per group of rows sharing key(row), a
+    tuple, named label.format(*key(row)); groups and the points in each
+    run in ascending order."""
+    groups: dict[tuple, list] = {}
+    for r in table.rows:
+        groups.setdefault(key(r), []).append(r)
+    panel = svg.Panel(title, "n", f"E [{table.unit.label}]")
+    for g, rows in sorted(groups.items()):
+        rows.sort(key=lambda r: r.n)
+        panel.series.append(svg.Series(label.format(*g), [float(r.n) for r in rows], [r.energy for r in rows]))
+    return svg.render_svg([panel])
+
+
+def _cmd_spectrum(args) -> int:
     potential = _potential_from_args(args)
     unit = _unit_from_args(args, potential)
     k_range = args.k_range if args.k_range else (args.k, args.k)
@@ -217,28 +201,12 @@ def _cmd_spectrum(args, config: dict) -> int:
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     _write_output(text, args.out)
     if args.svg:
-        _write_svg(_spectrum_svg(table), args.svg)
+        title = f"levels, mu0={fmt12(table.mu0)}"
+        _write_svg(_levels_svg(table, title, lambda r: (r.q, r.k), "q={},k={}"), args.svg)
     return 0
 
 
-def _spectrum_svg(table: SpectrumTable) -> str:
-    groups: dict[tuple[int, int], list] = {}
-    for r in table.rows:
-        groups.setdefault((r.q, r.k), []).append(r)
-    panel = svg.Panel(
-        title=f"levels, mu0={fmt12(table.mu0)}",
-        xlabel="n",
-        ylabel=f"E [{table.unit.label}]",
-    )
-    for (q, k), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r.n)
-        panel.series.append(
-            svg.Series(f"q={q},k={k}", [float(r.n) for r in rows], [r.energy for r in rows])
-        )
-    return svg.render_svg([panel])
-
-
-def _cmd_compare_well(args, config: dict) -> int:
+def _cmd_compare_well(args) -> int:
     g, n_max = args.gamma, args.n_max
     if g < 0.0 or n_max < 0:
         raise ValueError("gamma and n-max must be non-negative")
@@ -276,7 +244,7 @@ def _cmd_compare_well(args, config: dict) -> int:
 _TENDENCY_DEFAULT_UNITS = {-1.0: "fig2a", 1.0: "fig2b", 2.0: "fig2c", math.inf: "fig2d"}
 
 
-def _cmd_tendency(args, config: dict) -> int:
+def _cmd_tendency(args) -> int:
     potential = _potential_from_args(args)
     preset = args.units or _TENDENCY_DEFAULT_UNITS.get(args.nu, "reduced")
     unit = unit_scale(preset, potential)
@@ -300,29 +268,14 @@ def _cmd_tendency(args, config: dict) -> int:
         _write_output(table_to_csv(table), args.out)
         sys.stderr.write(json.dumps(report_obj) + "\n")
     if args.svg:
-        _write_svg(_tendency_svg(table), args.svg)
+        title = f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}"
+        _write_svg(_levels_svg(table, title, lambda r: (r.q,), "q={}"), args.svg)
     return 0
 
 
-def _tendency_svg(table: SpectrumTable) -> str:
-    panel = svg.Panel(
-        title=f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}",
-        xlabel="n",
-        ylabel=f"E [{table.unit.label}]",
-    )
-    by_q: dict[int, list] = {}
-    for r in table.rows:
-        by_q.setdefault(r.q, []).append(r)
-    for q, rows in sorted(by_q.items()):
-        rows.sort(key=lambda r: r.n)
-        panel.series.append(svg.Series(f"q={q}", [float(r.n) for r in rows], [r.energy for r in rows]))
-    return svg.render_svg([panel])
-
-
-def _cmd_verify_action(args, config: dict) -> int:
+def _cmd_verify_action(args) -> int:
     potential = PowerLaw(args.lam, args.nu)
-    quad_tol = _cfg_value(args, config, "quad_rel_tol", "quad-rel-tol", float, 1e-12)
-    numeric = action_mod.action_integral_numeric(args.energy, potential, rel_tol=quad_tol)
+    numeric = action_mod.action_integral_numeric(args.energy, potential, **_given(args, "rel_tol"))
     closed = action_mod.action_integral_closed(args.energy, args.lam, args.nu)
     rel = abs(numeric - closed) / abs(closed)
     _write_output(
@@ -341,14 +294,13 @@ def _cmd_verify_action(args, config: dict) -> int:
     return 0
 
 
-def _cmd_quantize(args, config: dict) -> int:
+def _cmd_quantize(args) -> int:
     potential = _potential_from_args(args)
     setup = action_mod.QuantizationSetup(
         potential,
         args.gamma,
         maslov=_MASLOV_NAMES[args.maslov] if args.maslov else None,
-        quad_rel_tol=_cfg_value(args, config, "quad_rel_tol", "quad-rel-tol", float, 1e-12),
-        root_rel_tol=_cfg_value(args, config, "root_rel_tol", "root-rel-tol", float, 1e-11),
+        **_given(args, "quad_rel_tol", "root_rel_tol"),
     )
     energy = action_mod.quantize_energy(setup, args.n)
     _write_output(
@@ -367,14 +319,9 @@ def _cmd_quantize(args, config: dict) -> int:
     return 0
 
 
-def _cmd_shoot(args, config: dict) -> int:
+def _cmd_shoot(args) -> int:
     potential = PowerLaw(args.lam, args.nu)
-    cfg = oracles.ShootingConfig(
-        step=_cfg_value(args, config, "step", "shoot-step", float, 0.01),
-        min_points=_cfg_value(args, config, "min_points", "shoot-min-points", int, 2000),
-        energy_tol=_cfg_value(args, config, "energy_tol", "shoot-energy-tol", float, 1e-9),
-        max_iterations=_cfg_value(args, config, "max_iterations", "shoot-max-iterations", int, 260),
-    )
+    cfg = oracles.ShootingConfig(**_given(args, "step", "min_points", "energy_tol", "max_iterations"))
     energy = oracles.shoot_eigenvalue(potential, args.gamma, args.n, cfg)
     _write_output(
         _dump_json(
@@ -392,7 +339,7 @@ def _cmd_shoot(args, config: dict) -> int:
     return 0
 
 
-def _cmd_zeros(args, config: dict) -> int:
+def _cmd_zeros(args) -> int:
     from .special_functions import bessel_j_zeros
 
     zeros = bessel_j_zeros(args.order, args.count)
@@ -412,7 +359,6 @@ def _cmd_zeros(args, config: dict) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--config", help="key=value config file for tolerances")
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -438,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--k-range", type=_parse_k_range, metavar="LO..HI")
-    p.add_argument("--units", choices=("reduced", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"))
+    p.add_argument("--units", choices=UNIT_PRESETS)
     p.add_argument("--svg", help="also write an SVG plot to this path")
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -456,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--units", choices=("reduced", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"))
+    p.add_argument("--units", choices=UNIT_PRESETS)
     p.add_argument("--svg")
     _add_common(p)
     p.set_defaults(func=_cmd_tendency)
@@ -465,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
+    # dest is action_integral_numeric's keyword
+    p.add_argument("--quad-rel-tol", dest="rel_tol", metavar="QUAD_REL_TOL", type=float)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_verify_action)
 
@@ -484,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
+    # one flag per ShootingConfig field, under the field's name
     p.add_argument("--step", type=float)
     p.add_argument("--min-points", dest="min_points", type=int)
     p.add_argument("--energy-tol", dest="energy_tol", type=float)
@@ -507,8 +455,7 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,34 +39,29 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
 class ShootingConfig:
     """Grid and search parameters for the shooting solver.
 
-    r_min defaults to twice the step (close enough to the origin for the
-    series start, far enough that the centrifugal term stays integrable
-    by Numerov); r_max follows _RMAX_MULTIPLIER * turning point plus
-    _DECAY_LENGTHS decay lengths, then grows until the forbidden-region
-    decay exponent integral reaches _DECAY_TARGET.  Explicit r_min/r_max
-    pins the grid, which the convergence tests use.
+    The grid step is step, or rmax / min_points where that is finer
+    (rmax the grid's outer edge).  The grid starts at twice the step
+    (close enough to the origin for the series start, far enough that
+    the centrifugal term stays integrable by Numerov); its outer edge
+    follows _RMAX_MULTIPLIER * turning point plus _DECAY_LENGTHS decay
+    lengths, then grows until the forbidden-region decay exponent
+    integral reaches _DECAY_TARGET.
     """
 
     step: float = 0.01
     min_points: int = 2000
-    r_min: float | None = None
-    r_max: float | None = None
     energy_tol: float = 1e-9
     max_iterations: int = 260
 
     def __post_init__(self):
-        if not (0.0 < self.step < math.inf and self.energy_tol > 0.0):
-            raise ValueError("step must be positive and finite, energy_tol positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.energy_tol < math.inf):
+            raise ValueError("step and energy_tol must be positive and finite")
         if self.min_points < 8 or self.max_iterations < 8:
             raise ValueError("min_points and max_iterations too small")
-        if self.r_min is not None and not self.r_min > 0.0:
-            raise ValueError(f"r_min must be positive, got {self.r_min}")
-        if self.r_max is not None and not self.r_max > (self.r_min or 0.0):
-            raise ValueError(f"r_max must exceed r_min, got r_min={self.r_min}, r_max={self.r_max}")
 
 
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
-_RMAX_MULTIPLIER = 2.0  # first guess of r_max in turning-point radii ...
+_RMAX_MULTIPLIER = 2.0  # first guess of the outer edge in turning-point radii ...
 _DECAY_LENGTHS = 10.0  # ... plus this many decay lengths
 _MAX_POINTS = 4_000_000  # grid cap; a larger grid raises ConvergenceError
 
@@ -75,28 +70,25 @@ def _grid(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
     """Uniform grid (r0, h, n, im) reaching past the outer turning point."""
     lam, nu = pot.lam, pot.nu
     rc = (E / lam) ** (1.0 / nu)
-    if cfg.r_max is not None:
-        rmax = cfg.r_max
+    if nu > 0.0:
+        probe = _RMAX_MULTIPLIER * rc
+        decay_len = 1.0 / math.sqrt(max(lam * probe**nu - E, 1e-12))
     else:
-        if nu > 0.0:
-            probe = _RMAX_MULTIPLIER * rc
-            decay_len = 1.0 / math.sqrt(max(lam * probe**nu - E, 1e-12))
-        else:
-            decay_len = 1.0 / math.sqrt(-E)
-        rmax = _RMAX_MULTIPLIER * rc + _DECAY_LENGTHS * decay_len
-        # enlarge until the WKB decay exponent past rc is comfortably large
-        for _ in range(60):
-            rr = np.linspace(rc, rmax, 512)[1:]
-            kap = np.sqrt(
-                np.maximum(lam * rr**nu + gamma * (gamma + 1.0) / rr**2 - E, 0.0)
-            )
-            if float(np.trapezoid(kap, rr)) >= _DECAY_TARGET:
-                break
-            rmax += 5.0 * decay_len
-    h = min(cfg.step, (rmax - (cfg.r_min or 0.0)) / cfg.min_points)
+        decay_len = 1.0 / math.sqrt(-E)
+    rmax = _RMAX_MULTIPLIER * rc + _DECAY_LENGTHS * decay_len
+    # enlarge until the WKB decay exponent past rc is comfortably large
+    for _ in range(60):
+        rr = np.linspace(rc, rmax, 512)[1:]
+        kap = np.sqrt(
+            np.maximum(lam * rr**nu + gamma * (gamma + 1.0) / rr**2 - E, 0.0)
+        )
+        if float(np.trapezoid(kap, rr)) >= _DECAY_TARGET:
+            break
+        rmax += 5.0 * decay_len
+    h = min(cfg.step, rmax / cfg.min_points)
     # starting at 2h keeps the first-step Numerov parameter
     # h^2 gamma(gamma+1)/(12 r0^2) small; at h/2 it would be O(1) for any h
-    r0 = cfg.r_min if cfg.r_min is not None else 2.0 * h
+    r0 = 2.0 * h
     n = int(math.ceil((rmax - r0) / h)) + 1
     if n > _MAX_POINTS:
         raise ConvergenceError(f"shooting grid would need {n} points (cap {_MAX_POINTS})")
@@ -138,11 +130,12 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
     equation u'' + (E - lam r**nu - gamma(gamma+1)/r^2) u = 0 with
     u(0) = 0 and a decaying tail.
 
-    Fixed-step Numerov integrates outward from r_min with the r**(gamma+1)
-    series start and inward from r_max with a decaying seed.  Bisection on
-    the Sturm node count isolates the level, then bisection on the sign of
-    the matching discriminant at the outer turning point polishes it; the
-    converged solution's node count is verified to equal n.
+    Fixed-step Numerov integrates outward from the grid's inner edge with
+    the r**(gamma+1) series start and inward from its outer edge with a
+    decaying seed.  Bisection on the Sturm node count isolates the level,
+    then bisection on the sign of the matching discriminant at the outer
+    turning point polishes it; the converged solution's node count is
+    verified to equal n.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")

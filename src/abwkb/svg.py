@@ -22,8 +22,6 @@ class Series:
     label: str
     xs: list[float]
     ys: list[float]
-    line: bool = True
-    markers: bool = True
 
 
 @dataclass
@@ -117,12 +115,11 @@ def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
     for idx, s in enumerate(panel.series):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = [(sx(x), sy(y)) for x, y in zip(s.xs, s.ys)]
-        if s.line and len(pts) > 1:
+        if len(pts) > 1:
             path = " ".join(f"{_fmt(X)},{_fmt(Y)}" for X, Y in pts)
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if s.markers:
-            for X, Y in pts:
-                out.append(f'<circle cx="{_fmt(X)}" cy="{_fmt(Y)}" r="2.6" fill="{color}"/>')
+        for X, Y in pts:
+            out.append(f'<circle cx="{_fmt(X)}" cy="{_fmt(Y)}" r="2.6" fill="{color}"/>')
         if s.label:
             ly = py + 16 + 15 * idx
             out.append(f'<line x1="{px + pw - 120}" y1="{ly - 4}" x2="{px + pw - 100}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -80,6 +80,11 @@ class TestNumericAction:
             vals = [action_integral_numeric(e, pot) for e in energies]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            action_integral_numeric(-0.25, PowerLaw(-1.0, -1.0), rel_tol=rel_tol)
+
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # successive levels differ by h/2 relative, at every mesh
         monkeypatch.setattr(_kernels, "action_sum", lambda E, lam, nu, rc, h, kmax: 1.0 + h)
@@ -172,6 +177,9 @@ class TestQuantizeEnergy:
             QuantizationSetup(PowerLaw(1.0, 2.0), -0.5)
         with pytest.raises(ValueError):
             QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=0.0)
+        for name in ("quad_rel_tol", "root_rel_tol"):
+            with pytest.raises(ValueError, match="finite"):
+                QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, **{name: math.inf})
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):

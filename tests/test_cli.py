@@ -1,14 +1,30 @@
 """CLI contract tests: schemas, exit codes, round trips, determinism."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from abwkb import InfiniteWell, PowerLaw, _kernels, energy_negative_power, spectrum_table, unit_scale
+from abwkb import (
+    InfiniteWell,
+    PowerLaw,
+    QuantizationSetup,
+    ShootingConfig,
+    _kernels,
+    action_integral_numeric,
+    energy_negative_power,
+    oracles,
+    quantize_energy,
+    shoot_eigenvalue,
+    spectrum_table,
+    unit_scale,
+)
 from abwkb.cli import (
     CSV_HEADER,
+    build_parser,
     main,
+    round12,
     table_from_json,
     table_to_csv,
     table_to_json,
@@ -68,6 +84,24 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "inf"),
+            ("quantize", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--root-rel-tol", "inf"),
+            ("quantize", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--quad-rel-tol", "inf"),
+            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "-1"),
+            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "0"),
+            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "nan"),
+        ],
+    )
+    def test_invalid_tolerance_exits_2(self, capsys, argv):
+        # a domain error, not a quadrature or bisection that "did not converge"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -287,36 +321,42 @@ class TestJsonCommands:
         assert zs == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
 
 
-class TestConfigFile:
-    def test_config_applies_and_flag_overrides(self, capsys, tmp_path):
-        cfg = tmp_path / "abwkb.cfg"
-        cfg.write_text("# comment\nshoot-step = 0.02\nshoot-energy-tol = 1e-6\n")
-        code, out, _ = run_cli(
-            capsys,
-            "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--config", str(cfg),
-        )
+class TestLibraryDefaults:
+    # without tuning flags the CLI passes none, so the library defaults apply
+    def test_shoot(self, capsys):
+        code, out, _ = run_cli(capsys, "shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 0
-        assert json.loads(out)["energy"] == pytest.approx(3.0, abs=1e-4)
-        # explicit flag beats the file
-        code, out, _ = run_cli(
-            capsys,
-            "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--config", str(cfg), "--energy-tol", "1e-9",
-        )
-        assert code == 0
-        assert json.loads(out)["energy"] == pytest.approx(3.0, abs=1e-6)
+        assert json.loads(out)["energy"] == round12(shoot_eigenvalue(PowerLaw(1.0, 1.0), 0.0, 0))
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        code, _, err = run_cli(
+    def test_quantize(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "quantize", "--nu", "-1.5", "--lambda", "-0.7", "--gamma", "0.5", "--n", "1"
+        )
+        assert code == 0
+        setup = QuantizationSetup(PowerLaw(-0.7, -1.5), 0.5)
+        assert json.loads(out)["energy"] == round12(quantize_energy(setup, 1))
+
+    def test_verify_action(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-action", "--nu", "-1.5", "--lambda", "-0.7", "--energy", "-0.3"
+        )
+        assert code == 0
+        assert json.loads(out)["numeric"] == round12(action_integral_numeric(-0.3, PowerLaw(-0.7, -1.5)))
+
+    def test_shoot_flags_are_the_config_fields(self, capsys, monkeypatch):
+        args = build_parser().parse_args(["shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0"])
+        tuning = set(vars(args)) - {"command", "func", "nu", "lam", "gamma", "n", "out"}
+        assert tuning == {f.name for f in dataclasses.fields(ShootingConfig)}
+        # each given flag reaches its field
+        seen = []
+        monkeypatch.setattr(oracles, "shoot_eigenvalue", lambda pot, g, n, cfg: seen.append(cfg) or 1.0)
+        code, _, _ = run_cli(
             capsys,
             "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--config", str(cfg),
+            "--step", "0.02", "--min-points", "100", "--energy-tol", "1e-6", "--max-iterations", "50",
         )
-        assert code == 2
-        assert "nonsense" in err
+        assert code == 0
+        assert seen == [ShootingConfig(step=0.02, min_points=100, energy_tol=1e-6, max_iterations=50)]
 
 
 class TestDeterminism:

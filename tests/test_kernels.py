@@ -37,6 +37,40 @@ class TestNumerov:
         assert repr(_kernels.numerov_match(*args)) == match
 
 
+class TestNumerovConvergence:
+    def test_grid_convergence_fourth_order(self):
+        # oscillator n = 1 (E = 7) on a grid with pinned ends isolates the
+        # O(h^4) Numerov error; halving the step should shrink it by ~16
+        r0, r_max = 1e-3, 9.001
+
+        def level(h):
+            n = int(math.ceil((r_max - r0) / h)) + 1
+
+            def match(E):
+                # match at the turning point sqrt(E), as the shooting oracle does
+                im = max(2, min(n - 4, int(round((E**0.5 - r0) / h))))
+                return _kernels.numerov_match(E, 1.0, 2.0, 0.0, r0, h, n, im)
+
+            lo, hi = 6.5, 7.5
+            below = match(lo)[0] < 0.0
+            assert (match(hi)[0] < 0.0) != below
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                if (match(mid)[0] < 0.0) == below:
+                    lo = mid
+                else:
+                    hi = mid
+            E = 0.5 * (lo + hi)
+            assert match(E)[1] == 1
+            return E
+
+        results = {step: level(step) for step in (0.2, 0.1, 0.05, 0.025)}
+        r1 = (results[0.2] - results[0.1]) / (results[0.1] - results[0.05])
+        r2 = (results[0.1] - results[0.05]) / (results[0.05] - results[0.025])
+        assert 12.0 < r1 < 20.0
+        assert 12.0 < r2 < 20.0
+
+
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments
     @pytest.mark.parametrize(

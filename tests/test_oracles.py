@@ -138,24 +138,6 @@ class TestShootingBehaviour:
         got = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 2, FAST)
         assert got == pytest.approx(11.0, abs=1e-6)
 
-    def test_grid_convergence_fourth_order(self):
-        # pinned endpoints isolate the O(h^4) Numerov error; halving the
-        # step should shrink it by ~16
-        results = {}
-        for step in (0.2, 0.1, 0.05, 0.025):
-            cfg = ShootingConfig(
-                step=step,
-                min_points=16,
-                r_min=1e-3,
-                r_max=9.001,
-                energy_tol=1e-13,
-            )
-            results[step] = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 1, cfg)
-        r1 = (results[0.2] - results[0.1]) / (results[0.1] - results[0.05])
-        r2 = (results[0.1] - results[0.05]) / (results[0.05] - results[0.025])
-        assert 12.0 < r1 < 20.0
-        assert 12.0 < r2 < 20.0
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             shoot_eigenvalue(PowerLaw(1.0, 2.0), -1.0, 0, FAST)
@@ -180,13 +162,8 @@ class TestShootingBehaviour:
             ShootingConfig(step=0.0)
         with pytest.raises(ValueError):
             ShootingConfig(energy_tol=-1.0)
-        for step in (math.inf, math.nan):
+        for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                ShootingConfig(step=step)
-        for r_min in (0.0, -1e-3, math.nan):
-            with pytest.raises(ValueError, match="r_min"):
-                ShootingConfig(r_min=r_min)
-        for r_min, r_max in ((None, 0.0), (None, -1.0), (1.0, 1.0), (2.0, 1.0), (1e-3, math.nan)):
-            with pytest.raises(ValueError, match="r_max"):
-                ShootingConfig(r_min=r_min, r_max=r_max)
-        ShootingConfig(r_min=1e-3, r_max=9.001)
+                ShootingConfig(step=value)
+            with pytest.raises(ValueError, match="finite"):
+                ShootingConfig(energy_tol=value)
