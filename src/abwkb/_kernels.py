@@ -1,8 +1,9 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
 One implementation per kernel: the action sum is vectorized with NumPy;
-both Numerov sweeps run the one plain Python recurrence _sweep.  The
-power-law potential is inlined in each body.
+both Numerov sweeps run the one plain Python recurrence _sweep on the
+logarithmic grid x = ln r.  The power-law potential is inlined in each
+body.
 """
 
 from __future__ import annotations
@@ -34,33 +35,36 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     return rc * math.sqrt(abs(E)) * p * float(w.sum()) * h
 
 
-def _sweep(E, lam, nu, gamma, r0, h, i, stop, step, u_prev, u_cur):
-    """Numerov walk of u'' + g u = 0, g = E - lam r**nu - gamma(gamma+1)/r**2,
-    over r_j = r0 + j h from u[i] = u_prev, u[i + step] = u_cur to u[stop + step].
+def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, u_prev, u_cur):
+    """Numerov walk of u'' + g u = 0, g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2,
+    over x_j = x0 + j h from u[i] = u_prev, u[i + step] = u_cur to u[stop + step].
 
-    u_cur=None starts a decaying solution, u[i + step] = u[i] exp(kappa h)
-    with kappa = sqrt(-g(r_i)).  Returns (crossings, u[stop - step], u[stop],
-    u[stop + step]), crossings being the sign changes from u[i + step]
-    through u[stop].  A value above 1e250 rescales all three carried values
-    by 1e-250.
+    This is the radial equation under r = e^x, u_radial = e^{x/2} u (Langer's
+    change of variables), so u has the radial function's nodes.  The walk
+    carries f = 1 + h**2 g / 12 and steps u_next f_next = (12 - 10 f) u -
+    f_prev u_prev.  u_cur=None starts a decaying solution,
+    u[i + step] = u[i] exp(kappa h) with kappa = sqrt(-g(x_i)).  Returns
+    (crossings, u[stop - step], u[stop], u[stop + step]), crossings being
+    the sign changes from u[i + step] through u[stop].  A value above
+    1e250 rescales all three carried values by 1e-250.
     """
+    exp = math.exp
     h12 = h * h / 12.0
-    cg = gamma * (gamma + 1.0)
-    r = r0 + i * h
-    g_prev, g_cur = (E - lam * r**nu - cg / (r * r) for r in (r, r + step * h))
+    f0, fe, fl = 1.0 - h12 * (gamma + 0.5) ** 2, h12 * E, h12 * lam
+    nu2 = nu + 2.0
+    x = x0 + i * h
+    f_prev, f_cur = (f0 + fe * exp(2.0 * x) - fl * exp(nu2 * x) for x in (x, x + step * h))
     if u_cur is None:
-        u_cur = u_prev * math.exp(min(math.sqrt(max(-g_prev, 1e-12)) * h, 600.0))
+        u_cur = u_prev * exp(min(math.sqrt(max((1.0 - f_prev) / h12, 1e-12)) * h, 600.0))
     crossings = 0
     # u_last trails u_cur by one step, except that the start pair is not tested
     u_back, u_last = math.nan, u_cur
     for j in range(i + 2 * step, stop + 2 * step, step):
         if (u_last < 0.0 and u_cur > 0.0) or (u_last > 0.0 and u_cur < 0.0):
             crossings += 1
-        r = r0 + j * h
-        g_next = E - lam * r**nu - cg / (r * r)
-        u_next = (
-            2.0 * u_cur * (1.0 - 5.0 * h12 * g_cur) - u_prev * (1.0 + h12 * g_prev)
-        ) / (1.0 + h12 * g_next)
+        x = x0 + j * h
+        f_next = f0 + fe * exp(2.0 * x) - fl * exp(nu2 * x)
+        u_next = ((12.0 - 10.0 * f_cur) * u_cur - f_prev * u_prev) / f_next
         if abs(u_next) > 1e250:
             u_next *= 1e-250
             u_cur *= 1e-250
@@ -68,45 +72,48 @@ def _sweep(E, lam, nu, gamma, r0, h, i, stop, step, u_prev, u_cur):
         u_back = u_prev
         u_prev = u_last = u_cur
         u_cur = u_next
-        g_prev = g_cur
-        g_cur = g_next
+        f_prev = f_cur
+        f_cur = f_next
     return crossings, u_back, u_prev, u_cur
 
 
-def _outward(E, lam, nu, gamma, r0, h, stop):
-    """_sweep from r0 upward, started on the regular series
-    u = r**(gamma+1) (1 + sa r**2 + sb r**(nu+2)) at r0 and r0 + h."""
+def _outward(E, lam, nu, gamma, x0, h, stop):
+    """_sweep from x0 upward, started on the regular series
+    r**(gamma+1/2) (1 + sa r**2 + sb r**(nu+2)) divided by its leading
+    power at r0 = e^{x0}, so that a far-in x0 cannot underflow it."""
     sa = -E / (2.0 * (2.0 * gamma + 3.0))
     sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-    u0, u1 = (r ** (gamma + 1.0) * (1.0 + sa * r * r + sb * r ** (nu + 2.0)) for r in (r0, r0 + h))
-    return _sweep(E, lam, nu, gamma, r0, h, 0, stop, 1, u0, u1)
+    r0, r1 = math.exp(x0), math.exp(x0 + h)
+    u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
+    u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
+    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u0, u1)
 
 
 def numerov_count(
-    E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int
+    E: float, lam: float, nu: float, gamma: float, x0: float, h: float, n: int
 ) -> int:
-    """Outward Numerov sweep of u'' + (E - lam r**nu - g(g+1)/r^2) u = 0
-    over r_i = r0 + i h, i = 0..n-1; returns the interior node count.
-    The sweep also steps to r_n, whose value is not used."""
-    return _outward(E, lam, nu, gamma, r0, h, n - 1)[0]
+    """Outward Numerov sweep of the radial equation over x_i = x0 + i h,
+    i = 0..n-1 (r = e^x); returns the interior node count.
+    The sweep also steps to x_n, whose value is not used."""
+    return _outward(E, lam, nu, gamma, x0, h, n - 1)[0]
 
 
 def numerov_match(
-    E: float, lam: float, nu: float, gamma: float, r0: float, h: float, n: int, im: int
+    E: float, lam: float, nu: float, gamma: float, x0: float, h: float, n: int, im: int
 ):
-    """Two-sided Numerov sweep matched at grid index im.
+    """Two-sided Numerov sweep over x_i = x0 + i h matched at grid index im.
 
-    Returns (disc, nodes): disc is the normalised difference of outward
-    and inward log-derivatives at im (zero exactly at a discrete
-    eigenvalue), nodes the sign-change count of the matched composite:
-    outward crossings through u[im], inward ones through v[im].
+    Returns (disc, nodes).  disc is the sine of the angle between the
+    outward and inward solutions' (u, u') vectors at im: zero exactly at a
+    discrete eigenvalue, bounded, and without the poles that a difference
+    of log-derivatives has where u[im] = 0.  nodes is the sign-change count
+    of the matched composite: outward crossings through u[im], inward ones
+    through v[im].
     """
-    nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, r0, h, im)
-    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, r0, h, n - 1, im, -1, 1e-280, None)
-    if ui_0 == 0.0:
-        ui_0 = 1e-300
-    if uo_0 == 0.0:
-        uo_0 = 1e-300
-    scale = uo_0 / ui_0
-    disc = ((uo_p1 - uo_m1) - scale * (ui_p1 - ui_m1)) / (2.0 * h * abs(uo_0))
+    nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, x0, h, im)
+    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, 1e-280, None)
+    do, di = 0.5 * (uo_p1 - uo_m1) / h, 0.5 * (ui_p1 - ui_m1) / h
+    # each vector is normalised on its own: both may carry up to 1e250
+    no, ni = math.hypot(uo_0, do), math.hypot(ui_0, di)
+    disc = (do / no) * (ui_0 / ni) - (uo_0 / no) * (di / ni)
     return disc, nodes_out + nodes_in

@@ -321,7 +321,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_shoot(args) -> int:
     potential = PowerLaw(args.lam, args.nu)
-    cfg = oracles.ShootingConfig(**_given(args, "step", "min_points", "energy_tol", "max_iterations"))
+    cfg = oracles.ShootingConfig(**_given(args, "points", "energy_tol", "max_iterations"))
     energy = oracles.shoot_eigenvalue(potential, args.gamma, args.n, cfg)
     _write_output(
         _dump_json(
@@ -432,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     # one flag per ShootingConfig field, under the field's name
-    p.add_argument("--step", type=float)
-    p.add_argument("--min-points", dest="min_points", type=int)
+    p.add_argument("--points", type=int)
     p.add_argument("--energy-tol", dest="energy_tol", type=float)
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
     _add_common(p, fmt=False)

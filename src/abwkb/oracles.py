@@ -1,8 +1,11 @@
 """Independent reference spectra: Bessel-zero well levels and a radial
 shooting eigensolver.
 
-These share no formulas with the closed-form or action modules, which is
-the point: they validate the semiclassical results from the outside.
+These share no formulas with the action module, which is the point: they
+validate the semiclassical results from the outside.  The shooting solver
+takes only its first energy window from the closed form; its answer is
+fixed by its own node count and checked on a grid of twice the density,
+so a poor seed costs sweeps, never the level.
 """
 
 from __future__ import annotations
@@ -10,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
+from . import _kernels, closed_form
 from .errors import ConvergenceError
 from .model import PowerLaw
 from .special_functions import bessel_j_zeros
@@ -39,90 +40,87 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
 class ShootingConfig:
     """Grid and search parameters for the shooting solver.
 
-    The grid step is step, or rmax / min_points where that is finer
-    (rmax the grid's outer edge).  The grid starts at twice the step
-    (close enough to the origin for the series start, far enough that
-    the centrifugal term stays integrable by Numerov); its outer edge
-    follows _RMAX_MULTIPLIER * turning point plus _DECAY_LENGTHS decay
-    lengths, then grows until the forbidden-region decay exponent
-    integral reaches _DECAY_TARGET.
+    points is the grid size N.  The radial equation is integrated in
+    x = ln r on N evenly spaced points, from an inner edge where the
+    potential and the energy are below _INNER_EPS of the centrifugal
+    term (gamma + 1/2)**2 to an outer edge where the WKB decay integral
+    past the outer turning point reaches _DECAY_TARGET.  The level is
+    solved on that grid and again on its 2N - 1 point refinement, and
+    the two must agree to _REFINE_REL_TOL.  energy_tol is the absolute
+    width at which the final root bracket counts as converged (also held
+    below _REL_TOL |E|, so levels near zero keep their digits, but not
+    below four float spacings of E), and max_iterations caps the Numerov
+    sweeps of one solve.
     """
 
-    step: float = 0.01
-    min_points: int = 2000
+    points: int = 2000
     energy_tol: float = 1e-9
     max_iterations: int = 260
 
     def __post_init__(self):
-        if not (0.0 < self.step < math.inf and 0.0 < self.energy_tol < math.inf):
-            raise ValueError("step and energy_tol must be positive and finite")
-        if self.min_points < 8 or self.max_iterations < 8:
-            raise ValueError("min_points and max_iterations too small")
+        if not 0.0 < self.energy_tol < math.inf:
+            raise ValueError("energy_tol must be positive and finite")
+        if not isinstance(self.points, int) or self.points < 8:
+            raise ValueError(f"points must be an int >= 8, got {self.points!r}")
+        if self.max_iterations < 8:
+            raise ValueError("max_iterations too small")
 
 
+_INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
-_RMAX_MULTIPLIER = 2.0  # first guess of the outer edge in turning-point radii ...
-_DECAY_LENGTHS = 10.0  # ... plus this many decay lengths
-_MAX_POINTS = 4_000_000  # grid cap; a larger grid raises ConvergenceError
+_NU_FLOOR = -1.9  # the inner edge x0 ~ ln(_INNER_EPS) / (nu + 2) runs off as nu -> -2
+# h**2 |g| / 12 anywhere on the grid: above 1/2 the Numerov recurrence
+# oscillates with period two where g > 0, and its forbidden-region
+# denominator 1 - h**2 |g| / 12 nears zero; node counts there are noise
+_MAX_STEP_PARAM = 0.5
+_ISOLATION_WIDTH = 0.1  # polish bracket width relative to |E|, times min(1, |nu|)
+_REFINE_REL_TOL = 1e-6  # levels on N and 2N - 1 points must agree to this
+_REL_TOL = 1e-10  # bracket width cap relative to |E|
+_MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
+_MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 
 
-def _grid(E: float, pot: PowerLaw, gamma: float, cfg: ShootingConfig):
-    """Uniform grid (r0, h, n, im) reaching past the outer turning point."""
-    lam, nu = pot.lam, pot.nu
-    rc = (E / lam) ** (1.0 / nu)
-    if nu > 0.0:
-        probe = _RMAX_MULTIPLIER * rc
-        decay_len = 1.0 / math.sqrt(max(lam * probe**nu - E, 1e-12))
-    else:
-        decay_len = 1.0 / math.sqrt(-E)
-    rmax = _RMAX_MULTIPLIER * rc + _DECAY_LENGTHS * decay_len
-    # enlarge until the WKB decay exponent past rc is comfortably large
-    for _ in range(60):
-        rr = np.linspace(rc, rmax, 512)[1:]
-        kap = np.sqrt(
-            np.maximum(lam * rr**nu + gamma * (gamma + 1.0) / rr**2 - E, 0.0)
-        )
-        if float(np.trapezoid(kap, rr)) >= _DECAY_TARGET:
+def _grid(lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
+    """Log grid (x0, h, points, im, step) for energies in [lo, hi].
+
+    x_i = x0 + i h covers the inner edge of the larger |E| and the outer
+    edge of hi, whose turning point is the outermost and whose tail
+    decays slowest; im sits at hi's outer turning point.  step is the
+    largest h**2 |g| / 12 on the grid, for either end energy.
+    """
+    c = (gamma + 0.5) ** 2
+    nu2 = nu + 2.0
+    x0 = min(
+        math.log(_INNER_EPS * c / abs(lam)) / nu2,
+        0.5 * math.log(_INNER_EPS * c / max(abs(lo), abs(hi))),
+    )
+
+    def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
+        if max(nu2, 2.0) * x > _MAX_EXPONENT:
+            raise ConvergenceError(f"the grid for E={E!r} would reach past r = {math.exp(x):.3g}")
+        return lam * math.exp(nu2 * x) - E * math.exp(2.0 * x) + c
+
+    # -g is least at xs and rises monotonically on either side of it
+    xs = math.log(2.0 * hi / (nu2 * lam)) / nu
+    dx = 0.2 / max(nu2, 2.0)  # about a tenth of an e-fold of kappa
+    x, k2, decay, xt = xs, kappa2(hi, xs), 0.0, None
+    g_allowed = -k2
+    for _ in range(_MAX_EDGE_STEPS):
+        if k2 >= 0.0 and xt is None:
+            xt = x
+        x_next = x + dx
+        k2_next = kappa2(hi, x_next)
+        if xt is not None:
+            decay += 0.5 * dx * (math.sqrt(k2) + math.sqrt(k2_next))
+        x, k2 = x_next, k2_next
+        if decay >= _DECAY_TARGET:
             break
-        rmax += 5.0 * decay_len
-    h = min(cfg.step, rmax / cfg.min_points)
-    # starting at 2h keeps the first-step Numerov parameter
-    # h^2 gamma(gamma+1)/(12 r0^2) small; at h/2 it would be O(1) for any h
-    r0 = 2.0 * h
-    n = int(math.ceil((rmax - r0) / h)) + 1
-    if n > _MAX_POINTS:
-        raise ConvergenceError(f"shooting grid would need {n} points (cap {_MAX_POINTS})")
-    im = int(round((rc - r0) / h))
-    im = max(2, min(n - 4, im))
-    return r0, h, n, im
-
-
-def _search_window(pot: PowerLaw, n: int, nodes):
-    """Energy window (lo, hi) with nodes(lo) <= n < nodes(hi)."""
-    lam, nu = pot.lam, pot.nu
-    scale = abs(lam) ** (2.0 / (nu + 2.0))
-    if nu < 0.0:
-        lo = -100.0 * scale
-        for _ in range(8):
-            if nodes(lo) == 0:
-                break
-            lo *= 10.0
-        else:
-            raise ConvergenceError("no lower window edge for nu < 0")
-        hi = -1e-3 * scale
-        for _ in range(60):
-            if nodes(hi) >= n + 1:
-                return lo, hi
-            hi *= 0.25
-        raise ConvergenceError("no upper window edge for nu < 0")
-    lo = 1e-12 * scale
-    radius = 1.0
-    for _ in range(60):
-        hi = lam * radius**nu
-        if nodes(hi) >= n + 1:
-            return lo, hi
-        radius *= 2.0
-    raise ConvergenceError("no upper window edge for nu > 0")
+    else:
+        raise ConvergenceError(f"no outer grid edge within {_MAX_EDGE_STEPS} steps of E={hi!r}")
+    h = (x - x0) / (points - 1)
+    im = max(2, min(points - 4, int(round((xt - x0) / h))))
+    g_max = max(c, g_allowed, kappa2(lo, x))
+    return x0, h, points, im, h * h * g_max / 12.0
 
 
 def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingConfig | None = None) -> float:
@@ -130,12 +128,17 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
     equation u'' + (E - lam r**nu - gamma(gamma+1)/r^2) u = 0 with
     u(0) = 0 and a decaying tail.
 
-    Fixed-step Numerov integrates outward from the grid's inner edge with
-    the r**(gamma+1) series start and inward from its outer edge with a
-    decaying seed.  Bisection on the Sturm node count isolates the level,
-    then bisection on the sign of the matching discriminant at the outer
-    turning point polishes it; the converged solution's node count is
-    verified to equal n.
+    Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of
+    cfg.points points (_grid), outward from the r**(gamma+1/2) series and
+    inward from a decaying seed.  The energy window starts from the
+    closed-form level and widens by 4x until its outward node counts
+    bracket level n; count bisection isolates the level, and Illinois
+    false position on the matching discriminant over one grid polishes
+    it.  The result is polished again on the 2N - 1 point refinement of
+    that grid from a bracket of relative width _REFINE_REL_TOL around
+    it: no sign change there, a matched solution without n nodes, a step
+    h**2 |g| / 12 above _MAX_STEP_PARAM or nu below _NU_FLOOR raise
+    ConvergenceError.  Every sweep counts against cfg.max_iterations.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
@@ -144,52 +147,100 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or ShootingConfig()
-
     lam, nu = potential.lam, potential.nu
+    if nu < _NU_FLOOR:
+        raise ConvergenceError(f"nu={nu} is below the shooting floor {_NU_FLOOR}: the grid's inner edge runs off")
 
-    def nodes(E):
-        return _kernels.numerov_count(E, lam, nu, gamma, *_grid(E, potential, gamma, cfg)[:3])
+    sweeps = 0
 
-    def match(E):
-        return _kernels.numerov_match(E, lam, nu, gamma, *_grid(E, potential, gamma, cfg))
+    def spend():
+        nonlocal sweeps
+        if sweeps >= cfg.max_iterations:
+            raise ConvergenceError(f"shooting did not converge within {cfg.max_iterations} sweeps")
+        sweeps += 1
 
-    def isolated(lo, hi):
-        return hi - lo <= 1e-2 * max(abs(lo), abs(hi)) and nodes(lo) == n and nodes(hi) == n + 1
+    def count(E):
+        spend()
+        return _kernels.numerov_count(E, lam, nu, gamma, *_grid(E, E, lam, nu, gamma, cfg.points)[:3])
 
-    # phase 1: node-count bisection until the window isolates level n
-    lo, hi = _search_window(potential, n, nodes)
-    below = lambda E: nodes(E) <= n
-    lo, hi, iters, done = _bisect(lo, hi, below, 0, cfg, 1e-13, isolated)
-    if not done:
-        # phase 2: discriminant-sign bisection inside the isolated window;
-        # if it does not straddle (a match-point pole), keep counting nodes
-        d_lo, d_hi = match(lo)[0], match(hi)[0]
-        if (d_lo < 0.0) != (d_hi < 0.0):
-            below = lambda E: (match(E)[0] < 0.0) == (d_lo < 0.0)
-        lo, hi, iters, done = _bisect(lo, hi, below, iters, cfg)
-        if not done:
-            raise ConvergenceError("shooting bisection exhausted its iteration budget")
-    E = 0.5 * (lo + hi)
-    _, found = match(E)
-    if found != n:
-        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={E!r})")
-    return E
+    def match(grid):
+        def disc(E):
+            spend()
+            return _kernels.numerov_match(E, lam, nu, gamma, *grid)
+        return disc
 
-
-def _bisect(lo, hi, below, iters, cfg, rel_tol=0.0, isolated=None):
-    """Halve (lo, hi) on below(mid) until hi - lo <= max(energy_tol,
-    rel_tol |mid|); returns (lo, hi, iters, done).  iters counts against
-    cfg.max_iterations across calls; isolated(lo, hi) stops it, not done.
-    """
-    while iters < cfg.max_iterations:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+    # 1. window: from the closed-form level, widen until the outward
+    # whole-grid counts give count(lo) <= n < count(hi)
+    try:
+        E = closed_form.closed_form_energy(potential, n, gamma)
+    except ValueError:
+        E = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam)
+    # one step moves the turning radius (E / lam)**(1/nu) about 4x, and E
+    # itself 4x once |nu| >= 1
+    spread = min(1.0, abs(nu))
+    up = 4.0**spread
+    if E < 0.0:
+        up = 1.0 / up
+    lo = hi = None
+    while lo is None or hi is None:
+        k = count(E)
+        if k <= n:
+            lo, n_lo, E = E, k, E * up
         else:
-            hi = mid
-        if hi - lo <= max(cfg.energy_tol, rel_tol * abs(mid)):
-            return lo, hi, iters, True
-        if isolated is not None and isolated(lo, hi):
-            break
-    return lo, hi, iters, False
+            hi, n_hi, E = E, k, E / up
+
+    while True:
+        if n_lo == n and n_hi == n + 1 and hi - lo <= _ISOLATION_WIDTH * spread * max(abs(lo), abs(hi)):
+            # 3. level n alone in a narrow (lo, hi): polish on one grid built
+            # for the bracket; no sign change of disc, or a wrong node count,
+            # sends it back to count bisection
+            x0, h, points, im, step = _grid(lo, hi, lam, nu, gamma, cfg.points)
+            if step > _MAX_STEP_PARAM:
+                raise ConvergenceError(f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {points} points; raise points")
+            # this level only centres the 2N - 1 point bracket
+            tol = 0.125 * _REFINE_REL_TOL * min(abs(lo), abs(hi))
+            E, found = _illinois(match((x0, h, points, im)), lo, hi, tol)
+            if found == n:
+                break
+        # 2. count bisection
+        mid = 0.5 * (lo + hi)
+        k = count(mid)
+        if k <= n:
+            lo, n_lo = mid, k
+        else:
+            hi, n_hi = mid, k
+
+    # 4. the same level on the nested 2N - 1 point grid
+    half = _REFINE_REL_TOL * abs(E)
+    tol = min(cfg.energy_tol, _REL_TOL * abs(E))
+    E2, found = _illinois(match((x0, 0.5 * h, 2 * points - 1, 2 * im)), E - half, E + half, tol)
+    if found is None:
+        raise ConvergenceError(
+            f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative (E={E!r}); raise points"
+        )
+    if found != n:
+        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={E2!r})")
+    return E2
+
+
+def _illinois(disc, lo, hi, tol):
+    """Root of disc(E)[0] in (lo, hi) by Illinois false position;
+    returns (E, nodes at E), or (None, None) if disc does not change
+    sign over the bracket.  Stops once the bracket is below tol, or
+    within four float spacings of E."""
+    (f_lo, _), (f_hi, _) = disc(lo), disc(hi)
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        return None, None
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    while True:
+        c = b - fb * (b - a) / (fb - fa)
+        fc, nodes = disc(c)
+        if fc == 0.0:
+            return c, nodes
+        if (fc < 0.0) == (fb < 0.0):
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = c, fc
+        if abs(b - a) <= max(tol, 4.0 * math.ulp(b)):
+            return b, nodes

@@ -13,7 +13,6 @@ from abwkb import (
     InfiniteWell,
     PowerLaw,
     QuantizationSetup,
-    ShootingConfig,
     action_integral_closed,
     action_integral_numeric,
     bessel_j,
@@ -126,15 +125,14 @@ def test_criterion_05_well_comparison():
 
 
 def test_criterion_06_linear_potential_accuracy():
-    cfg = ShootingConfig(step=0.005, energy_tol=1e-8)
     pot = PowerLaw(1.0, 1.0)
-    shot0 = shoot_eigenvalue(pot, 0.0, 0, cfg)
+    shot0 = shoot_eigenvalue(pot, 0.0, 0)
     assert abs(shot0 - 2.338107) <= 1e-5
     semi0 = energy_positive_power(0, 0.0, 1.0, 1.0)
     assert abs(semi0 - 2.320251) <= 1e-6
     rel_errs = []
     for n in range(6):
-        shot = shoot_eigenvalue(pot, 0.0, n, cfg)
+        shot = shoot_eigenvalue(pot, 0.0, n)
         semi = energy_positive_power(n, 0.0, 1.0, 1.0)
         rel_errs.append(abs(semi - shot) / shot)
     assert rel_errs[0] < 0.01
@@ -146,9 +144,8 @@ def test_criterion_06_linear_potential_accuracy():
 
 
 def test_criterion_07_shooting_vs_exact():
-    cfg = ShootingConfig(step=0.005, energy_tol=1e-8)
-    coulomb = shoot_eigenvalue(PowerLaw(-1.0, -1.0), 1.5, 0, cfg)
-    osc = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, cfg)
+    coulomb = shoot_eigenvalue(PowerLaw(-1.0, -1.0), 1.5, 0)
+    osc = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0)
     assert abs(coulomb - (-0.04)) <= 1e-6
     assert abs(osc - 3.0) <= 1e-6
     _report(

@@ -300,7 +300,7 @@ class TestJsonCommands:
         code, out, _ = run_cli(
             capsys,
             "shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--step", "0.01", "--energy-tol", "1e-7",
+            "--energy-tol", "1e-7",
         )
         assert code == 0
         assert json.loads(out)["energy"] == pytest.approx(2.338107, abs=1e-5)
@@ -353,10 +353,10 @@ class TestLibraryDefaults:
         code, _, _ = run_cli(
             capsys,
             "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--step", "0.02", "--min-points", "100", "--energy-tol", "1e-6", "--max-iterations", "50",
+            "--points", "100", "--energy-tol", "1e-6", "--max-iterations", "50",
         )
         assert code == 0
-        assert seen == [ShootingConfig(step=0.02, min_points=100, energy_tol=1e-6, max_iterations=50)]
+        assert seen == [ShootingConfig(points=100, energy_tol=1e-6, max_iterations=50)]
 
 
 class TestDeterminism:

@@ -7,27 +7,28 @@ import pytest
 
 from abwkb import _kernels
 
-# (E, lam, nu, gamma, r0, h, n, im) -> (repr of numerov_count, repr of numerov_match)
+# (E, lam, nu, gamma, x0, h, n, im) -> (repr of numerov_count, repr of numerov_match),
+# on the grid x_i = x0 + i h, r = e^x
 PINNED_SWEEPS = [
-    # Coulomb tail, im inside the well: one node on each side of im
-    ((-0.02, -1.0, -1.0, 0.0, 0.02, 0.01, 24142, 1000), "3", "(0.6663905672997871, 2)"),
+    # Coulomb tail: one node outward of im, two inward
+    pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(-0.9999703334051263, 3)", id="coulomb_tail"),
     # confined oscillator, im at either end of the grid
-    ((11.3, 1.0, 2.0, 1.0, 0.00844060799202046, 0.00422030399601023, 2000, 2), "2", "(181.56628221426612, 2)"),
-    ((11.3, 1.0, 2.0, 1.0, 0.00844060799202046, 0.00422030399601023, 2000, 1996), "2", "(15.413672184178889, 2)"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0.9230749568502579, 2)", id="oscillator_im_inner"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(0.0028746506939359845, 2)", id="oscillator_im_outer"),
     # nu = -1.5 tail, im at the turning point
-    ((-0.05, -0.7, -1.5, 0.5, 0.02, 0.01, 10106, 579), "0", "(0.37485037918556874, 0)"),
+    pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0.9272728932492652, 0)", id="nu_-1.5_turning_point"),
     # linear well, one node on each side of im
-    ((6.0, 1.0, 1.0, 0.0, 0.01608248290463863, 0.008041241452319315, 1999, 300), "3", "(2.462460440335342, 2)"),
+    pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(-0.9779365051365116, 2)", id="linear_well"),
     # deep forbidden region: both sweeps pass 1e250 and rescale
-    ((0.5, 1.0, 2.0, 0.0, 0.01, 0.01, 40000, 20), "5359", "(5.254645170990184, 5357)"),
+    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0.8479042272434358, 0)", id="deep_forbidden"),
 ]
 
 
 class TestNumerov:
     def test_rescaling_keeps_counts_finite(self):
-        # deep classically forbidden sweep grows like exp(kappa r); the
+        # deep classically forbidden sweep grows like exp(r**2 / 2); the
         # in-loop rescaling must keep values representable
-        count = _kernels.numerov_count(0.5, 1.0, 2.0, 0.0, 0.01, 0.01, 40000)
+        count = _kernels.numerov_count(0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901)
         assert count >= 0
 
     @pytest.mark.parametrize("args,count,match", PINNED_SWEEPS)
@@ -39,17 +40,17 @@ class TestNumerov:
 
 class TestNumerovConvergence:
     def test_grid_convergence_fourth_order(self):
-        # oscillator n = 1 (E = 7) on a grid with pinned ends isolates the
+        # oscillator n = 1 (E = 7) on an x grid with pinned ends isolates the
         # O(h^4) Numerov error; halving the step should shrink it by ~16
-        r0, r_max = 1e-3, 9.001
+        x0, x_end = -7.0, 1.8
 
         def level(h):
-            n = int(math.ceil((r_max - r0) / h)) + 1
+            n = int(round((x_end - x0) / h)) + 1
 
             def match(E):
-                # match at the turning point sqrt(E), as the shooting oracle does
-                im = max(2, min(n - 4, int(round((E**0.5 - r0) / h))))
-                return _kernels.numerov_match(E, 1.0, 2.0, 0.0, r0, h, n, im)
+                # match at the turning point ln sqrt(E), as the shooting oracle does
+                im = max(2, min(n - 4, int(round((0.5 * math.log(E) - x0) / h))))
+                return _kernels.numerov_match(E, 1.0, 2.0, 0.0, x0, h, n, im)
 
             lo, hi = 6.5, 7.5
             below = match(lo)[0] < 0.0
@@ -64,9 +65,9 @@ class TestNumerovConvergence:
             assert match(E)[1] == 1
             return E
 
-        results = {step: level(step) for step in (0.2, 0.1, 0.05, 0.025)}
-        r1 = (results[0.2] - results[0.1]) / (results[0.1] - results[0.05])
-        r2 = (results[0.1] - results[0.05]) / (results[0.05] - results[0.025])
+        results = {step: level(step) for step in (0.1, 0.05, 0.025, 0.0125)}
+        r1 = (results[0.1] - results[0.05]) / (results[0.05] - results[0.025])
+        r2 = (results[0.05] - results[0.025]) / (results[0.025] - results[0.0125])
         assert 12.0 < r1 < 20.0
         assert 12.0 < r2 < 20.0
 

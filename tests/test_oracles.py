@@ -16,6 +16,7 @@ from abwkb import (
     InfiniteWell,
     PowerLaw,
     ShootingConfig,
+    _kernels,
     energy_well_semiclassical,
     shoot_eigenvalue,
     well_exact_spectrum,
@@ -94,76 +95,132 @@ class TestWellExactSpectrum:
             well_exact_spectrum(gamma, 1.0, 3)
 
 
-FAST = ShootingConfig(step=0.005, energy_tol=1e-8)
-
-
 class TestShootingExactFamilies:
     def test_oscillator_ground_state(self):
-        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, FAST)
+        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0)
         assert got == pytest.approx(3.0, abs=1e-6)
 
     def test_coulomb_fractional_gamma(self):
-        got = shoot_eigenvalue(PowerLaw(-1.0, -1.0), 1.5, 0, FAST)
+        got = shoot_eigenvalue(PowerLaw(-1.0, -1.0), 1.5, 0)
         assert got == pytest.approx(-0.04, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.5, 2.5])
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_coulomb_family(self, gamma, n):
         expected = -0.25 / (n + gamma + 1.0) ** 2
-        got = shoot_eigenvalue(PowerLaw(-1.0, -1.0), gamma, n, FAST)
+        got = shoot_eigenvalue(PowerLaw(-1.0, -1.0), gamma, n)
         assert got == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.5, 2.5])
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_oscillator_family(self, gamma, n):
         expected = 2.0 * (2.0 * n + gamma + 1.5)
-        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, n, FAST)
+        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, n)
         assert got == pytest.approx(expected, abs=1e-6)
 
 
 class TestShootingLinearPotential:
     def test_ground_state_is_first_airy_zero(self):
-        got = shoot_eigenvalue(PowerLaw(1.0, 1.0), 0.0, 0, FAST)
+        got = shoot_eigenvalue(PowerLaw(1.0, 1.0), 0.0, 0)
         assert got == pytest.approx(airy_zero(1), abs=1e-5)
 
     def test_excited_states(self):
         for n in (1, 2, 4):
-            got = shoot_eigenvalue(PowerLaw(1.0, 1.0), 0.0, n, FAST)
+            got = shoot_eigenvalue(PowerLaw(1.0, 1.0), 0.0, n)
             assert got == pytest.approx(airy_zero(n + 1), abs=1e-5)
 
 
 class TestShootingBehaviour:
     def test_node_count_selection(self):
         # asking for n = 2 must return the third level, not a neighbour
-        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 2, FAST)
+        got = shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 2)
         assert got == pytest.approx(11.0, abs=1e-6)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            shoot_eigenvalue(PowerLaw(1.0, 2.0), -1.0, 0, FAST)
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), -1.0, 0)
         with pytest.raises(ValueError):
-            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, -1, FAST)
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, -1)
         with pytest.raises(ValueError):
-            shoot_eigenvalue(InfiniteWell(1.0), 0.0, 0, FAST)
+            shoot_eigenvalue(InfiniteWell(1.0), 0.0, 0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):
         # NaN passed the old `gamma < 0` test and sized a 6.5e6-point grid
         with pytest.raises(ValueError, match="gamma must be finite"):
-            shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, 0, FAST)
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, 0)
 
     def test_budget_exhaustion_raises(self):
-        cfg = ShootingConfig(step=0.01, energy_tol=1e-15, max_iterations=10)
+        cfg = ShootingConfig(energy_tol=1e-15, max_iterations=10)
         with pytest.raises(ConvergenceError):
             shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ShootingConfig(step=0.0)
+            ShootingConfig(points=7)
         with pytest.raises(ValueError):
             ShootingConfig(energy_tol=-1.0)
         for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                ShootingConfig(step=value)
+            with pytest.raises(ValueError, match="int"):
+                ShootingConfig(points=value)
             with pytest.raises(ValueError, match="finite"):
                 ShootingConfig(energy_tol=value)
+        with pytest.raises(ValueError, match="int"):
+            ShootingConfig(points=2000.0)
+
+
+# (lam, nu, gamma, n, level): exact levels, and for the other states the
+# levels of an independent log-grid solve at N = 4000 with N = 2000 within
+# 2e-8 of them
+LOG_GRID_LEVELS = [
+    (-1.0, -1.0, 1.5, 0, -0.04),
+    (1.0, 2.0, 0.5, 1, 8.0),
+    (1.0, 1.0, 0.0, 0, 2.33810741045977),
+    (-1.0, -1.8, 0.5, 0, -0.00126685517),
+    (-1.0, -1.7, 0.0, 0, -1.44936646),
+    (-1.0, -0.5, 0.0, 0, -0.438041242),
+    (1.0, 12.0, 1.5, 0, 14.1350787),
+    (1.0, 30.0, 0.0, 0, 6.86718937),
+]
+
+
+class TestLogGridOracle:
+    @pytest.mark.parametrize("lam,nu,gamma,n,level", LOG_GRID_LEVELS)
+    def test_reference_levels(self, lam, nu, gamma, n, level):
+        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert got == pytest.approx(level, rel=1e-7)
+
+    def test_steep_walls_approach_the_well(self):
+        # as nu -> inf the potential becomes the unit well, ground level pi^2
+        # in these units; the uniform-r grid gave 0.01416 and 2e-8 here
+        e30 = shoot_eigenvalue(PowerLaw(1.0, 30.0), 0.0, 0)
+        e50 = shoot_eigenvalue(PowerLaw(1.0, 50.0), 0.0, 0)
+        assert 6.8 < e30 < e50 < math.pi**2
+
+    @pytest.mark.parametrize("nu", [1000.0, -1.95, -1.99])
+    def test_out_of_reach_exponents_raise(self, nu):
+        lam = 1.0 if nu > 0.0 else -1.0
+        with pytest.raises(ConvergenceError):
+            shoot_eigenvalue(PowerLaw(lam, nu), 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "lam,nu,n,points,message",
+        [(-1.0, -1.0, 0, 100, "too coarse"), (1.0, 1.0, 2, 250, "differ")],
+    )
+    def test_too_few_points_raise(self, lam, nu, n, points, message):
+        with pytest.raises(ConvergenceError, match=message):
+            shoot_eigenvalue(PowerLaw(lam, nu), 0.0, n, ShootingConfig(points=points))
+
+    def test_census_edge_state_near_nu_minus_1_8(self):
+        # the default grid agrees with the level at N = 16000, -0.0041319455138
+        got = shoot_eigenvalue(PowerLaw(-1.0, -1.798), 0.425, 0)
+        assert got == pytest.approx(-0.0041319455138, rel=1e-7)
+
+    def test_every_sweep_counts_against_the_budget(self, monkeypatch):
+        calls = []
+        for name in ("numerov_count", "numerov_match"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: calls.append(1) or k(*a))
+        with pytest.raises(ConvergenceError, match="within 12 sweeps"):
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, ShootingConfig(max_iterations=12))
+        assert len(calls) == 12
