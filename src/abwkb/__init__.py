@@ -35,8 +35,6 @@ from .closed_form import (
 )
 from .errors import ConvergenceError
 from .model import (
-    Boundary,
-    FluxQuantumNumbers,
     InfiniteWell,
     MaslovConstant,
     PotentialSpec,
@@ -44,7 +42,6 @@ from .model import (
     UnitScale,
     duality_map,
     effective_gamma,
-    maslov_constant,
     unit_scale,
 )
 from .oracles import ShootingConfig, shoot_eigenvalue, well_exact_spectrum
@@ -54,10 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "Boundary",
     "ConvergenceError",
     "EnergyLevel",
-    "FluxQuantumNumbers",
     "InfiniteWell",
     "MaslovConstant",
     "PotentialSpec",
@@ -84,7 +79,6 @@ __all__ = [
     "energy_well_semiclassical",
     "flux_slope_effect",
     "gamma",
-    "maslov_constant",
     "quantization_constant",
     "quantize_energy",
     "shoot_eigenvalue",

@@ -8,6 +8,13 @@ with rc the classical turning point and c the matching constant: the
 exponent-dependent value (2g + nu + 3)/(2(nu + 2)) for -2 < nu < 0,
 g/2 + 3/4 for nu > 0 (one hard wall at the origin, smooth outer turning
 point), and g/2 + 1 for the infinite well (two walls).
+
+For V = lam r**nu the turning point is rc = (E/lam)**(1/nu), and the
+substitution r = rc y**p turns the action into rc sqrt|E| times a number
+that depends on nu alone.  The action is therefore an exact power of the
+energy, S(E) = S(E0) (E/E0)**alpha with alpha = 1/nu + 1/2 (1/2 for the
+well, whose rc is fixed), and a level needs one quadrature and a closed
+inversion, not a root search.
 """
 
 from __future__ import annotations
@@ -112,123 +119,39 @@ def quantization_constant(
 
 @dataclass(frozen=True)
 class QuantizationSetup:
-    """Everything needed to root-solve the quantization condition."""
+    """Everything needed to solve the quantization condition for a level."""
 
     potential: PotentialSpec
     gamma: float
     maslov: MaslovConstant | None = None
     quad_rel_tol: float = 1e-12
-    root_rel_tol: float = 1e-11
     constant: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 < self.quad_rel_tol < math.inf and 0.0 < self.root_rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.quad_rel_tol < math.inf:
+            raise ValueError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
         object.__setattr__(
             self, "constant", quantization_constant(self.potential, self.gamma, self.maslov)
         )
 
 
 def quantize_energy(setup: QuantizationSetup, n: int) -> float:
-    """Energy of level n from the quantization condition, by root-solving
-    the numeric action integral against (n + c) pi.
+    """Energy of level n from the quantization condition action = (n + c) pi.
 
-    The closed-form spectrum provides the initial guess; the bracket is
-    expanded geometrically from it and the root polished with a
-    Brent-style solver.  Strict monotonicity of the action in E makes the
-    root unique.
+    One quadrature S(E0) at the closed-form level E0, inverted through the
+    power law S(E) = S(E0) (E/E0)**alpha: E = E0 ((n + c) pi / S(E0))**(1/alpha).
+    E0 sets only the scale: the quadrature's stopping test is relative, so
+    any E0 of the right sign gives the same level to rounding, and the
+    result stays an independent check of the paper's Gamma-function form.
     """
     if n < 0:
         raise ValueError(f"radial quantum number must be >= 0, got {n}")
     pot = setup.potential
     target = (n + setup.constant) * math.pi
-
-    def f(E: float) -> float:
-        return action_integral_numeric(E, pot, rel_tol=setup.quad_rel_tol) - target
-
-    guess = _initial_guess(pot, setup.gamma, setup.constant, n)
-    lo, hi = _bracket(f, guess, negative=isinstance(pot, PowerLaw) and pot.lam < 0.0)
-    return _brentq(f, lo, hi, rtol=setup.root_rel_tol)
-
-
-def _initial_guess(pot: PotentialSpec, gamma: float, constant: float, n: int) -> float:
-    if isinstance(pot, InfiniteWell):
-        return ((n + constant) * math.pi / pot.a) ** 2
-    return closed_form.closed_form_energy(pot, n, gamma)
-
-
-def _bracket(f, guess: float, negative: bool, max_expand: int = 80) -> tuple[float, float]:
-    """Expand geometrically around the guess until f changes sign.
-
-    The action is increasing in E, so f(lo) < 0 < f(hi) once the root is
-    inside; for bound states of attractive tails (negative branch) the
-    energies stay below zero throughout.
-    """
-    if negative:
-        lo, hi = 1.25 * guess, 0.8 * guess  # guess < 0
-    else:
-        lo, hi = 0.8 * guess, 1.25 * guess
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(max_expand):
-        if f_lo <= 0.0 <= f_hi:
-            return lo, hi
-        if f_lo > 0.0:
-            hi, f_hi = lo, f_lo
-            lo = 1.6 * lo if negative else lo / 1.6
-            f_lo = f(lo)
-        else:
-            lo, f_lo = hi, f_hi
-            hi = hi / 1.6 if negative else 1.6 * hi
-            f_hi = f(hi)
-    raise ConvergenceError("failed to bracket the quantization root")
-
-
-def _brentq(f, a: float, b: float, rtol: float, maxiter: int = 200) -> float:
-    """Classic Brent root finder on a sign-change bracket [a, b]."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise ConvergenceError("root not bracketed")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(maxiter):
-        if (fb < 0.0) == (fc < 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * rtol * abs(b) + 1e-300
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
-        fb = f(b)
-    raise ConvergenceError("Brent iteration exhausted")
+    # (nu + 2)/(2 nu) is 1/nu + 1/2 without the cancellation near nu = -2
+    alpha = 0.5 if isinstance(pot, InfiniteWell) else (pot.nu + 2.0) / (2.0 * pot.nu)
+    e0 = closed_form.closed_form_energy(pot, n, setup.gamma)
+    s0 = action_integral_numeric(e0, pot, rel_tol=setup.quad_rel_tol)
+    return e0 * (target / s0) ** (1.0 / alpha)

@@ -300,7 +300,7 @@ def _cmd_quantize(args) -> int:
         potential,
         args.gamma,
         maslov=_MASLOV_NAMES[args.maslov] if args.maslov else None,
-        **_given(args, "quad_rel_tol", "root_rel_tol"),
+        **_given(args, "quad_rel_tol"),
     )
     energy = action_mod.quantize_energy(setup, args.n)
     _write_output(
@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maslov", choices=sorted(_MASLOV_NAMES))
     p.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
-    p.add_argument("--root-rel-tol", dest="root_rel_tol", type=float)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_quantize)
 

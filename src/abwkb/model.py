@@ -17,13 +17,10 @@ __all__ = [
     "PowerLaw",
     "InfiniteWell",
     "PotentialSpec",
-    "FluxQuantumNumbers",
     "MaslovConstant",
-    "Boundary",
     "UnitScale",
     "effective_gamma",
     "duality_map",
-    "maslov_constant",
     "unit_scale",
     "UNIT_PRESETS",
 ]
@@ -76,34 +73,11 @@ class InfiniteWell:
 PotentialSpec = PowerLaw | InfiniteWell
 
 
-@dataclass(frozen=True)
-class FluxQuantumNumbers:
-    """Quantum-number triple (n, q, k) plus the dimensionless flux mu0."""
-
-    n: int
-    q: int
-    k: int
-    mu0: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 0 or self.q < 0:
-            raise ValueError(f"n and q must be >= 0, got n={self.n}, q={self.q}")
-
-    @property
-    def gamma(self) -> float:
-        return effective_gamma(self.q, self.k, self.mu0)
-
-
 def effective_gamma(q: int, k: int, mu0: float) -> float:
     """Effective angular momentum gamma = q + |k + mu0| (>= 0 for q >= 0)."""
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     return q + abs(k + mu0)
-
-
-class Boundary(Enum):
-    SMOOTH = "smooth"
-    WALL = "wall"
 
 
 class MaslovConstant(Enum):
@@ -116,12 +90,6 @@ class MaslovConstant(Enum):
     SMOOTH_SMOOTH = 0.5
     WALL_SMOOTH = 0.75
     WALL_WALL = 1.0
-
-
-def maslov_constant(left: Boundary, right: Boundary) -> MaslovConstant:
-    """Matching constant for the given pair of turning-point boundary types."""
-    walls = (left is Boundary.WALL) + (right is Boundary.WALL)
-    return (MaslovConstant.SMOOTH_SMOOTH, MaslovConstant.WALL_SMOOTH, MaslovConstant.WALL_WALL)[walls]
 
 
 def duality_map(nu: float, E: float, lam: float, gamma: float) -> tuple[float, float, float, float]:

@@ -62,8 +62,8 @@ class ShootingConfig:
             raise ValueError("energy_tol must be positive and finite")
         if not isinstance(self.points, int) or self.points < 8:
             raise ValueError(f"points must be an int >= 8, got {self.points!r}")
-        if self.max_iterations < 8:
-            raise ValueError("max_iterations too small")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 8:
+            raise ValueError(f"max_iterations must be an int >= 8, got {self.max_iterations!r}")
 
 
 _INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2

@@ -12,7 +12,7 @@ import math
 
 from .errors import ConvergenceError
 
-__all__ = ["gamma", "gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros", "mcmahon_zero_estimate"]
+__all__ = ["gamma", "gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros"]
 
 # Lanczos coefficients, g = 7, n = 9 (classic double-precision set).
 _LANCZOS = (
@@ -163,12 +163,6 @@ def bessel_j(order: float, x: float) -> float:
 def _bessel_j_prime(order: float, x: float, jv: float) -> float:
     # J'_v = (v/x) J_v - J_{v+1}; valid for all v >= 0, x > 0
     return (order / x) * jv - bessel_j(order + 1.0, x)
-
-
-def mcmahon_zero_estimate(order: float, m: int) -> float:
-    """McMahon large-index estimate of the m-th positive zero of J_order."""
-    beta = (m + 0.5 * order - 0.25) * math.pi
-    return beta - (4.0 * order * order - 1.0) / (8.0 * beta)
 
 
 def _refine_zero(order: float, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

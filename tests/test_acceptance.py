@@ -104,7 +104,7 @@ def test_criterion_04_quantization_round_trip():
                 got = quantize_energy(setup, n)
                 worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-8
-    _report(f"criterion 4: quantization root-solve reproduces closed forms (worst rel {worst:.2e} <= 1e-8)")
+    _report(f"criterion 4: action quantization reproduces closed forms (worst rel {worst:.2e} <= 1e-8)")
 
 
 def test_criterion_05_well_comparison():

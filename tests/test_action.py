@@ -25,6 +25,8 @@ from abwkb import (
     turning_point,
 )
 from abwkb import _kernels
+from abwkb import action as action_mod
+from abwkb import closed_form as closed_form_mod
 
 E_GRID = [-0.002 * i * 1.3**i / 20.0 for i in range(1, 21)]
 
@@ -90,6 +92,27 @@ class TestNumericAction:
         monkeypatch.setattr(_kernels, "action_sum", lambda E, lam, nu, rc, h, kmax: 1.0 + h)
         with pytest.raises(ConvergenceError, match="mesh levels"):
             action_integral_numeric(-0.25, PowerLaw(-1.0, -1.0))
+
+
+class TestActionScaling:
+    """S(t E) = t**alpha S(E), alpha = 1/nu + 1/2 (1/2 for the well): the
+    law quantize_energy inverts in place of a root search."""
+
+    @pytest.mark.parametrize(
+        "pot, e, alpha",
+        [
+            (PowerLaw(-1.0, -1.3), -0.07, 1.0 / -1.3 + 0.5),
+            (PowerLaw(-2.0, -1.95), -0.3, 1.0 / -1.95 + 0.5),
+            (PowerLaw(1.0, 1.7), 2.2, 1.0 / 1.7 + 0.5),
+            (PowerLaw(0.5, 12.0), 5.0, 1.0 / 12.0 + 0.5),
+            (InfiniteWell(2.0), 7.3, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0, 100.0])
+    def test_power_law_in_energy(self, pot, e, alpha, t):
+        base = action_integral_numeric(e, pot)
+        scaled = action_integral_numeric(t * e, pot)
+        assert abs(scaled - t**alpha * base) <= 1e-14 * abs(scaled)
 
 
 class TestClosedAction:
@@ -169,6 +192,32 @@ class TestQuantizeEnergy:
         setup = QuantizationSetup(InfiniteWell(1.0), 0.0, maslov=MaslovConstant.WALL_SMOOTH)
         assert quantize_energy(setup, 0) == pytest.approx((0.75 * math.pi) ** 2, rel=1e-9)
 
+    @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.5), PowerLaw(1.0, 3.0), InfiniteWell(1.5)])
+    def test_one_quadrature_per_level(self, pot, monkeypatch):
+        calls = []
+
+        def counted(E, potential, rel_tol=1e-12):
+            calls.append(E)
+            return action_integral_numeric(E, potential, rel_tol=rel_tol)
+
+        monkeypatch.setattr(action_mod, "action_integral_numeric", counted)
+        setup = QuantizationSetup(pot, 0.5)
+        for n in (0, 1, 4):
+            quantize_energy(setup, n)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.95), PowerLaw(-1.0, -0.5), PowerLaw(1.0, 1.0), InfiniteWell(1.0)])
+    @pytest.mark.parametrize("factor", [0.6, 1.3])
+    def test_seed_sets_only_the_scale(self, pot, factor, monkeypatch):
+        setup = QuantizationSetup(pot, 1.5)
+        levels = [quantize_energy(setup, n) for n in (0, 3)]
+        seed = closed_form_mod.closed_form_energy
+        monkeypatch.setattr(
+            closed_form_mod, "closed_form_energy", lambda p, n, g: factor * seed(p, n, g)
+        )
+        for n, level in zip((0, 3), levels):
+            assert abs(quantize_energy(setup, n) - level) <= 1e-12 * abs(level), (n, factor)
+
     def test_bad_inputs(self):
         setup = QuantizationSetup(PowerLaw(1.0, 2.0), 0.0)
         with pytest.raises(ValueError):
@@ -177,9 +226,8 @@ class TestQuantizeEnergy:
             QuantizationSetup(PowerLaw(1.0, 2.0), -0.5)
         with pytest.raises(ValueError):
             QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=0.0)
-        for name in ("quad_rel_tol", "root_rel_tol"):
-            with pytest.raises(ValueError, match="finite"):
-                QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, **{name: math.inf})
+        with pytest.raises(ValueError, match="finite"):
+            QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=math.inf)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):

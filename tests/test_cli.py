@@ -89,7 +89,6 @@ class TestSpectrumCommand:
         "argv",
         [
             ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "inf"),
-            ("quantize", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--root-rel-tol", "inf"),
             ("quantize", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--quad-rel-tol", "inf"),
             ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "-1"),
             ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "0"),

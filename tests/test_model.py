@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abwkb import (
-    Boundary,
-    FluxQuantumNumbers,
     InfiniteWell,
     MaslovConstant,
     PowerLaw,
     duality_map,
     effective_gamma,
-    maslov_constant,
     unit_scale,
 )
 
@@ -95,12 +92,6 @@ class TestEffectiveGamma:
         b = effective_gamma(q, k - 1, mu0 + 1.0)
         assert abs(a - b) <= 4e-16 * max(1.0, abs(a))
 
-    def test_quantum_number_dataclass(self):
-        fqn = FluxQuantumNumbers(1, 2, -1, 0.5)
-        assert fqn.gamma == 2.5
-        with pytest.raises(ValueError):
-            FluxQuantumNumbers(-1, 0, 0)
-
 
 class TestDuality:
     def test_exponent_examples(self):
@@ -130,12 +121,6 @@ class TestDuality:
 
 
 class TestMaslov:
-    def test_three_cases(self):
-        assert maslov_constant(Boundary.SMOOTH, Boundary.SMOOTH) is MaslovConstant.SMOOTH_SMOOTH
-        assert maslov_constant(Boundary.WALL, Boundary.SMOOTH) is MaslovConstant.WALL_SMOOTH
-        assert maslov_constant(Boundary.SMOOTH, Boundary.WALL) is MaslovConstant.WALL_SMOOTH
-        assert maslov_constant(Boundary.WALL, Boundary.WALL) is MaslovConstant.WALL_WALL
-
     def test_values(self):
         assert MaslovConstant.SMOOTH_SMOOTH.value == 0.5
         assert MaslovConstant.WALL_SMOOTH.value == 0.75

@@ -167,6 +167,10 @@ class TestShootingBehaviour:
                 ShootingConfig(energy_tol=value)
         with pytest.raises(ValueError, match="int"):
             ShootingConfig(points=2000.0)
+        # a non-finite budget would never stop the sweep loop
+        for value in (math.nan, math.inf, 12.5):
+            with pytest.raises(ValueError, match="int"):
+                ShootingConfig(max_iterations=value)
 
 
 # (lam, nu, gamma, n, level): exact levels, and for the other states the

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abwkb import ConvergenceError, bessel_j, bessel_j_zero, bessel_j_zeros, gamma
-from abwkb.special_functions import mcmahon_zero_estimate
 
 
 class TestGamma:
@@ -137,12 +136,6 @@ class TestBesselZeros:
         for order in (0.0, 0.5, 1.3, 3.0, 6.5, 10.0):
             for m, z in enumerate(bessel_j_zeros(order, 20), start=1):
                 assert abs(bessel_j(order, z)) <= 1e-8, (order, m)
-
-    def test_mcmahon_estimate_brackets_large_zeros(self):
-        for order in (0.0, 1.0, 3.0):
-            for m in (5, 10, 20):
-                est = mcmahon_zero_estimate(order, m)
-                assert abs(est - bessel_j_zero(order, m)) < 0.05
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
