@@ -26,9 +26,7 @@ from .closed_form import (
     EnergyLevel,
     SpectrumTable,
     closed_form_energy,
-    energy_coulomb,
     energy_negative_power,
-    energy_oscillator,
     energy_positive_power,
     energy_well_semiclassical,
     spectrum_table,
@@ -72,9 +70,7 @@ __all__ = [
     "derivative_ratios",
     "duality_map",
     "effective_gamma",
-    "energy_coulomb",
     "energy_negative_power",
-    "energy_oscillator",
     "energy_positive_power",
     "energy_well_semiclassical",
     "flux_slope_effect",

@@ -101,19 +101,14 @@ def numerov_count(
 def numerov_match(
     E: float, lam: float, nu: float, gamma: float, x0: float, h: float, n: int, im: int
 ):
-    """Two-sided Numerov sweep over x_i = x0 + i h matched at grid index im.
+    """Two-sided Numerov sweep over x_i = x0 + i h to the matching index im.
 
-    Returns (disc, nodes).  disc is the sine of the angle between the
-    outward and inward solutions' (u, u') vectors at im: zero exactly at a
-    discrete eigenvalue, bounded, and without the poles that a difference
-    of log-derivatives has where u[im] = 0.  nodes is the sign-change count
-    of the matched composite: outward crossings through u[im], inward ones
-    through v[im].
+    Returns (nodes_out, u_out, du_out, nodes_in, u_in, du_in): for the
+    outward solution (regular series at x0) and the inward one (decaying
+    seed at x_{n-1}), the sign changes through u[im], and u and its
+    central-difference derivative du/dx at im.  Each pair is on its own
+    scale, up to 1e250.
     """
     nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, x0, h, im)
     nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, 1e-280, None)
-    do, di = 0.5 * (uo_p1 - uo_m1) / h, 0.5 * (ui_p1 - ui_m1) / h
-    # each vector is normalised on its own: both may carry up to 1e250
-    no, ni = math.hypot(uo_0, do), math.hypot(ui_0, di)
-    disc = (do / no) * (ui_0 / ni) - (uo_0 / no) * (di / ni)
-    return disc, nodes_out + nodes_in
+    return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h

@@ -34,8 +34,6 @@ __all__ = [
     "METHOD_EXACT_ORACLE",
     "energy_negative_power",
     "energy_positive_power",
-    "energy_coulomb",
-    "energy_oscillator",
     "energy_well_semiclassical",
     "closed_form_energy",
     "level_coefficients",
@@ -124,22 +122,6 @@ def energy_positive_power(n: int, gamma: float, lam: float, nu: float) -> float:
     if not (lam > 0.0 and nu > 0.0):
         raise ValueError(f"positive-power branch needs lam > 0, nu > 0; got {lam}, {nu}")
     return _power_law_coefficients(lam, nu).energy(n, gamma)
-
-
-def energy_coulomb(n: int, q: int, k: int, mu0: float) -> float:
-    """Coulomb levels -1/(4 (n + q + |k+mu0| + 1)^2), reduced units with
-    lam = -1 (equivalently -(m c^2 a^2 / 2) / N^2 in display units)."""
-    if n < 0 or q < 0:
-        raise ValueError(f"n and q must be >= 0, got {n}, {q}")
-    big_n = n + q + abs(k + mu0) + 1.0
-    return -1.0 / (4.0 * big_n * big_n)
-
-
-def energy_oscillator(n: int, gamma: float) -> float:
-    """Oscillator levels 2n + gamma + 3/2 in units of hbar*omega."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return 2.0 * n + gamma + 1.5
 
 
 def energy_well_semiclassical(n: int, gamma: float, a: float) -> float:

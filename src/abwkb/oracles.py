@@ -3,9 +3,10 @@ shooting eigensolver.
 
 These share no formulas with the action module, which is the point: they
 validate the semiclassical results from the outside.  The shooting solver
-takes only its first energy window from the closed form; its answer is
-fixed by its own node count and checked on a grid of twice the density,
-so a poor seed costs sweeps, never the level.
+takes only its starting level and slope from the closed form; its answer
+is the root of a Prufer miss-distance that counts the nodes itself, and
+is checked on a grid of twice the density, so a poor seed costs sweeps,
+never the level.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ class ShootingConfig:
     past the outer turning point reaches _DECAY_TARGET.  The level is
     solved on that grid and again on its 2N - 1 point refinement, and
     the two must agree to _REFINE_REL_TOL.  energy_tol is the absolute
-    width at which the final root bracket counts as converged (also held
-    below _REL_TOL |E|, so levels near zero keep their digits, but not
-    below four float spacings of E), and max_iterations caps the Numerov
-    sweeps of one solve.
+    size of the last secant step on the 2N - 1 point grid at which the
+    level counts as converged (also held below _REL_TOL |E|, so levels
+    near zero keep their digits, but not below four float spacings), and
+    max_iterations caps the Numerov sweeps of one solve.
     """
 
     points: int = 2000
@@ -73,20 +74,25 @@ _NU_FLOOR = -1.9  # the inner edge x0 ~ ln(_INNER_EPS) / (nu + 2) runs off as nu
 # oscillates with period two where g > 0, and its forbidden-region
 # denominator 1 - h**2 |g| / 12 nears zero; node counts there are noise
 _MAX_STEP_PARAM = 0.5
-_ISOLATION_WIDTH = 0.1  # polish bracket width relative to |E|, times min(1, |nu|)
+_SEARCH_RATIO = 2.0  # search windows span E / r .. E r, r = this ** min(1, |nu|)
+_POLISH_WIDTH = 1e-3  # the polish grid is built for E (1 -+ this)
 _REFINE_REL_TOL = 1e-6  # levels on N and 2N - 1 points must agree to this
-_REL_TOL = 1e-10  # bracket width cap relative to |E|
+_REL_TOL = 1e-10  # final step cap relative to |E|
 _MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
 _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 
 
-def _grid(lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
-    """Log grid (x0, h, points, im, step) for energies in [lo, hi].
+def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
+    """Log grid (x0, h, points, im, scale, step) for energies in [lo, hi]
+    around E.
 
     x_i = x0 + i h covers the inner edge of the larger |E| and the outer
     edge of hi, whose turning point is the outermost and whose tail
-    decays slowest; im sits at hi's outer turning point.  step is the
-    largest h**2 |g| / 12 on the grid, for either end energy.
+    decays slowest.  im sits where g peaks for E, inside the classically
+    allowed region if E has one, and scale is sqrt(g) there (at least
+    gamma + 1/2): the local wavenumber, with which the Prufer angle of
+    _miss advances evenly.  step is the largest h**2 |g| / 12 on the
+    grid, for either end energy.
     """
     c = (gamma + 0.5) ** 2
     nu2 = nu + 2.0
@@ -118,9 +124,27 @@ def _grid(lo: float, hi: float, lam: float, nu: float, gamma: float, points: int
     else:
         raise ConvergenceError(f"no outer grid edge within {_MAX_EDGE_STEPS} steps of E={hi!r}")
     h = (x - x0) / (points - 1)
-    im = max(2, min(points - 4, int(round((xt - x0) / h))))
+    xm = math.log(2.0 * E / (nu2 * lam)) / nu
+    im = max(2, min(points - 4, int(round((xm - x0) / h))))
+    scale = math.sqrt(max(-kappa2(E, x0 + im * h), c))
     g_max = max(c, g_allowed, kappa2(lo, x))
-    return x0, h, points, im, h * h * g_max / 12.0
+    return x0, h, points, im, scale, h * h * g_max / 12.0
+
+
+def _miss(E: float, lam: float, nu: float, gamma: float, grid) -> tuple[float, int]:
+    """Prufer miss-distance F(E) = theta_out - theta_in at grid index im,
+    and the matched composite's node count.
+
+    theta = atan2(scale u, u') is unwrapped by each sweep's crossings:
+    the outward angle starts in (0, pi/2) and gains pi per node, the
+    inward one starts in (pi/2, pi) at the outer edge and loses pi per
+    node.  F is continuous and increasing in E on a fixed grid (Sturm),
+    and equals n pi exactly where the two solutions match with n nodes.
+    """
+    x0, h, points, im, scale = grid
+    nodes_out, uo, do, nodes_in, ui, di = _kernels.numerov_match(E, lam, nu, gamma, x0, h, points, im)
+    nodes = nodes_out + nodes_in
+    return nodes * math.pi + math.atan2(scale * uo, do) % math.pi - math.atan2(scale * ui, di) % math.pi, nodes
 
 
 def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingConfig | None = None) -> float:
@@ -130,15 +154,17 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
 
     Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of
     cfg.points points (_grid), outward from the r**(gamma+1/2) series and
-    inward from a decaying seed.  The energy window starts from the
-    closed-form level and widens by 4x until its outward node counts
-    bracket level n; count bisection isolates the level, and Illinois
-    false position on the matching discriminant over one grid polishes
-    it.  The result is polished again on the 2N - 1 point refinement of
-    that grid from a bracket of relative width _REFINE_REL_TOL around
-    it: no sign change there, a matched solution without n nodes, a step
-    h**2 |g| / 12 above _MAX_STEP_PARAM or nu below _NU_FLOOR raise
-    ConvergenceError.  Every sweep counts against cfg.max_iterations.
+    inward from a decaying seed.  One safeguarded secant search finds
+    the root of the increasing miss-distance F(E) - n pi (_miss), from
+    the closed-form level and its slope: on grids for windows
+    E / r .. E r (_SEARCH_RATIO; narrowed while the grid is too coarse),
+    rebuilt whenever the iterate leaves the window, then on a grid for
+    E (1 -+ _POLISH_WIDTH), and last on the 2N - 1 point refinement of
+    that grid within _REFINE_REL_TOL of its N-point level.  A level
+    further off, a matched solution without n nodes, a step
+    h**2 |g| / 12 above _MAX_STEP_PARAM even on a window as narrow as
+    the polish grid's, or nu below _NU_FLOOR raise ConvergenceError.
+    Every sweep counts against cfg.max_iterations.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
@@ -152,95 +178,113 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
         raise ConvergenceError(f"nu={nu} is below the shooting floor {_NU_FLOOR}: the grid's inner edge runs off")
 
     sweeps = 0
+    # the search runs in y = sign(E) ln|E|, which rises with E and in which
+    # F is close to linear even across decades of E
+    sign = math.copysign(1.0, lam)
 
-    def spend():
-        nonlocal sweeps
-        if sweeps >= cfg.max_iterations:
-            raise ConvergenceError(f"shooting did not converge within {cfg.max_iterations} sweeps")
-        sweeps += 1
+    def energy(y):
+        return sign * math.exp(sign * y)
 
-    def count(E):
-        spend()
-        return _kernels.numerov_count(E, lam, nu, gamma, *_grid(E, E, lam, nu, gamma, cfg.points)[:3])
+    def grid_for(y, half):
+        """The grid for the window y -+ half, halved (to _POLISH_WIDTH at
+        least) while too coarse; returns (grid, half)."""
+        while True:
+            *grid, step = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, cfg.points)
+            if step <= _MAX_STEP_PARAM:
+                return grid, half
+            if half <= _POLISH_WIDTH:
+                raise ConvergenceError(f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {cfg.points} points; raise points")
+            half = max(0.5 * half, _POLISH_WIDTH)
 
-    def match(grid):
-        def disc(E):
-            spend()
-            return _kernels.numerov_match(E, lam, nu, gamma, *grid)
-        return disc
+    def miss(grid):
+        def residual(y):
+            nonlocal sweeps
+            if sweeps >= cfg.max_iterations:
+                raise ConvergenceError(f"shooting did not converge within {cfg.max_iterations} sweeps")
+            sweeps += 1
+            phase, nodes = _miss(energy(y), lam, nu, gamma, grid)
+            return phase - n * math.pi, nodes
 
-    # 1. window: from the closed-form level, widen until the outward
-    # whole-grid counts give count(lo) <= n < count(hi)
+        return residual
+
+    # the closed-form level E = scale (factor x)**power, x = n + slope g +
+    # offset, has phase pi x, so dF/dy ~ pi x / |power|
     try:
-        E = closed_form.closed_form_energy(potential, n, gamma)
+        coefficients = closed_form.level_coefficients(potential)
+        E, index = coefficients.energy(n, gamma), coefficients.level_index(n, gamma)
     except ValueError:
-        E = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam)
-    # one step moves the turning radius (E / lam)**(1/nu) about 4x, and E
-    # itself 4x once |nu| >= 1
-    spread = min(1.0, abs(nu))
-    up = 4.0**spread
-    if E < 0.0:
-        up = 1.0 / up
-    lo = hi = None
-    while lo is None or hi is None:
-        k = count(E)
-        if k <= n:
-            lo, n_lo, E = E, k, E * up
-        else:
-            hi, n_hi, E = E, k, E / up
+        E, index = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam), n + 1.0
+    y, slope = sign * math.log(abs(E)), math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
 
+    # 1. search on grids for windows y -+ half; a step out of the window
+    # moves it at most one width on
+    width = min(1.0, abs(nu)) * math.log(_SEARCH_RATIO)
     while True:
-        if n_lo == n and n_hi == n + 1 and hi - lo <= _ISOLATION_WIDTH * spread * max(abs(lo), abs(hi)):
-            # 3. level n alone in a narrow (lo, hi): polish on one grid built
-            # for the bracket; no sign change of disc, or a wrong node count,
-            # sends it back to count bisection
-            x0, h, points, im, step = _grid(lo, hi, lam, nu, gamma, cfg.points)
-            if step > _MAX_STEP_PARAM:
-                raise ConvergenceError(f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {points} points; raise points")
-            # this level only centres the 2N - 1 point bracket
-            tol = 0.125 * _REFINE_REL_TOL * min(abs(lo), abs(hi))
-            E, found = _illinois(match((x0, h, points, im)), lo, hi, tol)
-            if found == n:
-                break
-        # 2. count bisection
-        mid = 0.5 * (lo + hi)
-        k = count(mid)
-        if k <= n:
-            lo, n_lo = mid, k
-        else:
-            hi, n_hi = mid, k
+        grid, half = grid_for(y, width)
+        y_next, nodes, slope = _secant(miss(grid), y, slope, y - half, y + half, 0.5 * _POLISH_WIDTH)
+        if nodes is not None:
+            y = y_next
+            break
+        y = min(max(y_next, y - 2.0 * half), y + 2.0 * half)
 
-    # 4. the same level on the nested 2N - 1 point grid
-    half = _REFINE_REL_TOL * abs(E)
-    tol = min(cfg.energy_tol, _REL_TOL * abs(E))
-    E2, found = _illinois(match((x0, 0.5 * h, 2 * points - 1, 2 * im)), E - half, E + half, tol)
+    # 2. the N-point level on a grid built around it
+    grid, _ = grid_for(y, _POLISH_WIDTH)
+    x0, h, points, im, scale = grid
+    y, nodes, slope = _secant(miss(grid), y, slope, y - _POLISH_WIDTH, y + _POLISH_WIDTH, 0.125 * _REFINE_REL_TOL, probe=True)
+    if nodes is None:
+        raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r}); raise points")
+
+    # 3. the same level on the nested 2N - 1 point grid
+    fine = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
+    tol = min(cfg.energy_tol / abs(energy(y)), _REL_TOL)
+    y2, found, _ = _secant(miss(fine), y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, probe=True, measured=True)
     if found is None:
         raise ConvergenceError(
-            f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative (E={E!r}); raise points"
+            f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative "
+            f"(E={energy(y)!r}); raise points"
         )
     if found != n:
-        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={E2!r})")
-    return E2
+        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
+    return energy(y2)
 
 
-def _illinois(disc, lo, hi, tol):
-    """Root of disc(E)[0] in (lo, hi) by Illinois false position;
-    returns (E, nodes at E), or (None, None) if disc does not change
-    sign over the bracket.  Stops once the bracket is below tol, or
-    within four float spacings of E."""
-    (f_lo, _), (f_hi, _) = disc(lo), disc(hi)
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        return None, None
-    a, fa, b, fb = lo, f_lo, hi, f_hi
+def _secant(residual, y, slope, lo, hi, tol, probe=False, measured=False):
+    """Root of the increasing residual(y)[0] in [lo, hi] by secant steps
+    from y, slope being an estimate of its derivative.
+
+    A step that leaves the bracket of the signs seen so far bisects it.
+    Returns (root, nodes at the last residual, slope) once the bracket,
+    or a step taken with a slope measured on this residual (or passed in
+    as measured), is below tol; until then each step is at least tol long.
+    A step past lo or hi returns (that step, None, slope), or with probe
+    set first goes to the edge and does so only if the residual keeps its
+    sign there.
+    """
+    tol = max(tol, 4.0 * math.ulp(max(abs(y), 1.0)))
+    below = above = None
+    f, nodes = residual(y)
     while True:
-        c = b - fb * (b - a) / (fb - fa)
-        fc, nodes = disc(c)
-        if fc == 0.0:
-            return c, nodes
-        if (fc < 0.0) == (fb < 0.0):
-            fa *= 0.5
+        if f < 0.0:
+            below = y
         else:
-            a, fa = b, fb
-        b, fb = c, fc
-        if abs(b - a) <= max(tol, 4.0 * math.ulp(b)):
-            return b, nodes
+            above = y
+        step = -f / slope
+        if not measured:  # long enough to measure the slope over
+            step = math.copysign(max(abs(step), tol), step)
+        y_next = y + step
+        bracketed = below is not None and above is not None
+        if bracketed:
+            if not below < y_next < above:
+                y_next = 0.5 * (below + above)
+        elif not lo <= y_next <= hi:
+            edge = lo if y_next < lo else hi
+            if not probe or y == edge:
+                return y_next, None, slope
+            y_next = edge
+        if (measured and abs(y_next - y) <= tol) or (bracketed and above - below <= tol):
+            return y_next, nodes, slope
+        f_next, nodes = residual(y_next)
+        secant = (f_next - f) / (y_next - y)
+        if secant > 0.0:
+            slope, measured = secant, True
+        y, f = y_next, f_next

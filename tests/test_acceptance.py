@@ -19,9 +19,7 @@ from abwkb import (
     bessel_j_zero,
     bessel_j_zeros,
     effective_gamma,
-    energy_coulomb,
     energy_negative_power,
-    energy_oscillator,
     energy_positive_power,
     energy_well_semiclassical,
     flux_slope_effect,
@@ -34,6 +32,7 @@ from abwkb import (
 )
 from abwkb.analysis import BENDS_DOWN, BENDS_UP, LINEAR
 from abwkb.closed_form import closed_form_energy
+from reference_levels import energy_coulomb, energy_oscillator
 
 MU0_GRID = (0.0, 0.3, 0.5, 1.7)
 

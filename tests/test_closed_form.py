@@ -15,15 +15,14 @@ from abwkb import (
     PowerLaw,
     duality_map,
     effective_gamma,
-    energy_coulomb,
     energy_negative_power,
-    energy_oscillator,
     energy_positive_power,
     energy_well_semiclassical,
     spectrum_table,
     unit_scale,
 )
 from abwkb.closed_form import closed_form_energy
+from reference_levels import energy_coulomb, energy_oscillator
 
 MU0_GRID = (0.0, 0.3, 0.5, 1.7)
 

@@ -11,16 +11,16 @@ from abwkb import _kernels
 # on the grid x_i = x0 + i h, r = e^x
 PINNED_SWEEPS = [
     # Coulomb tail: one node outward of im, two inward
-    pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(-0.9999703334051263, 3)", id="coulomb_tail"),
+    pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(1, -642.5785965995448, -66.83013263504449, 2, 1.1882350787910041e-262, -1.2348765487674495e-261)", id="coulomb_tail"),
     # confined oscillator, im at either end of the grid
-    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0.9230749568502579, 2)", id="oscillator_im_inner"),
-    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(0.0028746506939359845, 2)", id="oscillator_im_outer"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0, 1.0151120915190381, 1.5226804659795645, 2, 1.8818211749912275e-195, -2.8227401731520176e-195)", id="oscillator_im_inner"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(2, 2.2449610728097948e+80, 1.5749947053863757e+83, 0, 3.786234927561452e-278, -2.6124942235498424e-275)", id="oscillator_im_outer"),
     # nu = -1.5 tail, im at the turning point
-    pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0.9272728932492652, 0)", id="nu_-1.5_turning_point"),
+    pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0, 507368854480.9119, 292976315052.638, 0, 9.107311673105736e-273, -7.117885122921022e-273)", id="nu_-1.5_turning_point"),
     # linear well, one node on each side of im
-    pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(-0.9779365051365116, 2)", id="linear_well"),
+    pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(1, -17.05160502439287, 5.583320602262276, 1, -3.056351497598722e-280, -2.873040728985686e-279)", id="linear_well"),
     # deep forbidden region: both sweeps pass 1e250 and rescale
-    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0.8479042272434358, 0)", id="deep_forbidden"),
+    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.2788612170402964, 0.6294345237607413, 0, 1.3589701792044586e+58, -8.419010020303069e+57)", id="deep_forbidden"),
 ]
 
 
@@ -48,9 +48,13 @@ class TestNumerovConvergence:
             n = int(round((x_end - x0) / h)) + 1
 
             def match(E):
-                # match at the turning point ln sqrt(E), as the shooting oracle does
+                # match at the turning point ln sqrt(E): the sign of the sine
+                # of the angle between the outward and inward (u, u'), and
+                # the composite's node count
                 im = max(2, min(n - 4, int(round((0.5 * math.log(E) - x0) / h))))
-                return _kernels.numerov_match(E, 1.0, 2.0, 0.0, x0, h, n, im)
+                nodes_out, uo, do, nodes_in, ui, di = _kernels.numerov_match(E, 1.0, 2.0, 0.0, x0, h, n, im)
+                no, ni = math.hypot(uo, do), math.hypot(ui, di)
+                return (do / no) * (ui / ni) - (uo / no) * (di / ni), nodes_out + nodes_in
 
             lo, hi = 6.5, 7.5
             below = match(lo)[0] < 0.0

@@ -7,7 +7,9 @@ checked against zeros of the Airy function Ai computed independently
 below from its Maclaurin series.
 """
 
+import importlib.util
 import math
+import pathlib
 
 import pytest
 
@@ -21,6 +23,8 @@ from abwkb import (
     shoot_eigenvalue,
     well_exact_spectrum,
 )
+from abwkb.oracles import _MAX_STEP_PARAM, _POLISH_WIDTH, _REFINE_REL_TOL, _grid, _miss
+from reference_levels import energy_coulomb, energy_oscillator
 
 # mpmath besseljzero(3, m) / pi, squared; m = 1, 2
 WELL_G25 = [4.124427298596420, 9.653636424730547]
@@ -220,11 +224,78 @@ class TestLogGridOracle:
         got = shoot_eigenvalue(PowerLaw(-1.0, -1.798), 0.425, 0)
         assert got == pytest.approx(-0.0041319455138, rel=1e-7)
 
-    def test_every_sweep_counts_against_the_budget(self, monkeypatch):
-        calls = []
-        for name in ("numerov_count", "numerov_match"):
-            kernel = getattr(_kernels, name)
-            monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: calls.append(1) or k(*a))
-        with pytest.raises(ConvergenceError, match="within 12 sweeps"):
-            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, ShootingConfig(max_iterations=12))
-        assert len(calls) == 12
+    def test_every_sweep_counts_against_the_budget(self, kernel_calls):
+        # the nu = -1.8 reference state needs 11 sweeps from its poor seed
+        with pytest.raises(ConvergenceError, match="within 8 sweeps"):
+            shoot_eigenvalue(PowerLaw(-1.0, -1.8), 0.5, 0, ShootingConfig(max_iterations=8))
+        assert len(kernel_calls) == 8
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per Numerov kernel call."""
+    calls = []
+    for name in ("numerov_count", "numerov_match"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: calls.append(1) or k(*a))
+    return calls
+
+
+def _bench_shoot_states():
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_shoot.py"
+    spec = importlib.util.spec_from_file_location("bench_shoot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STATES
+
+
+class TestSweepCount:
+    @pytest.mark.parametrize("name,lam,nu,gamma,n", _bench_shoot_states())
+    def test_benchmark_states_within_12_sweeps(self, kernel_calls, name, lam, nu, gamma, n):
+        shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert len(kernel_calls) <= 12
+
+
+# (lam, nu, gamma) for the miss-distance checks
+MISS_POTENTIALS = [
+    pytest.param(-1.0, -1.0, 0.5, id="coulomb"),
+    pytest.param(1.0, 2.0, 0.5, id="oscillator"),
+    pytest.param(-1.0, -1.3, 1.0, id="tail_nu_-1.3"),
+    pytest.param(1.0, 6.0, 1.5, id="nu_6"),
+]
+
+
+class TestPruferMissDistance:
+    @pytest.mark.parametrize("lam,nu,gamma", MISS_POTENTIALS)
+    def test_increasing_across_levels_0_to_4(self, lam, nu, gamma):
+        # one fixed grid from below level 0 to above level 4 (between 4 and 5)
+        pot = PowerLaw(lam, nu)
+        e0, e4 = (shoot_eigenvalue(pot, gamma, n) for n in (0, 4))
+        lo, hi = e0 - 0.2 * abs(e0), e4 + 0.1 * abs(e4)
+        *grid, step = _grid(0.5 * (e0 + e4), lo, hi, lam, nu, gamma, 4000)
+        assert step <= _MAX_STEP_PARAM
+        count = 120
+        phases = [_miss(lo * (hi / lo) ** (k / (count - 1)), lam, nu, gamma, grid)[0] for k in range(count)]
+        assert all(b > a for a, b in zip(phases, phases[1:]))
+        assert phases[0] < 0.0 and 4.0 * math.pi < phases[-1] < 5.0 * math.pi
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,level",
+        [
+            pytest.param(-1.0, -1.0, 0.5, lambda n: energy_coulomb(n, 0, 0, 0.5), id="coulomb"),
+            pytest.param(1.0, 2.0, 0.5, lambda n: 2.0 * energy_oscillator(n, 0.5), id="oscillator"),
+        ],
+    )
+    def test_n_pi_at_exact_levels(self, lam, nu, gamma, level, n):
+        # on a grid like the solver's polish grid, F(E_n) = n pi to within
+        # the N-point polish tolerance 0.125 _REFINE_REL_TOL |E| times dF/dE
+        E = level(n)
+        half = _POLISH_WIDTH * abs(E)
+        *grid, step = _grid(E, E - half, E + half, lam, nu, gamma, 2000)
+        phase, nodes = _miss(E, lam, nu, gamma, grid)
+        delta = 1e-6 * abs(E)
+        slope = (_miss(E + delta, lam, nu, gamma, grid)[0] - _miss(E - delta, lam, nu, gamma, grid)[0]) / (2.0 * delta)
+        assert slope > 0.0
+        assert abs(phase - n * math.pi) <= slope * 0.125 * _REFINE_REL_TOL * abs(E)
+        assert nodes == n
