@@ -18,9 +18,7 @@ the default ShootingConfig.  For each state it records:
 
 - seconds: the best of REPEAT solves;
 - sweeps and points: Numerov kernel calls and the grid points they swept
-  (the kernels' 7th positional argument, as perfbench's tracer counts it);
-- iterations: the smallest max_iterations that lets the solve finish,
-  found by bisection on the budget, i.e. the budgeted steps it needs.
+  (the kernels' 7th positional argument, as perfbench's tracer counts it).
 
 --perfbench-record folds in the per-solve counters of a traced perfbench
 run (perfbench/run.py --workload shoot_oracle --trace 1) of the same
@@ -81,23 +79,10 @@ def _counting(kernels, work: list[int]):
     return originals
 
 
-def _iterations(oracles, errors, pot, gamma: float, n: int) -> int:
-    """Smallest max_iterations (>= 8, the config's floor) that finishes."""
-    lo, hi = 7, oracles.ShootingConfig().max_iterations
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            oracles.shoot_eigenvalue(pot, gamma, n, oracles.ShootingConfig(max_iterations=mid))
-            hi = mid
-        except errors.ConvergenceError:
-            lo = mid
-    return hi
-
-
 def measure() -> dict:
     import numpy
 
-    from abwkb import _kernels, errors, oracles
+    from abwkb import _kernels, oracles
     from abwkb.model import PowerLaw
 
     states = {}
@@ -121,7 +106,6 @@ def measure() -> dict:
             "seconds": best,
             "sweeps": work[0],
             "points": work[1],
-            "iterations": _iterations(oracles, errors, pot, gamma, n),
         }
     tails = [s for name, s in states.items() if name.startswith("tail")]
     confined = [s for name, s in states.items() if name.startswith("confined")]
@@ -171,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {REPEAT}")
     for name, s in result["states"].items():
         print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms  "
-              f"sweeps={s['sweeps']:<4d} points={s['points']:<8d} iterations={s['iterations']}")
+              f"sweeps={s['sweeps']:<4d} points={s['points']}")
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}; "
           f"tail total {result['tail_seconds_total']:.3f} s, confined total {result['confined_seconds_total']:.3f} s")
     if "perfbench" in result:

@@ -26,9 +26,6 @@ from .closed_form import (
     EnergyLevel,
     SpectrumTable,
     closed_form_energy,
-    energy_negative_power,
-    energy_positive_power,
-    energy_well_semiclassical,
     spectrum_table,
 )
 from .errors import ConvergenceError
@@ -43,7 +40,7 @@ from .model import (
     unit_scale,
 )
 from .oracles import ShootingConfig, shoot_eigenvalue, well_exact_spectrum
-from .special_functions import bessel_j, bessel_j_zero, bessel_j_zeros, gamma
+from .special_functions import bessel_j, bessel_j_zero, bessel_j_zeros
 
 __version__ = "0.1.0"
 
@@ -70,11 +67,7 @@ __all__ = [
     "derivative_ratios",
     "duality_map",
     "effective_gamma",
-    "energy_negative_power",
-    "energy_positive_power",
-    "energy_well_semiclassical",
     "flux_slope_effect",
-    "gamma",
     "quantization_constant",
     "quantize_energy",
     "shoot_eigenvalue",

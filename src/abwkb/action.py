@@ -14,7 +14,8 @@ substitution r = rc y**p turns the action into rc sqrt|E| times a number
 that depends on nu alone.  The action is therefore an exact power of the
 energy, S(E) = S(E0) (E/E0)**alpha with alpha = 1/nu + 1/2 (1/2 for the
 well, whose rc is fixed), and a level needs one quadrature and a closed
-inversion, not a root search.
+inversion, not a root search.  The number itself is a Beta integral,
+which action_integral_closed evaluates for the paper's check.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ __all__ = [
 
 _T_MAX = 6.0  # tanh-sinh truncation; weights underflow well before this
 _MAX_LEVEL = 11  # finest mesh h = 2**-11, 24577 nodes
+_REL_TOL = 1e-12  # stop once two consecutive mesh levels agree to this
 
 
 def turning_point(E: float, potential: PotentialSpec) -> float:
     """Classical turning point rc with V(rc) = E (well: always the radius)."""
+    if not math.isfinite(E):
+        raise ValueError(f"energy must be finite, got E={E}")
     if isinstance(potential, InfiniteWell):
         if not E > 0.0:
             raise ValueError(f"well energies are positive, got {E}")
@@ -57,17 +61,15 @@ def turning_point(E: float, potential: PotentialSpec) -> float:
         raise ValueError(f"turning point (E/lam)**(1/nu) overflows at E={E}, lam={lam}, nu={nu}") from None
 
 
-def action_integral_numeric(E: float, potential: PotentialSpec, rel_tol: float = 1e-12) -> float:
+def action_integral_numeric(E: float, potential: PotentialSpec) -> float:
     """Reduced-units action integral_0^rc sqrt(E - V) dr by tanh-sinh quadrature.
 
     The kernel maps r = rc y**p with p = 2/(nu + 2) for nu < 0 (p = 1
     otherwise), which leaves a bounded integrand with a square-root zero
     at the turning point; the double-exponential nodes absorb that.  The
-    mesh is halved until two consecutive levels agree to rel_tol; raises
+    mesh is halved until two consecutive levels agree to _REL_TOL; raises
     ConvergenceError when they still disagree at the finest level.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     rc = turning_point(E, potential)
     if isinstance(potential, InfiniteWell):
         lam, nu = 0.0, 1.0  # integrand reduces to the constant sqrt(E)
@@ -79,23 +81,33 @@ def action_integral_numeric(E: float, potential: PotentialSpec, rel_tol: float =
         kmax = int(math.ceil(_T_MAX / h))
         cur = _kernels.action_sum(E, lam, nu, rc, h, kmax)
         delta = abs(cur - prev)
-        if delta <= rel_tol * abs(cur):
+        if delta <= _REL_TOL * abs(cur):
             return cur
         prev = cur
     raise ConvergenceError(f"action quadrature at E={E}: the two finest mesh levels differ by {delta:.3g}")
 
 
-def action_integral_closed(E: float, lam: float, nu: float) -> float:
-    """Closed form of the action for the negative-power branch:
+def action_integral_closed(E: float, potential: PotentialSpec) -> float:
+    """Closed form of the action on every branch, the Beta integral
+    (DLMF 5.12.1) under action_sum's substitution r = rc y**p, q = |nu| p:
 
-        -(2/nu) (E/lam)**(1/nu) sqrt(|E|) (sqrt(pi)/4) G(-1/nu - 1/2) / G(1 - 1/nu)
+        rc sqrt|E| p integral_0^1 sqrt(1 - y**q) dy
+            = rc sqrt|E| p (sqrt(pi)/2) G(1 + 1/q) / G(3/2 + 1/q)
 
-    valid for lam < 0, -2 < nu < 0, E < 0 (reduced units).
+    with p = 2/(nu + 2), 1/q = -(nu + 2)/(2 nu) for nu < 0 and p = 1,
+    1/q = 1/nu for nu > 0.  As nu -> -2, 1/q -> 0 and G(1 + 1/q) keeps
+    clear of the pole at 0.  The well's integrand is the constant
+    sqrt(E), so its action is rc sqrt(E).
     """
-    if not (lam < 0.0 and -2.0 < nu < 0.0 and E < 0.0):
-        raise ValueError(f"closed action needs lam<0, -2<nu<0, E<0; got {lam}, {nu}, {E}")
-    pref = -(2.0 / nu) * (E / lam) ** (1.0 / nu) * math.sqrt(abs(E))
-    return pref * 0.25 * math.sqrt(math.pi) * gamma_ratio(-1.0 / nu - 0.5, 1.0 - 1.0 / nu)
+    rc = turning_point(E, potential)
+    if isinstance(potential, InfiniteWell):
+        return rc * math.sqrt(E)
+    nu = potential.nu
+    if nu < 0.0:
+        p, inv_q = 2.0 / (nu + 2.0), -(nu + 2.0) / (2.0 * nu)
+    else:
+        p, inv_q = 1.0, 1.0 / nu
+    return rc * math.sqrt(abs(E)) * p * 0.5 * math.sqrt(math.pi) * gamma_ratio(1.0 + inv_q, 1.5 + inv_q)
 
 
 def quantization_constant(
@@ -124,14 +136,11 @@ class QuantizationSetup:
     potential: PotentialSpec
     gamma: float
     maslov: MaslovConstant | None = None
-    quad_rel_tol: float = 1e-12
     constant: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 0.0 < self.quad_rel_tol < math.inf:
-            raise ValueError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
         object.__setattr__(
             self, "constant", quantization_constant(self.potential, self.gamma, self.maslov)
         )
@@ -141,17 +150,17 @@ def quantize_energy(setup: QuantizationSetup, n: int) -> float:
     """Energy of level n from the quantization condition action = (n + c) pi.
 
     One quadrature S(E0) at the closed-form level E0, inverted through the
-    power law S(E) = S(E0) (E/E0)**alpha: E = E0 ((n + c) pi / S(E0))**(1/alpha).
-    E0 sets only the scale: the quadrature's stopping test is relative, so
-    any E0 of the right sign gives the same level to rounding, and the
-    result stays an independent check of the paper's Gamma-function form.
+    power law S(E) = S(E0) (E/E0)**alpha: E = E0 ((n + c) pi / S(E0))**(1/alpha),
+    where 1/alpha = 2 nu/(nu + 2) (2 for the well) is the closed form's
+    own power.  E0 sets only the scale: the quadrature's stopping test is
+    relative, so any E0 of the right sign gives the same level to rounding,
+    and the result stays an independent check of the paper's Gamma-function
+    form.
     """
     if n < 0:
         raise ValueError(f"radial quantum number must be >= 0, got {n}")
     pot = setup.potential
     target = (n + setup.constant) * math.pi
-    # (nu + 2)/(2 nu) is 1/nu + 1/2 without the cancellation near nu = -2
-    alpha = 0.5 if isinstance(pot, InfiniteWell) else (pot.nu + 2.0) / (2.0 * pot.nu)
     e0 = closed_form.closed_form_energy(pot, n, setup.gamma)
-    s0 = action_integral_numeric(e0, pot, rel_tol=setup.quad_rel_tol)
-    return e0 * (target / s0) ** (1.0 / alpha)
+    s0 = action_integral_numeric(e0, pot)
+    return e0 * (target / s0) ** closed_form.level_coefficients(pot).power

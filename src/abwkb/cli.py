@@ -16,6 +16,7 @@ import json
 import math
 import sys
 
+from . import __version__
 from . import action as action_mod
 from . import analysis, closed_form, oracles, svg
 from ._kernels import BACKEND
@@ -88,7 +89,6 @@ def table_to_json(table: SpectrumTable) -> str:
             "potential": _potential_json(table.potential),
             "mu0": round12(table.mu0),
             "unit": {"label": table.unit.label, "factor": round12(table.unit.factor)},
-            "method": table.method,
             "rows": [],
         }
     )
@@ -108,14 +108,12 @@ def table_to_json(table: SpectrumTable) -> str:
 def table_from_json(text: str) -> SpectrumTable:
     obj = json.loads(text)
     rows = tuple(
-        closed_form.EnergyLevel(r["n"], r["q"], r["k"], r["gamma"], r["energy"], obj["method"])
-        for r in obj["rows"]
+        closed_form.EnergyLevel(r["n"], r["q"], r["k"], r["gamma"], r["energy"]) for r in obj["rows"]
     )
     return SpectrumTable(
         _potential_from_json(obj["potential"]),
         obj["mu0"],
         UnitScale(obj["unit"]["label"], obj["unit"]["factor"]),
-        obj["method"],
         rows,
     )
 
@@ -211,7 +209,9 @@ def _cmd_compare_well(args) -> int:
     if g < 0.0 or n_max < 0:
         raise ValueError("gamma and n-max must be non-negative")
     exact = oracles.well_exact_spectrum(g, 1.0, n_max + 1)
-    semi = [closed_form.energy_well_semiclassical(n, g, 1.0) for n in range(n_max + 1)]
+    # the closed form in units hbar^2 pi^2/2ma^2: (n + g/2 + 1)**2
+    well = closed_form.level_coefficients(InfiniteWell(1.0))
+    semi = [well.level_index(n, g) ** 2 for n in range(n_max + 1)]
     diffs = [s - e for s, e in zip(semi, exact)]
     if args.format == "json":
         text = _dump_json(
@@ -275,8 +275,8 @@ def _cmd_tendency(args) -> int:
 
 def _cmd_verify_action(args) -> int:
     potential = PowerLaw(args.lam, args.nu)
-    numeric = action_mod.action_integral_numeric(args.energy, potential, **_given(args, "rel_tol"))
-    closed = action_mod.action_integral_closed(args.energy, args.lam, args.nu)
+    numeric = action_mod.action_integral_numeric(args.energy, potential)
+    closed = action_mod.action_integral_closed(args.energy, potential)
     rel = abs(numeric - closed) / abs(closed)
     _write_output(
         _dump_json(
@@ -300,7 +300,6 @@ def _cmd_quantize(args) -> int:
         potential,
         args.gamma,
         maslov=_MASLOV_NAMES[args.maslov] if args.maslov else None,
-        **_given(args, "quad_rel_tol"),
     )
     energy = action_mod.quantize_energy(setup, args.n)
     _write_output(
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="abwkb",
         description="Semiclassical spectra for power-law potentials under an Aharonov-Bohm flux",
     )
-    parser.add_argument("--version", action="version", version="abwkb 0.1.0")
+    parser.add_argument("--version", action="version", version=f"abwkb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="closed-form level grid over (n, q, k)")
@@ -411,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--energy", type=float, required=True)
-    # dest is action_integral_numeric's keyword
-    p.add_argument("--quad-rel-tol", dest="rel_tol", metavar="QUAD_REL_TOL", type=float)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_verify_action)
 
@@ -421,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maslov", choices=sorted(_MASLOV_NAMES))
-    p.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_quantize)
 

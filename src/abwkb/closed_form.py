@@ -29,20 +29,10 @@ __all__ = [
     "EnergyLevel",
     "LevelCoefficients",
     "SpectrumTable",
-    "METHOD_CLOSED_FORM",
-    "METHOD_ACTION_ROOT",
-    "METHOD_EXACT_ORACLE",
-    "energy_negative_power",
-    "energy_positive_power",
-    "energy_well_semiclassical",
     "closed_form_energy",
     "level_coefficients",
     "spectrum_table",
 ]
-
-METHOD_CLOSED_FORM = "closed-form"
-METHOD_ACTION_ROOT = "action-root"
-METHOD_EXACT_ORACLE = "exact-oracle"
 
 REDUCED = UnitScale("reduced", 1.0)
 
@@ -105,35 +95,6 @@ def level_coefficients(potential: PotentialSpec) -> LevelCoefficients:
     return _power_law_coefficients(potential.lam, potential.nu)
 
 
-def energy_negative_power(n: int, gamma: float, lam: float, nu: float) -> float:
-    """Level n of V = lam r**nu for lam < 0, -2 < nu < 0 (reduced units, E < 0).
-
-    gamma is normally >= 0; negative algebraic values produced by the
-    duality transform are accepted as long as the level index stays
-    positive, since the formula only sees n + (2 gamma + nu + 3)/(2 nu + 4).
-    """
-    if not (lam < 0.0 and -2.0 < nu < 0.0):
-        raise ValueError(f"negative-power branch needs lam < 0, -2 < nu < 0; got {lam}, {nu}")
-    return _power_law_coefficients(lam, nu).energy(n, gamma)
-
-
-def energy_positive_power(n: int, gamma: float, lam: float, nu: float) -> float:
-    """Level n of V = lam r**nu for lam, nu > 0 (reduced units, E > 0)."""
-    if not (lam > 0.0 and nu > 0.0):
-        raise ValueError(f"positive-power branch needs lam > 0, nu > 0; got {lam}, {nu}")
-    return _power_law_coefficients(lam, nu).energy(n, gamma)
-
-
-def energy_well_semiclassical(n: int, gamma: float, a: float) -> float:
-    """Semiclassical well levels (n + gamma/2 + 1)^2 in units
-    hbar^2 pi^2 / (2 m a^2)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not a > 0.0:
-        raise ValueError(f"well radius must be positive, got {a}")
-    return (n + 0.5 * gamma + 1.0) ** 2
-
-
 def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:
     """Closed-form level for any supported potential, in reduced units.
 
@@ -144,14 +105,13 @@ def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:
 
 
 class EnergyLevel(NamedTuple):
-    """One bound-state energy with its quantum numbers and provenance."""
+    """One closed-form bound-state energy with its quantum numbers."""
 
     n: int
     q: int
     k: int
     gamma: float
     energy: float
-    method: str = METHOD_CLOSED_FORM
 
 
 @dataclass(frozen=True)
@@ -161,7 +121,6 @@ class SpectrumTable:
     potential: PotentialSpec
     mu0: float
     unit: UnitScale
-    method: str
     rows: tuple[EnergyLevel, ...]
 
 
@@ -192,4 +151,4 @@ def spectrum_table(
         for n in range(n_max + 1)
         for q, k, g in qk_gammas
     )
-    return SpectrumTable(potential, mu0, unit, METHOD_CLOSED_FORM, rows)
+    return SpectrumTable(potential, mu0, unit, rows)

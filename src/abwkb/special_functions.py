@@ -1,9 +1,9 @@
 """Self-contained real-valued special functions.
 
-Provides the gamma function and Gamma ratios for positive real
-arguments, the Bessel function of the first kind J_v(x) for real order
-v >= 0, and its positive zeros j_{v,m}.  Everything is plain double
-precision; no third-party special-function library is used.
+Provides Gamma ratios for positive real arguments, the Bessel function
+of the first kind J_v(x) for real order v >= 0, and its positive zeros
+j_{v,m}.  Everything is plain double precision; no third-party
+special-function library is used.
 """
 
 from __future__ import annotations
@@ -12,49 +12,14 @@ import math
 
 from .errors import ConvergenceError
 
-__all__ = ["gamma", "gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros"]
-
-# Lanczos coefficients, g = 7, n = 9 (classic double-precision set).
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_GAMMA_OVERFLOW = 171.62  # Gamma(x) exceeds the double range beyond this
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x > 0.
-
-    Lanczos rational approximation (g=7, 9 terms), relative error below
-    1e-12 on (0, 170].  Arguments in (0, 0.5) go through the reflection
-    formula so the core approximation only sees x >= 0.5.
-    """
-    if not x > 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    if x > _GAMMA_OVERFLOW:
-        raise OverflowError(f"gamma({x}) exceeds double-precision range")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    # exp of the combined log avoids intermediate overflow of t**(z+0.5)
-    return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
+__all__ = ["gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros"]
 
 
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for a, b > 0 from lgamma, finite also where
     Gamma(a) alone overflows (a > 171.6)."""
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"gamma_ratio requires a, b > 0, got {a}, {b}")
     return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
@@ -129,7 +94,7 @@ def _bessel_miller(order: float, x: float) -> float:
         if jj % 2 == 0:
             k = jj // 2
             if k == 0:
-                coeff = gamma(order + 1.0)
+                coeff = math.gamma(order + 1.0)
             else:
                 coeff = (order + 2.0 * k) * math.exp(
                     math.lgamma(order + k) - math.lgamma(k + 1.0)

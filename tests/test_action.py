@@ -18,8 +18,7 @@ from abwkb import (
     QuantizationSetup,
     action_integral_closed,
     action_integral_numeric,
-    energy_negative_power,
-    energy_positive_power,
+    closed_form_energy,
     quantization_constant,
     quantize_energy,
     turning_point,
@@ -52,6 +51,12 @@ class TestTurningPoint:
         with pytest.raises(ValueError):
             turning_point(-1.0, InfiniteWell(1.0))
 
+    @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.0), PowerLaw(1.0, 2.0), InfiniteWell(1.0)])
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy(self, pot, e):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            turning_point(e, pot)
+
 
 class TestNumericAction:
     def test_coulomb_spot_value(self):
@@ -82,10 +87,11 @@ class TestNumericAction:
             vals = [action_integral_numeric(e, pot) for e in energies]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf])
-    def test_invalid_rel_tol(self, rel_tol):
-        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
-            action_integral_numeric(-0.25, PowerLaw(-1.0, -1.0), rel_tol=rel_tol)
+    @pytest.mark.parametrize("pot, e", [(PowerLaw(-1.0, -1.0), -math.inf), (PowerLaw(1.0, 2.0), math.inf)])
+    def test_non_finite_energy(self, pot, e):
+        # a domain error, not a quadrature that "did not converge"
+        with pytest.raises(ValueError, match="energy must be finite"):
+            action_integral_numeric(e, pot)
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # successive levels differ by h/2 relative, at every mesh
@@ -117,24 +123,39 @@ class TestActionScaling:
 
 class TestClosedAction:
     def test_coulomb_values(self):
-        assert action_integral_closed(-0.25, -1.0, -1.0) == pytest.approx(math.pi, rel=1e-13)
-        assert action_integral_closed(-0.04, -1.0, -1.0) == pytest.approx(2.5 * math.pi, rel=1e-13)
+        assert action_integral_closed(-0.25, PowerLaw(-1.0, -1.0)) == pytest.approx(math.pi, rel=1e-15)
+        assert action_integral_closed(-0.04, PowerLaw(-1.0, -1.0)) == pytest.approx(2.5 * math.pi, rel=1e-15)
+
+    def test_quarter_circle_and_well(self):
+        assert action_integral_closed(3.0, PowerLaw(1.0, 2.0)) == pytest.approx(0.75 * math.pi, rel=1e-15)
+        for a in (0.5, 2.0):
+            assert action_integral_closed(7.3, InfiniteWell(a)) == pytest.approx(a * math.sqrt(7.3), rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            action_integral_closed(0.25, -1.0, -1.0)
+            action_integral_closed(0.25, PowerLaw(-1.0, -1.0))
         with pytest.raises(ValueError):
-            action_integral_closed(-0.25, 1.0, -1.0)
+            action_integral_closed(-3.0, PowerLaw(1.0, 2.0))
         with pytest.raises(ValueError):
-            action_integral_closed(-0.25, -1.0, 1.0)
+            action_integral_closed(-1.0, InfiniteWell(1.0))
 
-    @pytest.mark.parametrize("nu", [-1.999, -1.99, -1.95, -1.5, -1.0, -0.5, -0.05])
+    @pytest.mark.parametrize("nu", [-1.9999, -1.999, -1.99, -1.95, -1.5, -1.0, -0.5, -0.05])
     def test_matches_quadrature(self, nu):
-        pot = PowerLaw(-1.0, nu)
-        for e in E_GRID:
+        for lam in (-0.5, -1.0, -3.0):
+            pot = PowerLaw(lam, nu)
+            for e in E_GRID:
+                num = action_integral_numeric(e, pot)
+                clo = action_integral_closed(e, pot)
+                assert abs(num - clo) <= 1e-14 * abs(clo), (lam, e)
+
+    @pytest.mark.parametrize(
+        "pot", [PowerLaw(1.0, nu) for nu in (0.5, 1.0, 2.0, 6.0, 30.0, 1000.0)] + [PowerLaw(3.0, 2.0), InfiniteWell(1.7)]
+    )
+    def test_matches_quadrature_positive_branch(self, pot):
+        for e in [0.1 * 1.5**i for i in range(12)]:
             num = action_integral_numeric(e, pot)
-            clo = action_integral_closed(e, -1.0, nu)
-            assert abs(num - clo) <= 1e-12 * abs(clo)
+            clo = action_integral_closed(e, pot)
+            assert abs(num - clo) <= 1e-14 * abs(clo), e
 
 
 class TestQuantizationConstant:
@@ -172,10 +193,7 @@ class TestQuantizeEnergy:
         for gamma in (0.0, 0.5, 2.5):
             setup = QuantizationSetup(pot, gamma)
             for n in (0, 2, 5):
-                if nu < 0:
-                    expected = energy_negative_power(n, gamma, lam, nu)
-                else:
-                    expected = energy_positive_power(n, gamma, lam, nu)
+                expected = closed_form_energy(pot, n, gamma)
                 got = quantize_energy(setup, n)
                 assert abs(got - expected) <= 1e-8 * abs(expected), (nu, gamma, n)
 
@@ -196,9 +214,9 @@ class TestQuantizeEnergy:
     def test_one_quadrature_per_level(self, pot, monkeypatch):
         calls = []
 
-        def counted(E, potential, rel_tol=1e-12):
+        def counted(E, potential):
             calls.append(E)
-            return action_integral_numeric(E, potential, rel_tol=rel_tol)
+            return action_integral_numeric(E, potential)
 
         monkeypatch.setattr(action_mod, "action_integral_numeric", counted)
         setup = QuantizationSetup(pot, 0.5)
@@ -224,10 +242,6 @@ class TestQuantizeEnergy:
             quantize_energy(setup, -1)
         with pytest.raises(ValueError):
             QuantizationSetup(PowerLaw(1.0, 2.0), -0.5)
-        with pytest.raises(ValueError):
-            QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=0.0)
-        with pytest.raises(ValueError, match="finite"):
-            QuantizationSetup(PowerLaw(1.0, 2.0), 0.0, quad_rel_tol=math.inf)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma(self, gamma):

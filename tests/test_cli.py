@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import abwkb
 from abwkb import (
     InfiniteWell,
     PowerLaw,
@@ -13,7 +14,7 @@ from abwkb import (
     ShootingConfig,
     _kernels,
     action_integral_numeric,
-    energy_negative_power,
+    closed_form_energy,
     oracles,
     quantize_energy,
     shoot_eigenvalue,
@@ -89,14 +90,14 @@ class TestSpectrumCommand:
         "argv",
         [
             ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "inf"),
-            ("quantize", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--quad-rel-tol", "inf"),
-            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "-1"),
-            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "0"),
-            ("verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25", "--quad-rel-tol", "nan"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "-1"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "0"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "nan"),
+            ("shoot", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--energy-tol=-inf"),
         ],
     )
     def test_invalid_tolerance_exits_2(self, capsys, argv):
-        # a domain error, not a quadrature or bisection that "did not converge"
+        # a domain error, not a search that "did not converge"
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -278,6 +279,21 @@ class TestJsonCommands:
         assert out == ""
         assert "converge" in err
 
+    def test_verify_action_positive_branch(self, capsys):
+        # quarter circle: integral_0^sqrt(3) sqrt(3 - r^2) dr = 3 pi/4
+        code, out, _ = run_cli(capsys, "verify-action", "--nu", "2", "--lambda", "1", "--energy", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["closed"] == round12(0.75 * math.pi)
+        assert doc["rel_err"] < 1e-15
+
+    @pytest.mark.parametrize("energy", ["-inf", "inf", "nan"])
+    def test_verify_action_non_finite_energy_exits_2(self, capsys, energy):
+        code, out, err = run_cli(capsys, "verify-action", "--nu", "-1", "--lambda", "-1", f"--energy={energy}")
+        assert code == 2
+        assert out == ""
+        assert "energy must be finite" in err
+
     def test_verify_action_turning_point_overflow_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "verify-action", "--nu", "-0.01", "--lambda", "-1", "--energy", "-0.0001"
@@ -292,7 +308,7 @@ class TestJsonCommands:
             capsys, "quantize", "--nu", "-1.99", "--lambda", "-1", "--gamma", "0.5", "--n", "1"
         )
         assert code == 0
-        expected = energy_negative_power(1, 0.5, -1.0, -1.99)
+        expected = closed_form_energy(PowerLaw(-1.0, -1.99), 1, 0.5)
         assert json.loads(out)["energy"] == pytest.approx(expected, rel=1e-9)
 
     def test_shoot(self, capsys):
@@ -318,6 +334,13 @@ class TestJsonCommands:
         assert code == 0
         zs = json.loads(out)["zeros"]
         assert zs == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
+
+
+def test_version_is_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"abwkb {abwkb.__version__}\n"
 
 
 class TestLibraryDefaults:

@@ -15,9 +15,6 @@ from abwkb import (
     PowerLaw,
     duality_map,
     effective_gamma,
-    energy_negative_power,
-    energy_positive_power,
-    energy_well_semiclassical,
     spectrum_table,
     unit_scale,
 )
@@ -29,24 +26,24 @@ MU0_GRID = (0.0, 0.3, 0.5, 1.7)
 
 class TestNegativePower:
     def test_coulomb_ground_state(self):
-        assert energy_negative_power(0, 0.0, -1.0, -1.0) == pytest.approx(-0.25, rel=1e-12)
+        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 0.0) == pytest.approx(-0.25, rel=1e-12)
 
     def test_coulomb_fractional_gamma(self):
-        assert energy_negative_power(0, 1.5, -1.0, -1.0) == pytest.approx(-0.04, rel=1e-12)
+        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 1.5) == pytest.approx(-0.04, rel=1e-12)
 
     def test_nu_minus_half(self):
         # formula evaluates to -(10/3)^(-2/3) = -0.4481404746557166 here
-        e = energy_negative_power(0, 0.0, -1.0, -0.5)
+        e = closed_form_energy(PowerLaw(-1.0, -0.5), 0, 0.0)
         assert e == pytest.approx(-0.4481, abs=1e-3)
         assert e == pytest.approx(-((10.0 / 3.0) ** (-2.0 / 3.0)), rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            energy_negative_power(0, 0.0, 1.0, -1.0)
+            closed_form_energy(PowerLaw(1.0, -1.0), 0, 0.0)
         with pytest.raises(ValueError):
-            energy_negative_power(0, 0.0, -1.0, 1.0)
+            closed_form_energy(PowerLaw(-1.0, 1.0), 0, 0.0)
         with pytest.raises(ValueError):
-            energy_negative_power(-1, 0.0, -1.0, -1.0)
+            closed_form_energy(PowerLaw(-1.0, -1.0), -1, 0.0)
 
     def test_coulomb_coincidence_grid(self):
         for n in range(6):
@@ -54,37 +51,37 @@ class TestNegativePower:
                 for k in range(-3, 4):
                     for mu0 in MU0_GRID:
                         gamma = effective_gamma(q, k, mu0)
-                        lhs = energy_negative_power(n, gamma, -1.0, -1.0)
+                        lhs = closed_form_energy(PowerLaw(-1.0, -1.0), n, gamma)
                         rhs = energy_coulomb(n, q, k, mu0)
                         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestPositivePower:
     def test_oscillator_ground_state(self):
-        assert energy_positive_power(0, 0.0, 1.0, 2.0) == pytest.approx(3.0, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 2.0), 0, 0.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_linear_ground_state(self):
         expected = (1.5 * math.pi * 0.75) ** (2.0 / 3.0)  # 2.3202507947101
-        assert energy_positive_power(0, 0.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 1.0), 0, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_oscillator_ladder(self):
         # lam = 1 means omega = 2: reduced level is 2(2n + gamma + 3/2)
-        assert energy_positive_power(1, 3.5, 1.0, 2.0) == pytest.approx(14.0, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 2.0), 1, 3.5) == pytest.approx(14.0, rel=1e-12)
 
     def test_oscillator_identity_any_omega(self):
         for omega in (0.5, 1.0, 2.0, 3.7):
             lam = 0.25 * omega * omega
             for n in range(4):
                 for gamma in (0.0, 0.5, 2.5):
-                    assert energy_positive_power(n, gamma, lam, 2.0) == pytest.approx(
+                    assert closed_form_energy(PowerLaw(lam, 2.0), n, gamma) == pytest.approx(
                         energy_oscillator(n, gamma) * omega, rel=1e-12
                     )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            energy_positive_power(0, 0.0, -1.0, 2.0)
+            closed_form_energy(PowerLaw(-1.0, 2.0), 0, 0.0)
         with pytest.raises(ValueError):
-            energy_positive_power(0, 0.0, 1.0, -2.5)
+            closed_form_energy(PowerLaw(1.0, -2.5), 0, 0.0)
 
 
 class TestSpecialCases:
@@ -106,15 +103,15 @@ class TestSpecialCases:
         assert energy_oscillator(2, 0.5) == 6.0
 
     def test_well(self):
-        assert energy_well_semiclassical(0, 2.5, 1.0) == pytest.approx(5.0625)
-        assert energy_well_semiclassical(0, 0.0, 1.0) == pytest.approx(1.0)
-        assert energy_well_semiclassical(3, 0.0, 1.0) == pytest.approx(16.0)
+        assert closed_form_energy(InfiniteWell(1.0), 0, 2.5) / math.pi**2 == pytest.approx(5.0625)
+        assert closed_form_energy(InfiniteWell(1.0), 0, 0.0) / math.pi**2 == pytest.approx(1.0)
+        assert closed_form_energy(InfiniteWell(1.0), 3, 0.0) / math.pi**2 == pytest.approx(16.0)
 
     def test_well_errors(self):
         with pytest.raises(ValueError):
-            energy_well_semiclassical(0, 0.0, 0.0)
+            closed_form_energy(InfiniteWell(0.0), 0, 0.0)
         with pytest.raises(ValueError):
-            energy_well_semiclassical(-1, 0.0, 1.0)
+            closed_form_energy(InfiniteWell(1.0), -1, 0.0)
 
 
 class TestDualityClosure:
@@ -125,9 +122,9 @@ class TestDualityClosure:
             for n in range(4):
                 for gamma in (0.0, 0.5, 2.5):
                     for lam in (0.5, 1.0, 2.0):
-                        E = energy_positive_power(n, gamma, lam, nu)
+                        E = closed_form_energy(PowerLaw(lam, nu), n, gamma)
                         nu_p, E_p, lam_p, gamma_p = duality_map(nu, E, lam, gamma)
-                        back = energy_negative_power(n, gamma_p, lam_p, nu_p)
+                        back = closed_form_energy(PowerLaw(lam_p, nu_p), n, gamma_p)
                         assert abs(back - E_p) <= 1e-10 * abs(E_p), (nu, n, gamma, lam)
 
 
@@ -198,10 +195,10 @@ class TestUnderflow:
     def test_subnormal_level_rejected(self):
         # |E| ~ 4e-316 here, below sys.float_info.min
         with pytest.raises(ValueError, match="underflows"):
-            energy_negative_power(0, 3.436, -1.0, -1.99)
+            closed_form_energy(PowerLaw(-1.0, -1.99), 0, 3.436)
 
     def test_smallest_normal_levels_pass(self):
-        assert energy_negative_power(0, 3.2, -1.0, -1.99) < -sys.float_info.min
+        assert closed_form_energy(PowerLaw(-1.0, -1.99), 0, 3.2) < -sys.float_info.min
 
     @pytest.mark.parametrize(
         "pot,gamma",

@@ -39,7 +39,6 @@ def dict_json(table):
         "potential": potential,
         "mu0": round12(table.mu0),
         "unit": {"label": table.unit.label, "factor": round12(table.unit.factor)},
-        "method": table.method,
         "rows": [
             {"n": r.n, "q": r.q, "k": r.k, "gamma": round12(r.gamma), "energy": round12(r.energy)}
             for r in table.rows
@@ -100,14 +99,14 @@ class TestEmittersMatchPlainEncoders:
 
 
 def test_json_without_rows():
-    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.5, unit_scale("reduced"), closed_form.METHOD_CLOSED_FORM, ())
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.5, unit_scale("reduced"), ())
     assert table_to_json(table) == dict_json(table)
 
 
 @pytest.mark.parametrize("gamma, energy", [(0.3, float("nan")), (float("inf"), 1.0), (0.3, float("-inf"))])
 def test_json_rejects_non_finite_rows(gamma, energy):
     rows = (closed_form.EnergyLevel(0, 0, 0, gamma, energy), closed_form.EnergyLevel(1, 0, 0, 0.3, 2.0))
-    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), closed_form.METHOD_CLOSED_FORM, rows)
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), rows)
     with pytest.raises(ValueError, match="must be finite"):
         table_to_json(table)
 

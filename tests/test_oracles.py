@@ -19,7 +19,7 @@ from abwkb import (
     PowerLaw,
     ShootingConfig,
     _kernels,
-    energy_well_semiclassical,
+    closed_form_energy,
     shoot_eigenvalue,
     well_exact_spectrum,
 )
@@ -82,7 +82,7 @@ class TestWellExactSpectrum:
     def test_semiclassical_exact_at_gamma_zero(self):
         # both reduce to (n+1)^2: the matching rule is exact for s-waves
         exact = well_exact_spectrum(0.0, 1.0, 5)
-        semi = [energy_well_semiclassical(n, 0.0, 1.0) for n in range(5)]
+        semi = [closed_form_energy(InfiniteWell(1.0), n, 0.0) / math.pi**2 for n in range(5)]
         assert exact == pytest.approx(semi, abs=1e-10)
 
     def test_errors(self):

@@ -1,7 +1,7 @@
-"""Gamma and Bessel surface tests against independent references.
+"""Gamma-ratio and Bessel surface tests against independent references.
 
 Frozen reference values were generated with mpmath at 25 digits
-(mp.gamma, mp.besselj, mp.besseljzero) and are quoted to 16 significant
+(mp.besselj, mp.besseljzero) and are quoted to 16 significant
 digits in the literals below.
 """
 
@@ -11,41 +11,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abwkb import ConvergenceError, bessel_j, bessel_j_zero, bessel_j_zeros, gamma
+from abwkb import ConvergenceError, bessel_j, bessel_j_zero, bessel_j_zeros
+from abwkb.special_functions import gamma_ratio
 
 
 class TestGamma:
+    """Gamma values through gamma_ratio, the package's one Gamma routine."""
+
     def test_half_integer(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert gamma_ratio(0.5, 1.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_factorial(self):
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
+        assert gamma_ratio(5.0, 1.0) == pytest.approx(24.0, rel=1e-14)
 
     def test_recurrence_from_half(self):
-        # (3/2)(1/2) sqrt(pi)
-        assert gamma(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-13)
+        # Gamma(5/2)/Gamma(1/2) = (3/2)(1/2)
+        assert gamma_ratio(2.5, 0.5) == pytest.approx(0.75, rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.1, 0.37, 1.0, 2.5, 7.7, 20.0, 49.9])
     def test_recurrence_grid(self, x):
-        assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * gamma(x + 1.0)
+        # Gamma(x + 1)/Gamma(x) = x
+        assert abs(gamma_ratio(x + 1.0, x) - x) <= 1e-12 * x
 
     @given(st.floats(min_value=0.1, max_value=50.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_recurrence_property(self, x):
-        assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * gamma(x + 1.0)
+        assert abs(gamma_ratio(x + 1.0, x) - x) <= 1e-12 * x
 
     def test_large_argument(self):
         # mpmath: gamma(170.5) = 5.56209241456e+305
-        assert gamma(170.5) == pytest.approx(5.56209241456e305, rel=1e-11)
+        assert gamma_ratio(170.5, 1.0) == pytest.approx(5.56209241456e305, rel=1e-11)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
-            gamma(x)
+            gamma_ratio(x, 1.0)
+        with pytest.raises(ValueError):
+            gamma_ratio(1.0, x)
 
     def test_overflow(self):
+        # Gamma(180.5) alone overflows; the ratio stays finite
         with pytest.raises(OverflowError):
-            gamma(172.0)
+            math.gamma(180.5)
+        assert gamma_ratio(180.5, 179.5) == pytest.approx(179.5, rel=1e-12)
 
 
 # (order, x, J_order(x)) from mpmath besselj; covers all three evaluation
