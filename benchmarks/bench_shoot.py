@@ -3,8 +3,8 @@
 per stratum of perfbench's shoot_oracle workload.
 
     python3 benchmarks/bench_shoot.py
-    python3 benchmarks/bench_shoot.py --label change --record BENCH_8.json
-    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_8.json
+    python3 benchmarks/bench_shoot.py --label change --record BENCH_13.json
+    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_13.json
 
 A diagnostic: it shows where a solve spends its time.  Its figures move
 from run to run on a shared machine; performance claims rest on perfbench
@@ -18,7 +18,8 @@ the default ShootingConfig.  For each state it records:
 
 - seconds: the best of REPEAT solves;
 - sweeps and points: Numerov kernel calls and the grid points they swept
-  (the kernels' 7th positional argument, as perfbench's tracer counts it).
+  (the kernels' 7th positional argument, as perfbench's tracer counts it);
+- ns_per_point: seconds / points, the whole solve's cost per grid point.
 
 --perfbench-record folds in the per-solve counters of a traced perfbench
 run (perfbench/run.py --workload shoot_oracle --trace 1) of the same
@@ -106,6 +107,7 @@ def measure() -> dict:
             "seconds": best,
             "sweeps": work[0],
             "points": work[1],
+            "ns_per_point": 1e9 * best / work[1],
         }
     tails = [s for name, s in states.items() if name.startswith("tail")]
     confined = [s for name, s in states.items() if name.startswith("confined")]
@@ -122,6 +124,7 @@ def measure() -> dict:
         "confined_seconds_total": sum(s["seconds"] for s in confined),
         "sweeps_per_solve": sum(s["sweeps"] for s in states.values()) / len(states),
         "points_per_solve": sum(s["points"] for s in states.values()) / len(states),
+        "ns_per_point": 1e9 * sum(s["seconds"] for s in states.values()) / sum(s["points"] for s in states.values()),
     }
 
 
@@ -155,8 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {REPEAT}")
     for name, s in result["states"].items():
         print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms  "
-              f"sweeps={s['sweeps']:<4d} points={s['points']}")
-    print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}; "
+              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} {s['ns_per_point']:6.1f} ns/point")
+    print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
+          f"{result['ns_per_point']:.1f} ns/point; "
           f"tail total {result['tail_seconds_total']:.3f} s, confined total {result['confined_seconds_total']:.3f} s")
     if "perfbench" in result:
         p = result["perfbench"]

@@ -1,9 +1,11 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
 One implementation per kernel: the action sum is vectorized with NumPy;
-both Numerov sweeps run the one plain Python recurrence _sweep on the
-logarithmic grid x = ln r.  The power-law potential is inlined in each
-body.
+both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
+x = ln r, its coefficients built with NumPy and its ratio recurrence a
+plain Python loop.  Sweeps return u on an arbitrary scale, shared by the
+values of one sweep; the oracle reads only their Prufer angle.  The
+power-law potential is inlined in each body.
 """
 
 from __future__ import annotations
@@ -35,58 +37,55 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     return rc * math.sqrt(abs(E)) * p * float(w.sum()) * h
 
 
-def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, u_prev, u_cur):
+def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
     """Numerov walk of u'' + g u = 0, g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2,
-    over x_j = x0 + j h from u[i] = u_prev, u[i + step] = u_cur to u[stop + step].
+    over x_j = x0 + j h from u[i] > 0 and u[i + step] = ratio u[i] to u[stop + step].
 
     This is the radial equation under r = e^x, u_radial = e^{x/2} u (Langer's
-    change of variables), so u has the radial function's nodes.  The walk
-    carries f = 1 + h**2 g / 12 and steps u_next f_next = (12 - 10 f) u -
-    f_prev u_prev.  u_cur=None starts a decaying solution,
-    u[i + step] = u[i] exp(kappa h) with kappa = sqrt(-g(x_i)).  Returns
+    change of variables), so u has the radial function's nodes.  With
+    f = 1 + h**2 g / 12, built for the whole walk at once, w = f u obeys
+    w_next = (12 / f - 10) w - w_prev, and the walk carries only the ratio
+    R = w_next / w = 12 / f - 10 - 1 / R_prev (Johnson's renormalized
+    Numerov), which never overflows.  f > 0 on the walk (h**2 |g| / 12 < 1
+    where g < 0), so a negative R is a sign change of u.  ratio=None starts
+    a decaying solution, ratio = exp(kappa h) with kappa = sqrt(-g(x_i)).  Returns
     (crossings, u[stop - step], u[stop], u[stop + step]), crossings being
-    the sign changes from u[i + step] through u[stop].  A value above
-    1e250 rescales all three carried values by 1e-250.
+    the sign changes from u[i + step] through u[stop], and the three
+    values scaled by one positive factor so that |w[stop]| = 1.
     """
-    exp = math.exp
+    x = x0 + h * np.arange(i, stop + 2 * step, step, dtype=np.float64)
     h12 = h * h / 12.0
-    f0, fe, fl = 1.0 - h12 * (gamma + 0.5) ** 2, h12 * E, h12 * lam
-    nu2 = nu + 2.0
-    x = x0 + i * h
-    f_prev, f_cur = (f0 + fe * exp(2.0 * x) - fl * exp(nu2 * x) for x in (x, x + step * h))
-    if u_cur is None:
-        u_cur = u_prev * exp(min(math.sqrt(max((1.0 - f_prev) / h12, 1e-12)) * h, 600.0))
+    f = 1.0 - h12 * (gamma + 0.5) ** 2 + h12 * E * np.exp(2.0 * x) - h12 * lam * np.exp((nu + 2.0) * x)
+    a = 12.0 / f - 10.0
+    m = len(x) - 2  # the walk's index of stop
+    if ratio is None:
+        ratio = math.exp(min(math.sqrt(max((1.0 - f[0]) / h12, 1e-12)) * h, 600.0))
+    R = ratio * float(f[1] / f[0])
+    sign = math.copysign(1.0, R)
     crossings = 0
-    # u_last trails u_cur by one step, except that the start pair is not tested
-    u_back, u_last = math.nan, u_cur
-    for j in range(i + 2 * step, stop + 2 * step, step):
-        if (u_last < 0.0 and u_cur > 0.0) or (u_last > 0.0 and u_cur < 0.0):
+    for a_j in a[1:m].tolist():
+        R = a_j - 1.0 / R
+        if R <= 0.0:
             crossings += 1
-        x = x0 + j * h
-        f_next = f0 + fe * exp(2.0 * x) - fl * exp(nu2 * x)
-        u_next = ((12.0 - 10.0 * f_cur) * u_cur - f_prev * u_prev) / f_next
-        if abs(u_next) > 1e250:
-            u_next *= 1e-250
-            u_cur *= 1e-250
-            u_prev *= 1e-250
-        u_back = u_prev
-        u_prev = u_last = u_cur
-        u_cur = u_next
-        f_prev = f_cur
-        f_cur = f_next
-    return crossings, u_back, u_prev, u_cur
+            if R == 0.0:  # a node on the grid point: pass it as a tiny negative w
+                R = -1e-300
+    if crossings % 2:
+        sign = -sign
+    f_back, f_stop, f_ahead = f[m - 1 : m + 2].tolist()
+    # w[stop - step] = w[stop] / R and w[stop + step] = w[stop] (a[m] - 1 / R)
+    return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
 
 
 def _outward(E, lam, nu, gamma, x0, h, stop):
     """_sweep from x0 upward, started on the regular series
-    r**(gamma+1/2) (1 + sa r**2 + sb r**(nu+2)) divided by its leading
-    power at r0 = e^{x0}, so that a far-in x0 cannot underflow it."""
+    r**(gamma+1/2) (1 + sa r**2 + sb r**(nu+2)), whose ratio between x0
+    and x0 + h has no underflow however far in x0 lies."""
     sa = -E / (2.0 * (2.0 * gamma + 3.0))
     sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
     r0, r1 = math.exp(x0), math.exp(x0 + h)
     u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
     u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
-    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u0, u1)
+    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u1 / u0)
 
 
 def numerov_count(
@@ -107,8 +106,8 @@ def numerov_match(
     outward solution (regular series at x0) and the inward one (decaying
     seed at x_{n-1}), the sign changes through u[im], and u and its
     central-difference derivative du/dx at im.  Each pair is on its own
-    scale, up to 1e250.
+    arbitrary scale, shared by u and du, and carries the sign of u.
     """
     nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, x0, h, im)
-    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, 1e-280, None)
+    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, None)
     return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h

@@ -63,7 +63,10 @@ class LevelCoefficients:
     def energy(self, n: float, gamma: float) -> float:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
+        try:
+            e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
+        except OverflowError:  # float ** raises where * would give inf
+            e = math.copysign(math.inf, self.scale)
         if not math.isfinite(e):
             raise ValueError(f"level n={n}, gamma={gamma} is not finite: E = {e}")
         if not abs(e) >= sys.float_info.min:

@@ -232,6 +232,15 @@ class TestTendency:
         assert out == ""
         assert "underflows" in err
 
+    def test_overflowing_level_is_named(self, capsys):
+        # (factor x)**power overflows here, power -3998 on a base below 1
+        code, out, err = run_cli(
+            capsys, "spectrum", "--nu", "-1.999", "--lambda", "-1", "--n-max", "0", "--q-max", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "level n=0, gamma=" in err and "not finite" in err
+
     def test_flux_at_the_kink_is_accepted(self, capsys):
         # the exact report needs no kmu derivative at the point k + mu0 = 0
         code, out, err = run_cli(

@@ -202,7 +202,7 @@ class TestUnderflow:
 
     @pytest.mark.parametrize(
         "pot,gamma",
-        [(PowerLaw(1.0, 2.0), math.inf), (PowerLaw(1.0, 1e308), 0.0)],
+        [(PowerLaw(1.0, 2.0), math.inf), (PowerLaw(1.0, 1e308), 0.0), (PowerLaw(-1.0, -1.999), 0.0)],
     )
     def test_infinite_level_rejected(self, pot, gamma):
         with pytest.raises(ValueError, match="not finite"):

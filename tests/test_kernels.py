@@ -2,40 +2,99 @@
 
 import inspect
 import math
+import random
 
 import pytest
 
-from abwkb import _kernels
+import reference_numerov
+from abwkb import _kernels, closed_form, oracles
+from abwkb.model import PowerLaw
 
 # (E, lam, nu, gamma, x0, h, n, im) -> (repr of numerov_count, repr of numerov_match),
 # on the grid x_i = x0 + i h, r = e^x
 PINNED_SWEEPS = [
     # Coulomb tail: one node outward of im, two inward
-    pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(1, -642.5785965995448, -66.83013263504449, 2, 1.1882350787910041e-262, -1.2348765487674495e-261)", id="coulomb_tail"),
+    pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(1, -0.9999496100967846, -0.10399780730967478, 2, 0.9999496100967846, -10.392003615256545)", id="coulomb_tail"),
     # confined oscillator, im at either end of the grid
-    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0, 1.0151120915190381, 1.5226804659795645, 2, 1.8818211749912275e-195, -2.8227401731520176e-195)", id="oscillator_im_inner"),
-    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(2, 2.2449610728097948e+80, 1.5749947053863757e+83, 0, 3.786234927561452e-278, -2.6124942235498424e-275)", id="oscillator_im_outer"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0, 1.0000046875020017, 1.5000191764721338, 2, 1.0000046875020017, -1.5000115007021808)", id="oscillator_im_inner"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(2, 1.4365402250630068, 1007.831839915597, 0, 1.4365402250630068, -991.2097668728675)", id="oscillator_im_outer"),
     # nu = -1.5 tail, im at the turning point
-    pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0, 507368854480.9119, 292976315052.638, 0, 9.107311673105736e-273, -7.117885122921022e-273)", id="nu_-1.5_turning_point"),
+    pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0, 1.0000041676648652, 0.5774448579020006, 0, 1.0000041676648652, -0.7815604695839874)", id="nu_-1.5_turning_point"),
     # linear well, one node on each side of im
-    pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(1, -17.05160502439287, 5.583320602262276, 1, -3.056351497598722e-280, -2.873040728985686e-279)", id="linear_well"),
-    # deep forbidden region: both sweeps pass 1e250 and rescale
-    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.2788612170402964, 0.6294345237607413, 0, 1.3589701792044586e+58, -8.419010020303069e+57)", id="deep_forbidden"),
+    pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(1, -0.9999642671131646, 0.3274249600716428, 1, -0.9999642671131646, -9.399894184949076)", id="linear_well"),
+    # deep forbidden region: u spans more than the double range
+    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.0000000047413589, 0.49218360698977115, 0, 1.0000000047413589, -0.6195139664405547)", id="deep_forbidden"),
 ]
 
 
 class TestNumerov:
     def test_rescaling_keeps_counts_finite(self):
-        # deep classically forbidden sweep grows like exp(r**2 / 2); the
-        # in-loop rescaling must keep values representable
-        count = _kernels.numerov_count(0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901)
+        # deep classically forbidden sweep grows like exp(r**2 / 2), past the
+        # double range; the ratio recurrence never holds u itself, so the
+        # count and the matching values stay finite
+        args = (0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901)
+        count = _kernels.numerov_count(*args)
         assert count >= 0
+        for im in (1000, 11897):
+            _, uo, do, _, ui, di = _kernels.numerov_match(*args, im)
+            for value in (uo, do, ui, di):
+                assert math.isfinite(value) and value != 0.0
 
     @pytest.mark.parametrize("args,count,match", PINNED_SWEEPS)
     def test_pinned_outputs(self, args, count, match):
         # bit-level values of the recurrence; a refactor of the sweep must keep them
         assert repr(_kernels.numerov_count(*args[:7])) == count
         assert repr(_kernels.numerov_match(*args)) == match
+
+
+def _reference_match(E, lam, nu, gamma, x0, h, n, im):
+    """numerov_match built on the scalar reference recurrence."""
+    nodes_out, uo_m1, uo_0, uo_p1 = reference_numerov._outward(E, lam, nu, gamma, x0, h, im)
+    nodes_in, ui_p1, ui_0, ui_m1 = reference_numerov._sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, 1e-280, None)
+    return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h
+
+
+def _seeded_state(seed):
+    """(E, lam, nu, gamma, x0, h, n, im, scale): an energy within 25% of a
+    closed-form level, tail (-1.9 <= nu <= -0.1) or confined
+    (0.2 <= nu <= 40), on the oracle's grid for E (1 -+ 0.1)."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        lam, nu = -math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(-1.9, -0.1)
+    else:
+        lam, nu = math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.2, 40.0)
+    gamma = rng.choice([0.0, rng.uniform(0.0, 20.0)])
+    E = closed_form.closed_form_energy(PowerLaw(lam, nu), rng.randrange(5), gamma) * rng.uniform(0.8, 1.25)
+    x0, h, n, im, scale, _ = oracles._grid(E, *sorted((0.9 * E, E / 0.9)), lam, nu, gamma, 2000)
+    return E, lam, nu, gamma, x0, h, n, im, scale
+
+
+class TestAgainstReferenceRecurrence:
+    # the ratio recurrence does the scalar one's arithmetic in another
+    # order; node counts must match exactly and the Prufer angles
+    # atan2(S u, u') mod pi, all the oracle reads, to 1e-9 (5e-12 measured)
+    @staticmethod
+    def check(E, lam, nu, gamma, x0, h, n, im, scale):
+        assert _kernels.numerov_count(E, lam, nu, gamma, x0, h, n) == reference_numerov._outward(
+            E, lam, nu, gamma, x0, h, n - 1
+        )[0]
+        got = _kernels.numerov_match(E, lam, nu, gamma, x0, h, n, im)
+        want = _reference_match(E, lam, nu, gamma, x0, h, n, im)
+        assert (got[0], got[3]) == (want[0], want[3])
+        for u, du, ref_u, ref_du in ((got[1], got[2], want[1], want[2]), (got[4], got[5], want[4], want[5])):
+            gap = (math.atan2(scale * u, du) - math.atan2(scale * ref_u, ref_du)) % math.pi
+            assert min(gap, math.pi - gap) < 1e-9
+
+    @pytest.mark.parametrize("args,count,match", PINNED_SWEEPS)
+    def test_pinned_sweeps(self, args, count, match):
+        E, lam, nu, gamma, x0, h, n, im = args
+        x = x0 + im * h
+        g = math.exp(2.0 * x) * (E - lam * math.exp(nu * x)) - (gamma + 0.5) ** 2
+        self.check(*args, math.sqrt(max(g, (gamma + 0.5) ** 2)))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_seeded_states(self, seed):
+        self.check(*_seeded_state(seed))
 
 
 class TestNumerovConvergence:

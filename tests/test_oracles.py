@@ -192,10 +192,28 @@ LOG_GRID_LEVELS = [
 ]
 
 
+# (lam, nu, gamma, points, level): ground levels at the ends of the
+# shooting domain, the nu floor and a steep wall, at gamma 0 and 20; the
+# levels of an 8000-point solve, which these grids match to 1e-8
+# (2000 points are too coarse at nu = -1.9, gamma = 20)
+EDGE_LEVELS = [
+    (-1.0, -1.9, 0.0, 2000, -615213.7453073594),
+    (-1.0, -1.9, 20.0, 4000, -2.009996814195108e-52),
+    (1.0, 40.0, 0.0, 2000, 7.298830304314035),
+    (1.0, 40.0, 20.0, 2000, 491.3119597043506),
+]
+
+
 class TestLogGridOracle:
     @pytest.mark.parametrize("lam,nu,gamma,n,level", LOG_GRID_LEVELS)
     def test_reference_levels(self, lam, nu, gamma, n, level):
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert got == pytest.approx(level, rel=1e-7)
+
+    @pytest.mark.parametrize("lam,nu,gamma,points,level", EDGE_LEVELS)
+    def test_domain_edges(self, lam, nu, gamma, points, level):
+        # the kernels' array expressions run under error::RuntimeWarning here
+        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, 0, ShootingConfig(points=points))
         assert got == pytest.approx(level, rel=1e-7)
 
     def test_steep_walls_approach_the_well(self):
