@@ -13,8 +13,9 @@ from run to run on a shared machine; performance claims rest on perfbench
 The states sit at the middle of each stratum of perfbench/inputs.py: six
 tail states (lam < 0: Coulomb, -1.45 <= nu <= -1.1 and -0.95 <= nu <= -0.8,
 each at two (n, q)) and six confined ones (oscillator, Airy, linear with
-gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), all with
-the default ShootingConfig.  For each state it records:
+gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), none of
+which grows its grid past the starting 2000 points.  For each state it
+records:
 
 - seconds: the best of REPEAT solves;
 - sweeps and points: Numerov kernel calls and the grid points they swept

@@ -39,7 +39,7 @@ from .model import (
     effective_gamma,
     unit_scale,
 )
-from .oracles import ShootingConfig, shoot_eigenvalue, well_exact_spectrum
+from .oracles import shoot_eigenvalue, well_exact_spectrum
 from .special_functions import bessel_j, bessel_j_zero, bessel_j_zeros
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "PotentialSpec",
     "PowerLaw",
     "QuantizationSetup",
-    "ShootingConfig",
     "SpectrumTable",
     "TendencyReport",
     "UnitScale",

@@ -140,12 +140,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _given(args, *dests: str) -> dict:
-    """The named tuning flags the user gave, by dest; the library's own
-    defaults stand in for the rest."""
-    return {d: v for d in dests if (v := getattr(args, d)) is not None}
-
-
 def _potential_from_args(args) -> PowerLaw | InfiniteWell:
     if args.nu == math.inf:
         return InfiniteWell(args.radius)
@@ -302,11 +296,14 @@ def _cmd_quantize(args) -> int:
         maslov=_MASLOV_NAMES[args.maslov] if args.maslov else None,
     )
     energy = action_mod.quantize_energy(setup, args.n)
+    if isinstance(potential, InfiniteWell):
+        shape = {"nu": "inf", "radius": round12(potential.a)}
+    else:
+        shape = {"nu": round12(potential.nu), "lambda": round12(potential.lam)}
     _write_output(
         _dump_json(
             {
-                "nu": "inf" if args.nu == math.inf else round12(args.nu),
-                "lambda": None if args.lam is None else round12(args.lam),
+                **shape,
                 "gamma": round12(args.gamma),
                 "n": args.n,
                 "constant": round12(setup.constant),
@@ -319,9 +316,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
-    potential = PowerLaw(args.lam, args.nu)
-    cfg = oracles.ShootingConfig(**_given(args, "points", "energy_tol", "max_iterations"))
-    energy = oracles.shoot_eigenvalue(potential, args.gamma, args.n, cfg)
+    energy = oracles.shoot_eigenvalue(PowerLaw(args.lam, args.nu), args.gamma, args.n)
     _write_output(
         _dump_json(
             {
@@ -426,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    # one flag per ShootingConfig field, under the field's name
-    p.add_argument("--points", type=int)
-    p.add_argument("--energy-tol", dest="energy_tol", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_shoot)
 

@@ -12,14 +12,13 @@ never the level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels, closed_form
 from .errors import ConvergenceError
 from .model import PowerLaw
 from .special_functions import bessel_j_zeros
 
-__all__ = ["ShootingConfig", "well_exact_spectrum", "shoot_eigenvalue"]
+__all__ = ["well_exact_spectrum", "shoot_eigenvalue"]
 
 
 def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
@@ -37,39 +36,12 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
     return [(z / math.pi) ** 2 for z in zeros]
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Grid and search parameters for the shooting solver.
-
-    points is the grid size N.  The radial equation is integrated in
-    x = ln r on N evenly spaced points, from an inner edge where the
-    potential and the energy are below _INNER_EPS of the centrifugal
-    term (gamma + 1/2)**2 to an outer edge where the WKB decay integral
-    past the outer turning point reaches _DECAY_TARGET.  The level is
-    solved on that grid and again on its 2N - 1 point refinement, and
-    the two must agree to _REFINE_REL_TOL.  energy_tol is the absolute
-    size of the last secant step on the 2N - 1 point grid at which the
-    level counts as converged (also held below _REL_TOL |E|, so levels
-    near zero keep their digits, but not below four float spacings), and
-    max_iterations caps the Numerov sweeps of one solve.
-    """
-
-    points: int = 2000
-    energy_tol: float = 1e-9
-    max_iterations: int = 260
-
-    def __post_init__(self):
-        if not 0.0 < self.energy_tol < math.inf:
-            raise ValueError("energy_tol must be positive and finite")
-        if not isinstance(self.points, int) or self.points < 8:
-            raise ValueError(f"points must be an int >= 8, got {self.points!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 8:
-            raise ValueError(f"max_iterations must be an int >= 8, got {self.max_iterations!r}")
-
-
+_START_POINTS = 2000  # every solve starts on grids of this many points
+_MAX_POINTS = 2**17  # no grid, the 2N - 1 point refinement included, grows past this
+_ENERGY_TOL = 1e-9  # last secant step on the 2N - 1 point grid (and at most _REL_TOL |E|)
+_MAX_SWEEPS = 260  # Numerov sweeps of one solve
 _INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
-_NU_FLOOR = -1.9  # the inner edge x0 ~ ln(_INNER_EPS) / (nu + 2) runs off as nu -> -2
 # h**2 |g| / 12 anywhere on the grid: above 1/2 the Numerov recurrence
 # oscillates with period two where g > 0, and its forbidden-region
 # denominator 1 - h**2 |g| / 12 nears zero; node counts there are noise
@@ -147,24 +119,30 @@ def _miss(E: float, lam: float, nu: float, gamma: float, grid) -> tuple[float, i
     return nodes * math.pi + math.atan2(scale * uo, do) % math.pi - math.atan2(scale * ui, di) % math.pi, nodes
 
 
-def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingConfig | None = None) -> float:
+def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     """n-th eigenvalue (n = interior node count) of the reduced radial
     equation u'' + (E - lam r**nu - gamma(gamma+1)/r^2) u = 0 with
     u(0) = 0 and a decaying tail.
 
-    Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of
-    cfg.points points (_grid), outward from the r**(gamma+1/2) series and
-    inward from a decaying seed.  One safeguarded secant search finds
-    the root of the increasing miss-distance F(E) - n pi (_miss), from
-    the closed-form level and its slope: on grids for windows
-    E / r .. E r (_SEARCH_RATIO; narrowed while the grid is too coarse),
-    rebuilt whenever the iterate leaves the window, then on a grid for
+    Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of N
+    points (_grid), outward from the r**(gamma+1/2) series and inward
+    from a decaying seed.  One safeguarded secant search finds the root
+    of the increasing miss-distance F(E) - n pi (_miss), from the
+    closed-form level and its slope: on grids for windows E / r .. E r
+    (_SEARCH_RATIO; narrowed while the grid is too coarse), rebuilt
+    whenever the iterate leaves the window, then on a grid for
     E (1 -+ _POLISH_WIDTH), and last on the 2N - 1 point refinement of
-    that grid within _REFINE_REL_TOL of its N-point level.  A level
-    further off, a matched solution without n nodes, a step
-    h**2 |g| / 12 above _MAX_STEP_PARAM even on a window as narrow as
-    the polish grid's, or nu below _NU_FLOOR raise ConvergenceError.
-    Every sweep counts against cfg.max_iterations.
+    that grid within _REFINE_REL_TOL of its N-point level.
+
+    N starts at _START_POINTS and grows only where a check measures that
+    it must: a step h**2 |g| / 12 above _MAX_STEP_PARAM on a window as
+    narrow as the polish grid's rescales N to meet the bound (h**2 scales
+    as 1/(N - 1)**2 on a grid of fixed extent), and an N-point level
+    further than _REFINE_REL_TOL from its 2N - 1 point level moves the
+    polish to the 2N - 1 point grid, which is then checked against its
+    own refinement.  A grid that would pass _MAX_POINTS, a polish that
+    leaves its window, a matched solution without n nodes, or more than
+    _MAX_SWEEPS sweeps raise ConvergenceError.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
@@ -172,12 +150,9 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    cfg = cfg or ShootingConfig()
     lam, nu = potential.lam, potential.nu
-    if nu < _NU_FLOOR:
-        raise ConvergenceError(f"nu={nu} is below the shooting floor {_NU_FLOOR}: the grid's inner edge runs off")
 
-    sweeps = 0
+    sweeps, points = 0, _START_POINTS
     # the search runs in y = sign(E) ln|E|, which rises with E and in which
     # F is close to linear even across decades of E
     sign = math.copysign(1.0, lam)
@@ -187,20 +162,28 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
 
     def grid_for(y, half):
         """The grid for the window y -+ half, halved (to _POLISH_WIDTH at
-        least) while too coarse; returns (grid, half)."""
+        least) while too coarse, and past that refined; returns (grid, half)."""
+        nonlocal points
         while True:
-            *grid, step = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, cfg.points)
+            *grid, step = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, points)
             if step <= _MAX_STEP_PARAM:
                 return grid, half
-            if half <= _POLISH_WIDTH:
-                raise ConvergenceError(f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {cfg.points} points; raise points")
-            half = max(0.5 * half, _POLISH_WIDTH)
+            if half > _POLISH_WIDTH:
+                half = max(0.5 * half, _POLISH_WIDTH)
+                continue
+            needed = max(points + 1, 1 + math.ceil((points - 1) * math.sqrt(step / _MAX_STEP_PARAM)))
+            if 2 * needed - 1 > _MAX_POINTS:
+                raise ConvergenceError(
+                    f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {points} points; "
+                    f"{needed} points, with a {2 * needed - 1} point refinement, pass the cap {_MAX_POINTS}"
+                )
+            points = needed
 
     def miss(grid):
         def residual(y):
             nonlocal sweeps
-            if sweeps >= cfg.max_iterations:
-                raise ConvergenceError(f"shooting did not converge within {cfg.max_iterations} sweeps")
+            if sweeps >= _MAX_SWEEPS:
+                raise ConvergenceError(f"shooting did not converge within {_MAX_SWEEPS} sweeps")
             sweeps += 1
             phase, nodes = _miss(energy(y), lam, nu, gamma, grid)
             return phase - n * math.pi, nodes
@@ -227,22 +210,27 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int, cfg: ShootingCon
             break
         y = min(max(y_next, y - 2.0 * half), y + 2.0 * half)
 
-    # 2. the N-point level on a grid built around it
+    # 2. the N-point level on a grid built around it, then the same level
+    # on the nested 2N - 1 point grid; where they differ, the 2N - 1 point
+    # grid takes the polish over and its own refinement checks it
     grid, _ = grid_for(y, _POLISH_WIDTH)
-    x0, h, points, im, scale = grid
-    y, nodes, slope = _secant(miss(grid), y, slope, y - _POLISH_WIDTH, y + _POLISH_WIDTH, 0.125 * _REFINE_REL_TOL, probe=True)
-    if nodes is None:
-        raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r}); raise points")
-
-    # 3. the same level on the nested 2N - 1 point grid
-    fine = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
-    tol = min(cfg.energy_tol / abs(energy(y)), _REL_TOL)
-    y2, found, _ = _secant(miss(fine), y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, probe=True, measured=True)
-    if found is None:
-        raise ConvergenceError(
-            f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative "
-            f"(E={energy(y)!r}); raise points"
-        )
+    lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
+    while True:
+        x0, h, points, im, scale = grid
+        y, nodes, slope = _secant(miss(grid), y, slope, lo, hi, 0.125 * _REFINE_REL_TOL, probe=True)
+        if nodes is None:
+            raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r})")
+        fine = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
+        tol = min(_ENERGY_TOL / abs(energy(y)), _REL_TOL)
+        y2, found, _ = _secant(miss(fine), y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, probe=True, measured=True)
+        if found is not None:
+            break
+        if 4 * points - 3 > _MAX_POINTS:
+            raise ConvergenceError(
+                f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative "
+                f"(E={energy(y)!r}); the next check, on {4 * points - 3} points, passes the cap {_MAX_POINTS}"
+            )
+        grid = fine
     if found != n:
         raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
     return energy(y2)

@@ -1,6 +1,5 @@
 """CLI contract tests: schemas, exit codes, round trips, determinism."""
 
-import dataclasses
 import json
 import math
 
@@ -11,7 +10,6 @@ from abwkb import (
     InfiniteWell,
     PowerLaw,
     QuantizationSetup,
-    ShootingConfig,
     _kernels,
     action_integral_numeric,
     closed_form_energy,
@@ -90,18 +88,20 @@ class TestSpectrumCommand:
         "argv",
         [
             ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "inf"),
-            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "-1"),
-            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "0"),
-            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "nan"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--energy-tol", "1e-9"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--points", "4000"),
+            ("shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0", "--max-iterations", "10"),
             ("shoot", "--nu", "-1", "--lambda", "-1", "--gamma", "0", "--n", "0", "--energy-tol=-inf"),
         ],
     )
     def test_invalid_tolerance_exits_2(self, capsys, argv):
-        # a domain error, not a search that "did not converge"
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
+        # the oracle has no tolerance settings: a usage error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
         assert out == ""
-        assert "positive and finite" in err
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -271,6 +271,18 @@ class TestJsonCommands:
         doc = json.loads(out)
         assert doc["energy"] == pytest.approx((1.5 * math.pi) ** (2.0 / 3.0), rel=1e-6)
 
+    def test_quantize_well_reports_its_radius(self, capsys):
+        # the well takes --radius and ignores --lambda
+        code, out, _ = run_cli(
+            capsys, "quantize", "--nu", "inf", "--lambda", "3", "--radius", "2", "--gamma", "0.5", "--n", "1"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["nu", "radius", "gamma", "n", "constant", "energy"]
+        assert doc["nu"] == "inf" and doc["radius"] == 2.0
+        setup = QuantizationSetup(InfiniteWell(2.0), 0.5)
+        assert doc["energy"] == round12(quantize_energy(setup, 1))
+
     @pytest.mark.parametrize("nu", ["-1.99", "-0.005"])
     def test_verify_action_at_the_ends(self, capsys, nu):
         code, out, _ = run_cli(
@@ -324,17 +336,14 @@ class TestJsonCommands:
         code, out, _ = run_cli(
             capsys,
             "shoot", "--nu", "1", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--energy-tol", "1e-7",
         )
         assert code == 0
         assert json.loads(out)["energy"] == pytest.approx(2.338107, abs=1e-5)
 
-    def test_shoot_non_convergence_exits_3(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--energy-tol", "1e-15", "--max-iterations", "10",
-        )
+    def test_shoot_non_convergence_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "_ENERGY_TOL", 1e-15)
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 10)
+        code, _, err = run_cli(capsys, "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 3
         assert "converge" in err
 
@@ -374,20 +383,17 @@ class TestLibraryDefaults:
         assert code == 0
         assert json.loads(out)["numeric"] == round12(action_integral_numeric(-0.3, PowerLaw(-0.7, -1.5)))
 
-    def test_shoot_flags_are_the_config_fields(self, capsys, monkeypatch):
+    def test_shoot_takes_no_tuning_flags(self, capsys, monkeypatch):
+        # the oracle sizes its own grid; the CLI passes the state alone
         args = build_parser().parse_args(["shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0"])
-        tuning = set(vars(args)) - {"command", "func", "nu", "lam", "gamma", "n", "out"}
-        assert tuning == {f.name for f in dataclasses.fields(ShootingConfig)}
-        # each given flag reaches its field
+        assert set(vars(args)) == {"command", "func", "nu", "lam", "gamma", "n", "out"}
         seen = []
-        monkeypatch.setattr(oracles, "shoot_eigenvalue", lambda pot, g, n, cfg: seen.append(cfg) or 1.0)
-        code, _, _ = run_cli(
-            capsys,
-            "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0",
-            "--points", "100", "--energy-tol", "1e-6", "--max-iterations", "50",
-        )
+        monkeypatch.setattr(oracles, "shoot_eigenvalue", lambda *a: seen.append(a) or 1.0)
+        code, _, _ = run_cli(capsys, "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 0
-        assert seen == [ShootingConfig(points=100, energy_tol=1e-6, max_iterations=50)]
+        assert seen == [(PowerLaw(1.0, 2.0), 0.0, 0)]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0", "--points", "100"])
 
 
 class TestDeterminism:

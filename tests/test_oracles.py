@@ -11,18 +11,19 @@ import importlib.util
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from abwkb import (
     ConvergenceError,
     InfiniteWell,
     PowerLaw,
-    ShootingConfig,
     _kernels,
     closed_form_energy,
     shoot_eigenvalue,
     well_exact_spectrum,
 )
+from abwkb import oracles
 from abwkb.oracles import _MAX_STEP_PARAM, _POLISH_WIDTH, _REFINE_REL_TOL, _grid, _miss
 from reference_levels import energy_coulomb, energy_oscillator
 
@@ -154,27 +155,11 @@ class TestShootingBehaviour:
         with pytest.raises(ValueError, match="gamma must be finite"):
             shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, 0)
 
-    def test_budget_exhaustion_raises(self):
-        cfg = ShootingConfig(energy_tol=1e-15, max_iterations=10)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_ENERGY_TOL", 1e-15)
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 10)
         with pytest.raises(ConvergenceError):
-            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(points=7)
-        with pytest.raises(ValueError):
-            ShootingConfig(energy_tol=-1.0)
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="int"):
-                ShootingConfig(points=value)
-            with pytest.raises(ValueError, match="finite"):
-                ShootingConfig(energy_tol=value)
-        with pytest.raises(ValueError, match="int"):
-            ShootingConfig(points=2000.0)
-        # a non-finite budget would never stop the sweep loop
-        for value in (math.nan, math.inf, 12.5):
-            with pytest.raises(ValueError, match="int"):
-                ShootingConfig(max_iterations=value)
+            shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0)
 
 
 # (lam, nu, gamma, n, level): exact levels, and for the other states the
@@ -192,15 +177,35 @@ LOG_GRID_LEVELS = [
 ]
 
 
-# (lam, nu, gamma, points, level): ground levels at the ends of the
-# shooting domain, the nu floor and a steep wall, at gamma 0 and 20; the
-# levels of an 8000-point solve, which these grids match to 1e-8
-# (2000 points are too coarse at nu = -1.9, gamma = 20)
+# (lam, nu, gamma, level): ground levels at nu = -1.9 and at a steep
+# wall, at gamma 0 and 20; the levels of an 8000-point solve, which the
+# default solves match to 1e-7 (at nu = -1.9, gamma = 20 the step bound
+# grows the grid past 2000 points, and the level lands 3.1e-8 off)
 EDGE_LEVELS = [
-    (-1.0, -1.9, 0.0, 2000, -615213.7453073594),
-    (-1.0, -1.9, 20.0, 4000, -2.009996814195108e-52),
-    (1.0, 40.0, 0.0, 2000, 7.298830304314035),
-    (1.0, 40.0, 20.0, 2000, 491.3119597043506),
+    (-1.0, -1.9, 0.0, -615213.7453073594),
+    (-1.0, -1.9, 20.0, -2.009996814195108e-52),
+    (1.0, 40.0, 0.0, 7.298830304314035),
+    (1.0, 40.0, 20.0, 491.3119597043506),
+]
+
+# (lam, nu, gamma, n, level): high levels whose N and 2N - 1 point levels
+# differ at 2000 points, so the polish moves to the 3999-point grid; the
+# levels of a solve started on 4000 points, from which these land within
+# 2e-11
+HIGH_LEVELS = [
+    (-1.0, -1.5, 0.5, 10, -6.504812991130576e-07),
+    (-1.0, -1.2, 0.0, 20, -3.183528834815061e-05),
+    (-1.0, -0.5, 4.0, 30, -0.038087370899059884),
+]
+
+# (gamma, n, a / E_well, b / E_well): (E_well - E) nu = a ln nu + b, fitted
+# to the levels at nu = 100, 200, 400, 800, E_well = pi^2 j**2 the Bessel
+# well level; and the fit's relative error on the nu = 1600 gap
+STEEP_WALL_FITS = [
+    (0.0, 0, 4.486243420113353, -5.9295860889639656, 0.008352166803969769),
+    (0.0, 2, 4.468778691232945, -5.81773696473756, 0.007715355044159061),
+    (1.5, 0, 4.483428438126957, -5.911551059091106, 0.008250501447798092),
+    (1.5, 2, 4.459617524610682, -5.759031907566636, 0.007380952687851667),
 ]
 
 
@@ -210,11 +215,16 @@ class TestLogGridOracle:
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert got == pytest.approx(level, rel=1e-7)
 
-    @pytest.mark.parametrize("lam,nu,gamma,points,level", EDGE_LEVELS)
-    def test_domain_edges(self, lam, nu, gamma, points, level):
+    @pytest.mark.parametrize("lam,nu,gamma,level", EDGE_LEVELS)
+    def test_domain_edges(self, lam, nu, gamma, level):
         # the kernels' array expressions run under error::RuntimeWarning here
-        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, 0, ShootingConfig(points=points))
+        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, 0)
         assert got == pytest.approx(level, rel=1e-7)
+
+    @pytest.mark.parametrize("lam,nu,gamma,n,level", HIGH_LEVELS)
+    def test_high_levels_refine_their_grid(self, lam, nu, gamma, n, level):
+        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert got == pytest.approx(level, rel=1e-10)
 
     def test_steep_walls_approach_the_well(self):
         # as nu -> inf the potential becomes the unit well, ground level pi^2
@@ -223,40 +233,77 @@ class TestLogGridOracle:
         e50 = shoot_eigenvalue(PowerLaw(1.0, 50.0), 0.0, 0)
         assert 6.8 < e30 < e50 < math.pi**2
 
-    @pytest.mark.parametrize("nu", [1000.0, -1.95, -1.99])
+    @pytest.mark.parametrize("gamma,n,a,b,miss_1600", STEEP_WALL_FITS, ids=["g0-n0", "g0-n2", "g1.5-n0", "g1.5-n2"])
+    def test_steep_walls_land_on_the_well(self, gamma, n, a, b, miss_1600):
+        # the step bound sizes these grids: refinements of up to 115,611
+        # points at nu = 1600
+        well = math.pi**2 * well_exact_spectrum(gamma, 1.0, n + 1)[n]
+        nus = [100.0, 200.0, 400.0, 800.0]
+        levels = [shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n) for nu in nus]
+        assert all(p < q for p, q in zip(levels, levels[1:])) and levels[-1] < well
+        gaps = [(well - e) * nu for e, nu in zip(levels, nus)]
+        slope, offset = np.polyfit(np.log(nus), gaps, 1)
+        assert slope / well == pytest.approx(a, rel=1e-6)
+        assert offset / well == pytest.approx(b, rel=1e-6)
+        gap = well - shoot_eigenvalue(PowerLaw(1.0, 1600.0), gamma, n)
+        predicted = (slope * math.log(1600.0) + offset) / 1600.0
+        assert predicted / gap - 1.0 == pytest.approx(miss_1600, rel=1e-4)
+
+    def test_nu_1000_solves_below_the_well(self):
+        # the step bound grows the grid to 36,090 points; a 64,000-point
+        # solve lies 1.1e-7 higher, within the 1e-6 N-vs-2N check
+        got = shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
+        assert got == pytest.approx(9.623231765143135, rel=1e-10)
+        assert got < math.pi**2
+
+    @pytest.mark.parametrize("nu", [-1.95, -1.99])
     def test_out_of_reach_exponents_raise(self, nu):
-        lam = 1.0 if nu > 0.0 else -1.0
-        with pytest.raises(ConvergenceError):
-            shoot_eigenvalue(PowerLaw(lam, nu), 0.0, 0)
+        # the closed-form seed is far off and the polish-width windows
+        # crawl: the sweep budget runs out
+        with pytest.raises(ConvergenceError, match="sweeps"):
+            shoot_eigenvalue(PowerLaw(-1.0, nu), 0.0, 0)
 
     @pytest.mark.parametrize(
         "lam,nu,n,points,message",
         [(-1.0, -1.0, 0, 100, "too coarse"), (1.0, 1.0, 2, 250, "differ")],
     )
-    def test_too_few_points_raise(self, lam, nu, n, points, message):
+    def test_too_few_points_raise(self, monkeypatch, lam, nu, n, points, message):
+        # start on `points` and cap every grid at the first refinement, so
+        # neither check may grow the grid
+        monkeypatch.setattr(oracles, "_START_POINTS", points)
+        monkeypatch.setattr(oracles, "_MAX_POINTS", 2 * points - 1)
         with pytest.raises(ConvergenceError, match=message):
-            shoot_eigenvalue(PowerLaw(lam, nu), 0.0, n, ShootingConfig(points=points))
+            shoot_eigenvalue(PowerLaw(lam, nu), 0.0, n)
+
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,n,largest",
+        [(1.0, 800.0, 0.0, 0, 53_909), (-1.0, -1.5, 0.5, 10, 7997), (1.0, 2.0, 0.0, 0, 3999)],
+    )
+    def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, lam, nu, gamma, n, largest):
+        shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert max(kernel_sizes) == largest <= oracles._MAX_POINTS
 
     def test_census_edge_state_near_nu_minus_1_8(self):
         # the default grid agrees with the level at N = 16000, -0.0041319455138
         got = shoot_eigenvalue(PowerLaw(-1.0, -1.798), 0.425, 0)
         assert got == pytest.approx(-0.0041319455138, rel=1e-7)
 
-    def test_every_sweep_counts_against_the_budget(self, kernel_calls):
+    def test_every_sweep_counts_against_the_budget(self, monkeypatch, kernel_sizes):
         # the nu = -1.8 reference state needs 11 sweeps from its poor seed
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 8)
         with pytest.raises(ConvergenceError, match="within 8 sweeps"):
-            shoot_eigenvalue(PowerLaw(-1.0, -1.8), 0.5, 0, ShootingConfig(max_iterations=8))
-        assert len(kernel_calls) == 8
+            shoot_eigenvalue(PowerLaw(-1.0, -1.8), 0.5, 0)
+        assert len(kernel_sizes) == 8
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """One entry per Numerov kernel call."""
-    calls = []
+def kernel_sizes(monkeypatch):
+    """The grid size of each Numerov kernel call."""
+    sizes = []
     for name in ("numerov_count", "numerov_match"):
         kernel = getattr(_kernels, name)
-        monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: calls.append(1) or k(*a))
-    return calls
+        monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: sizes.append(a[6]) or k(*a))
+    return sizes
 
 
 def _bench_shoot_states():
@@ -269,9 +316,9 @@ def _bench_shoot_states():
 
 class TestSweepCount:
     @pytest.mark.parametrize("name,lam,nu,gamma,n", _bench_shoot_states())
-    def test_benchmark_states_within_12_sweeps(self, kernel_calls, name, lam, nu, gamma, n):
+    def test_benchmark_states_within_12_sweeps(self, kernel_sizes, name, lam, nu, gamma, n):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-        assert len(kernel_calls) <= 12
+        assert len(kernel_sizes) <= 12
 
 
 # (lam, nu, gamma) for the miss-distance checks
