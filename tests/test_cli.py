@@ -392,8 +392,6 @@ class TestLibraryDefaults:
         code, _, _ = run_cli(capsys, "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 0
         assert seen == [(PowerLaw(1.0, 2.0), 0.0, 0)]
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0", "--points", "100"])
 
 
 class TestDeterminism:
