@@ -17,10 +17,7 @@ from .action import (
 from .analysis import (
     TendencyReport,
     build_tendency_report,
-    derivative_ratios,
-    flux_slope_effect,
     spectral_derivative,
-    tendency_classify,
 )
 from .closed_form import (
     EnergyLevel,
@@ -63,16 +60,13 @@ __all__ = [
     "bessel_j_zeros",
     "build_tendency_report",
     "closed_form_energy",
-    "derivative_ratios",
     "duality_map",
     "effective_gamma",
-    "flux_slope_effect",
     "quantization_constant",
     "quantize_energy",
     "shoot_eigenvalue",
     "spectral_derivative",
     "spectrum_table",
-    "tendency_classify",
     "turning_point",
     "unit_scale",
     "well_exact_spectrum",

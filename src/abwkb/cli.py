@@ -188,7 +188,8 @@ def _levels_svg(table: SpectrumTable, title: str, key, label: str) -> str:
 def _cmd_spectrum(args) -> int:
     potential = _potential_from_args(args)
     unit = _unit_from_args(args, potential)
-    k_range = args.k_range if args.k_range else (args.k, args.k)
+    k = args.k or 0
+    k_range = args.k_range or (k, k)
     table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, k_range, unit)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     _write_output(text, args.out)
@@ -376,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", type=float, default=0.0)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--k-range", type=_parse_k_range, metavar="LO..HI")
+    # --k has no default, so that argparse sees it given next to --k-range
+    k_flags = p.add_mutually_exclusive_group()
+    k_flags.add_argument("--k", type=int)
+    k_flags.add_argument("--k-range", type=_parse_k_range, metavar="LO..HI")
     p.add_argument("--units", choices=UNIT_PRESETS)
     p.add_argument("--svg", help="also write an SVG plot to this path")
     _add_common(p)

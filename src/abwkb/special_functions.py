@@ -31,8 +31,8 @@ def _check_order_x(order: float, x: float) -> None:
         raise ValueError(f"Bessel order must be >= 0, got {order}")
     if order > _MAX_ORDER:
         raise ValueError(f"Bessel order {order} exceeds supported maximum {_MAX_ORDER}")
-    if x < 0.0:
-        raise ValueError(f"bessel_j requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_j requires a finite x >= 0, got x = {x}")
 
 
 def _bessel_series(order: float, x: float) -> float:

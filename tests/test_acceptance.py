@@ -18,15 +18,13 @@ from abwkb import (
     bessel_j,
     bessel_j_zero,
     bessel_j_zeros,
+    build_tendency_report,
     effective_gamma,
-    flux_slope_effect,
     quantize_energy,
     shoot_eigenvalue,
     spectral_derivative,
-    tendency_classify,
     well_exact_spectrum,
 )
-from abwkb.analysis import BENDS_DOWN, BENDS_UP, LINEAR
 from abwkb.closed_form import closed_form_energy
 from abwkb.special_functions import gamma_ratio
 from reference_levels import energy_coulomb, energy_oscillator
@@ -155,31 +153,33 @@ def test_criterion_08_tendency_properties():
             for which in ("n", "q", "kmu"):
                 assert spectral_derivative(pot, 0.0, point, which, 1) > 0.0
     # curvature classification matches measured second differences
-    expected_cls = {-1.0: BENDS_DOWN, 1.0: BENDS_DOWN, 2.0: LINEAR, math.inf: BENDS_UP}
+    expected_cls = {-1.0: "bends-down", 1.0: "bends-down", 2.0: "linear", math.inf: "bends-up"}
     for nu, cls in expected_cls.items():
         pot = InfiniteWell(1.0) if nu == math.inf else PowerLaw(-1.0 if nu < 0 else 1.0, nu)
         d2 = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 2)
         d1 = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 1)
-        assert tendency_classify(nu) == cls
-        if cls == LINEAR:
+        assert build_tendency_report(pot).curvature == cls
+        if cls == "linear":
             assert abs(d2) <= 1e-6 * d1
         else:
-            assert (d2 > 0) == (cls == BENDS_UP)
+            assert (d2 > 0) == (cls == "bends-up")
     # derivative ratios
     for nu in (-1.5, -1.0, -0.5):
         pot = PowerLaw(-1.0, nu)
         dn = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 1)
         dq = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "q", 1)
         assert abs(dn / dq - (nu + 2.0)) <= 1e-6
+        assert build_tendency_report(pot).ratios == (nu + 2.0, 1.0, 1.0)
     for nu in (1.0, 2.0, 4.0):
         pot = PowerLaw(1.0, nu)
         dn = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 1)
         dq = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "q", 1)
         assert abs(dn / dq - 2.0) <= 1e-6
+        assert build_tendency_report(pot).ratios == (2.0, 1.0, 1.0)
     # flux-slope signs -/0/+ for nu = 1 / 2 / infinity
-    assert flux_slope_effect(1.0) == -1
-    assert flux_slope_effect(2.0) == 0
-    assert flux_slope_effect(math.inf) == 1
+    assert build_tendency_report(PowerLaw(1.0, 1.0)).flux_slope_sign == "-"
+    assert build_tendency_report(PowerLaw(1.0, 2.0)).flux_slope_sign == "0"
+    assert build_tendency_report(InfiniteWell(1.0)).flux_slope_sign == "+"
     _report(
         "criterion 8: monotone first differences, curvature classes, "
         "ratio rules ((nu+2):1 and 2:1), flux-slope signs -/0/+ for nu=1/2/inf"

@@ -16,13 +16,12 @@ from abwkb import (
     InfiniteWell,
     PowerLaw,
     build_tendency_report,
-    derivative_ratios,
-    flux_slope_effect,
     spectral_derivative,
-    tendency_classify,
 )
-from abwkb.analysis import BENDS_DOWN, BENDS_UP, LINEAR
 from abwkb.closed_form import closed_form_energy
+
+# the curvature words the tendency report prints
+BENDS_DOWN, LINEAR, BENDS_UP = "bends-down", "linear", "bends-up"
 
 COULOMB = PowerLaw(-1.0, -1.0)
 LINEAR_POT = PowerLaw(1.0, 1.0)
@@ -112,31 +111,34 @@ class TestExactDerivatives:
             assert exact == pytest.approx(fd, rel=1e-6, abs=noise)
 
 
+def _sign(x):
+    return (x > 0.0) - (x < 0.0)
+
+
 class TestTendencyClassify:
     def test_named_cases(self):
-        assert tendency_classify(2.0) == LINEAR
-        assert tendency_classify(-1.0) == BENDS_DOWN
-        assert tendency_classify(1.0) == BENDS_DOWN
-        assert tendency_classify(4.0) == BENDS_UP
-        assert tendency_classify(math.inf) == BENDS_UP
+        assert build_tendency_report(OSC).curvature == LINEAR
+        assert build_tendency_report(COULOMB).curvature == BENDS_DOWN
+        assert build_tendency_report(LINEAR_POT).curvature == BENDS_DOWN
+        assert build_tendency_report(PowerLaw(1.0, 4.0)).curvature == BENDS_UP
+        assert build_tendency_report(WELL).curvature == BENDS_UP
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            tendency_classify(0.0)
-        with pytest.raises(ValueError):
-            tendency_classify(-2.0)
-        with pytest.raises(ValueError):
-            tendency_classify(-3.0)
+        # no report can be built outside (-2, 0) u (0, inf]: the potential
+        # type refuses the exponent
+        for lam, nu in ((1.0, 0.0), (-1.0, -2.0), (-1.0, -3.0), (-1.0, -2.5)):
+            with pytest.raises(ValueError):
+                build_tendency_report(PowerLaw(lam, nu))
 
     def test_classification_matches_measured_curvature(self):
         rng = random.Random(7)
         for nu in (-1.0, -0.5, 1.0, 2.0, 3.0, 6.0, math.inf):
             pot = InfiniteWell(1.0) if nu == math.inf else PowerLaw(-1.0 if nu < 0 else 1.0, nu)
+            cls = build_tendency_report(pot).curvature
             for _ in range(5):
                 point = (rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.3, 2.0))
                 d2 = spectral_derivative(pot, 0.0, point, "n", 2)
                 d1 = spectral_derivative(pot, 0.0, point, "n", 1)
-                cls = tendency_classify(nu)
                 if cls == LINEAR:
                     assert abs(d2) <= 1e-6 * abs(d1)
                 elif cls == BENDS_UP:
@@ -146,28 +148,33 @@ class TestTendencyClassify:
 
 
 class TestDerivativeRatios:
+    """The report's ratios are (dE/dn : dE/dkmu, dE/dq : dE/dkmu, 1)."""
+
     def test_named_cases(self):
-        assert derivative_ratios(2.0) == (2.0, 2.0, 1.0)
-        assert derivative_ratios(-1.0) == (1.0, 1.0, 1.0)
-        assert derivative_ratios(-0.5) == (1.5, 1.5, 1.0)
+        assert build_tendency_report(OSC).ratios == (2.0, 1.0, 1.0)
+        assert build_tendency_report(COULOMB).ratios == (1.0, 1.0, 1.0)
+        assert build_tendency_report(PowerLaw(-1.0, -0.5)).ratios == (1.5, 1.0, 1.0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            derivative_ratios(0.0)
-        with pytest.raises(ValueError):
-            derivative_ratios(-2.5)
+        # up to both ends of the domain the ratio is the paper's rule:
+        # nu + 2 on the tail branch, 2 on the confined branch and the well
+        for nu in (-2.0 + 2e-6, -1.5, -2e-6):
+            assert build_tendency_report(PowerLaw(-1.0, nu)).ratios == (nu + 2.0, 1.0, 1.0)
+        for pot in (PowerLaw(1.0, 2e-6), PowerLaw(1.0, 1e6), WELL):
+            assert build_tendency_report(pot).ratios == (2.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("nu", [-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0])
     def test_ratios_match_finite_differences(self, nu):
         pot = PowerLaw(-1.0 if nu < 0 else 1.0, nu)
-        rn_rq, rn_rk, rq_rk = derivative_ratios(nu)
+        rn_rk, rq_rk, one = build_tendency_report(pot).ratios
+        assert one == 1.0
         for point in [(0.0, 1.0, 0.5), (2.0, 0.0, 1.25)]:
             dn = spectral_derivative(pot, 0.0, point, "n", 1)
             dq = spectral_derivative(pot, 0.0, point, "q", 1)
             dk = spectral_derivative(pot, 0.0, point, "kmu", 1)
-            assert dn / dq == pytest.approx(rn_rq, abs=1e-6)
             assert dn / dk == pytest.approx(rn_rk, abs=1e-6)
             assert dq / dk == pytest.approx(rq_rk, abs=1e-6)
+            assert dn / dq == pytest.approx(rn_rk / rq_rk, abs=1e-6)
 
     def test_positive_branch_ratio_is_two_pointwise(self):
         # E depends on the single combination n + gamma/2 + 3/4, so the
@@ -182,21 +189,22 @@ class TestDerivativeRatios:
 
 class TestFluxSlope:
     def test_signs(self):
-        assert flux_slope_effect(-1.0) == -1
-        assert flux_slope_effect(1.0) == -1
-        assert flux_slope_effect(2.0) == 0
-        assert flux_slope_effect(4.0) == 1
-        assert flux_slope_effect(math.inf) == 1
+        assert build_tendency_report(COULOMB).flux_slope_sign == "-"
+        assert build_tendency_report(LINEAR_POT).flux_slope_sign == "-"
+        assert build_tendency_report(OSC).flux_slope_sign == "0"
+        assert build_tendency_report(PowerLaw(1.0, 4.0)).flux_slope_sign == "+"
+        assert build_tendency_report(WELL).flux_slope_sign == "+"
 
     def test_slope_change_between_low_and_high_flux_grids(self):
         # cranking |k+mu0| from 0.5 to 12 must depress the n-slope below
         # nu = 2, leave it untouched at nu = 2 and steepen it beyond
-        for pot, expect in ((COULOMB, -1), (LINEAR_POT, -1), (OSC, 0), (WELL, 1)):
+        for pot, expect in ((COULOMB, "-"), (LINEAR_POT, "-"), (OSC, "0"), (WELL, "+")):
+            assert build_tendency_report(pot).flux_slope_sign == expect
             low = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 1)
             high = spectral_derivative(pot, 0.0, (1.0, 1.0, 12.0), "n", 1)
-            if expect == 0:
+            if expect == "0":
                 assert high == pytest.approx(low, rel=1e-9)
-            elif expect < 0:
+            elif expect == "-":
                 assert high < low
             else:
                 assert high > low
@@ -228,3 +236,27 @@ class TestTendencyReport:
         rep = build_tendency_report(WELL)
         assert rep.curvature == BENDS_UP
         assert rep.flux_slope_sign == "+"
+
+    def test_report_matches_exact_derivatives(self):
+        # seeded exponents over both branches, nu = 2 and the well, with
+        # random couplings: the report, read off the closed-form record,
+        # agrees with the exact derivatives at random points
+        rng = random.Random(15)
+        nus = [2.0, math.inf] + [rng.uniform(-1.95, -0.05) for _ in range(60)]
+        nus += [rng.uniform(0.05, 2.0) for _ in range(40)] + [rng.uniform(2.0, 40.0) for _ in range(40)]
+        sign_text = {1: "+", 0: "0", -1: "-"}
+        curvature = {1: BENDS_UP, 0: LINEAR, -1: BENDS_DOWN}
+        for nu in nus:
+            coupling = rng.uniform(0.5, 2.0)
+            pot = InfiniteWell(coupling) if nu == math.inf else PowerLaw(math.copysign(coupling, nu), nu)
+            rep = build_tendency_report(pot)
+            n, q = rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0)
+            point = (n, q, rng.uniform(0.3, 2.0))
+            d2 = spectral_derivative(pot, 0.0, point, "n", 2)
+            assert rep.curvature == curvature[_sign(d2)], nu
+            dn = spectral_derivative(pot, 0.0, point, "n", 1)
+            dk = spectral_derivative(pot, 0.0, point, "kmu", 1)
+            assert rep.ratios[0] == pytest.approx(dn / dk, rel=1e-12), nu
+            low = spectral_derivative(pot, 0.0, (n, q, 0.5), "n", 1)
+            high = spectral_derivative(pot, 0.0, (n, q, 12.0), "n", 1)
+            assert rep.flux_slope_sign == sign_text[_sign(high - low)], nu

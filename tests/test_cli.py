@@ -139,6 +139,26 @@ class TestSpectrumCommand:
         table = table_from_json(out_file.read_text())
         assert len(table.rows) == 2 * 2 * 3
 
+    @pytest.mark.parametrize(
+        "k_flags",
+        [("--k", "5", "--k-range", "0..0"), ("--k", "0", "--k-range", "1..2"), ("--k-range=-1..1", "--k=-1")],
+    )
+    def test_k_and_k_range_are_exclusive(self, capsys, k_flags):
+        # one of the two flags would otherwise be dropped without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--nu", "2", "--lambda", "1", "--n-max", "0", "--q-max", "0", *k_flags])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_k_alone_and_default(self, capsys):
+        argv = ("spectrum", "--nu", "2", "--lambda", "1", "--n-max", "0", "--q-max", "0")
+        _, out, _ = run_cli(capsys, *argv, "--k", "5")
+        assert [line.split(",")[5] for line in out.strip().split("\n")[1:]] == ["5"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert [line.split(",")[5] for line in out.strip().split("\n")[1:]] == ["0"]
+
     def test_well_spectrum(self, capsys):
         code, out, _ = run_cli(
             capsys,

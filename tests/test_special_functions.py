@@ -114,6 +114,11 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(-0.5, 1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_is_named(self, x):
+        with pytest.raises(ValueError, match=f"finite x >= 0, got x = {x}"):
+            bessel_j(0.0, x)
+
 
 class TestBesselZeros:
     def test_half_order_zeros_are_multiples_of_pi(self):
