@@ -14,12 +14,12 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import __version__
 from . import action as action_mod
 from . import analysis, closed_form, oracles, svg
-from ._kernels import BACKEND
 from .closed_form import SpectrumTable, spectrum_table
 from .errors import ConvergenceError
 from .model import UNIT_PRESETS, InfiniteWell, MaslovConstant, PowerLaw, UnitScale, unit_scale
@@ -326,7 +326,6 @@ def _cmd_shoot(args) -> int:
                 "gamma": round12(args.gamma),
                 "n": args.n,
                 "energy": round12(energy),
-                "backend": BACKEND,
             }
         ),
         args.out,
@@ -433,6 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_zeros)
 
+    # a word after a flag is its value, not an option, where argparse's negative-number pattern
+    # matches it; its own takes -0.5 but not -1e-05, this one any -<digit> or -.<digit> word
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -129,20 +129,19 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     from a decaying seed.  One safeguarded secant search finds the root
     of the increasing miss-distance F(E) - n pi (_miss), from the
     closed-form level and its slope: on grids for windows E / r .. E r
-    (_SEARCH_RATIO; narrowed while the grid is too coarse), rebuilt
-    whenever the iterate leaves the window, then on a grid for
-    E (1 -+ _POLISH_WIDTH), and last on the 2N - 1 point refinement of
-    that grid within _REFINE_REL_TOL of its N-point level.
+    (_SEARCH_RATIO), rebuilt whenever the iterate leaves the window, then
+    on a grid for E (1 -+ _POLISH_WIDTH), and last on the 2N - 1 point
+    refinement of that grid within _REFINE_REL_TOL of its N-point level.
 
     N starts at _START_POINTS and grows only where a check measures that
-    it must: a step h**2 |g| / 12 above _MAX_STEP_PARAM on a window as
-    narrow as the polish grid's rescales N to meet the bound (h**2 scales
-    as 1/(N - 1)**2 on a grid of fixed extent), and an N-point level
-    further than _REFINE_REL_TOL from its 2N - 1 point level moves the
-    polish to the 2N - 1 point grid, which is then checked against its
-    own refinement.  A grid that would pass _MAX_POINTS, a polish that
-    leaves its window, a matched solution without n nodes, or more than
-    _MAX_SWEEPS sweeps raise ConvergenceError.
+    it must: a step h**2 |g| / 12 above _MAX_STEP_PARAM on the grid for
+    any window rescales N to meet the bound (h**2 scales as 1/(N - 1)**2
+    on a grid of fixed extent), and an N-point level further than
+    _REFINE_REL_TOL from its 2N - 1 point level moves the polish to the
+    2N - 1 point grid, which is then checked against its own refinement.
+    A grid that would pass _MAX_POINTS, a polish that leaves its window,
+    a matched solution without n nodes, or more than _MAX_SWEEPS sweeps
+    raise ConvergenceError.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
@@ -161,16 +160,12 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         return sign * math.exp(sign * y)
 
     def grid_for(y, half):
-        """The grid for the window y -+ half, halved (to _POLISH_WIDTH at
-        least) while too coarse, and past that refined; returns (grid, half)."""
+        """The grid for the window y -+ half, on more points while too coarse."""
         nonlocal points
         while True:
             *grid, step = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, points)
             if step <= _MAX_STEP_PARAM:
-                return grid, half
-            if half > _POLISH_WIDTH:
-                half = max(0.5 * half, _POLISH_WIDTH)
-                continue
+                return grid
             needed = max(points + 1, 1 + math.ceil((points - 1) * math.sqrt(step / _MAX_STEP_PARAM)))
             if 2 * needed - 1 > _MAX_POINTS:
                 raise ConvergenceError(
@@ -199,21 +194,20 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         E, index = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam), n + 1.0
     y, slope = sign * math.log(abs(E)), math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
 
-    # 1. search on grids for windows y -+ half; a step out of the window
+    # 1. search on grids for windows y -+ width; a step out of the window
     # moves it at most one width on
     width = min(1.0, abs(nu)) * math.log(_SEARCH_RATIO)
     while True:
-        grid, half = grid_for(y, width)
-        y_next, nodes, slope = _secant(miss(grid), y, slope, y - half, y + half, 0.5 * _POLISH_WIDTH)
+        y_next, nodes, slope = _secant(miss(grid_for(y, width)), y, slope, y - width, y + width, 0.5 * _POLISH_WIDTH)
         if nodes is not None:
             y = y_next
             break
-        y = min(max(y_next, y - 2.0 * half), y + 2.0 * half)
+        y = min(max(y_next, y - 2.0 * width), y + 2.0 * width)
 
     # 2. the N-point level on a grid built around it, then the same level
     # on the nested 2N - 1 point grid; where they differ, the 2N - 1 point
     # grid takes the polish over and its own refinement checks it
-    grid, _ = grid_for(y, _POLISH_WIDTH)
+    grid = grid_for(y, _POLISH_WIDTH)
     lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
     while True:
         x0, h, points, im, scale = grid

@@ -360,6 +360,11 @@ class TestJsonCommands:
         assert code == 0
         assert json.loads(out)["energy"] == pytest.approx(2.338107, abs=1e-5)
 
+    def test_shoot_json_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0")
+        assert code == 0
+        assert list(json.loads(out)) == ["nu", "lambda", "gamma", "n", "energy"]
+
     def test_shoot_non_convergence_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(oracles, "_ENERGY_TOL", 1e-15)
         monkeypatch.setattr(oracles, "_MAX_SWEEPS", 10)
@@ -372,6 +377,27 @@ class TestJsonCommands:
         assert code == 0
         zs = json.loads(out)["zeros"]
         assert zs == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (("tendency", "--lambda", "-1", "--n-max", "1", "--q-max", "1"), "--nu", "-1e-05"),
+        (("shoot", "--nu", "-1", "--gamma", "0", "--n", "0"), "--lambda", "-1e-3"),
+        (("spectrum", "--nu", "-1", "--lambda", "-1", "--n-max", "1", "--q-max", "0"), "--mu0", "-2.5E-1"),
+        (("spectrum", "--nu", "2", "--lambda", "1", "--n-max", "0", "--q-max", "0"), "--k-range", "-2..1"),
+        (("verify-action", "--nu", "-1.5", "--lambda", "-0.7"), "--energy", "-3e-1"),
+        (("quantize", "--nu", "-1.5", "--gamma", "0.5", "--n", "1"), "--lambda", "-.7"),
+    ],
+    ids=["tendency-nu", "shoot-lambda", "spectrum-mu0", "spectrum-k-range", "verify-action-energy", "quantize-lambda"],
+)
+def test_negative_values_follow_their_flag(capsys, argv, flag, value):
+    # argparse's own pattern reads -1e-05 as an option and exits 2 with
+    # "expected one argument"; both spellings must give the same output
+    separate = run_cli(capsys, *argv, flag, value)
+    attached = run_cli(capsys, *argv, f"{flag}={value}")
+    assert separate == attached
+    assert separate[0] == 0
 
 
 def test_version_is_the_package_version(capsys):

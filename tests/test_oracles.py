@@ -181,7 +181,7 @@ LOG_GRID_LEVELS = [
 # (lam, nu, gamma, level): ground levels at nu = -1.9 and at a steep
 # wall, at gamma 0 and 20; the levels of an 8000-point solve, which the
 # default solves match to 1e-7 (at nu = -1.9, gamma = 20 the step bound
-# grows the grid past 2000 points, and the level lands 3.1e-8 off)
+# grows the grid past 2000 points, and the level lands 6.5e-10 off)
 EDGE_LEVELS = [
     (-1.0, -1.9, 0.0, -615213.7453073594),
     (-1.0, -1.9, 20.0, -2.009996814195108e-52),
@@ -190,23 +190,34 @@ EDGE_LEVELS = [
 ]
 
 # (lam, nu, gamma, n, level): high levels whose N and 2N - 1 point levels
-# differ at 2000 points, so the polish moves to the 3999-point grid; the
-# levels of a solve started on 4000 points, from which these land within
-# 2e-11
+# differ on the starting grid, so the polish moves to its 2N - 1 point
+# refinement.  The first two are the levels of a solve started on 4000
+# points, from which these land within 2e-11; at gamma = 4 the step bound
+# starts the search on 2015 points, and the level is that solve's own,
+# 1.9e-8 from the converged -0.03808737017933, as the 4000-point level is
 HIGH_LEVELS = [
     (-1.0, -1.5, 0.5, 10, -6.504812991130576e-07),
     (-1.0, -1.2, 0.0, 20, -3.183528834815061e-05),
-    (-1.0, -0.5, 4.0, 30, -0.038087370899059884),
+    (-1.0, -0.5, 4.0, 30, -0.03808737087855989),
+]
+
+# (lam, nu, gamma, n, level): states at the nu floor, where the step bound
+# grows the search grids; the levels of solves with no sweep budget, whose
+# search windows were halved instead
+FLOOR_LEVELS = [
+    (-1.0, -1.95, 0.0, 0, -7937531770271523.0),
+    (-1.0, -1.95, 1.5, 3, -9.108731001290223e-34),
+    (-1.0, -1.99, 0.5, 0, -6.453300336280167e-10),
 ]
 
 # (gamma, n, a / E_well, b / E_well): (E_well - E) nu = a ln nu + b, fitted
 # to the levels at nu = 100, 200, 400, 800, E_well = pi^2 j**2 the Bessel
 # well level; and the fit's relative error on the nu = 1600 gap
 STEEP_WALL_FITS = [
-    (0.0, 0, 4.486243420113353, -5.9295860889639656, 0.008352166803969769),
-    (0.0, 2, 4.468778691232945, -5.81773696473756, 0.007715355044159061),
-    (1.5, 0, 4.483428438126957, -5.911551059091106, 0.008250501447798092),
-    (1.5, 2, 4.459617524610682, -5.759031907566636, 0.007380952687851667),
+    (0.0, 0, 4.486245365788833, -5.929596363026431, 0.008352294617479217),
+    (0.0, 2, 4.468781182497346, -5.817749666947249, 0.007717936580920126),
+    (1.5, 0, 4.483426997753823, -5.9115438264341, 0.008250714973263795),
+    (1.5, 2, 4.459617140455769, -5.759029977896871, 0.007381319722257196),
 ]
 
 
@@ -236,7 +247,7 @@ class TestLogGridOracle:
 
     @pytest.mark.parametrize("gamma,n,a,b,miss_1600", STEEP_WALL_FITS, ids=["g0-n0", "g0-n2", "g1.5-n0", "g1.5-n2"])
     def test_steep_walls_land_on_the_well(self, gamma, n, a, b, miss_1600):
-        # the step bound sizes these grids: refinements of up to 115,611
+        # the step bound sizes these grids: refinements of up to 130,043
         # points at nu = 1600
         well = math.pi**2 * well_exact_spectrum(gamma, 1.0, n + 1)[n]
         nus = [100.0, 200.0, 400.0, 800.0]
@@ -257,16 +268,21 @@ class TestLogGridOracle:
         assert got == pytest.approx(9.623231765143135, rel=1e-10)
         assert got < math.pi**2
 
-    @pytest.mark.parametrize("nu", [-1.95, -1.99])
+    @pytest.mark.parametrize("lam,nu,gamma,n,level", FLOOR_LEVELS, ids=["-1.95-g0-n0", "-1.95-g1.5-n3", "-1.99-g0.5-n0"])
+    def test_floor_exponents_solve(self, lam, nu, gamma, n, level):
+        got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert got == pytest.approx(level, rel=1e-7)
+
+    @pytest.mark.parametrize("nu", [-1.99])
     def test_out_of_reach_exponents_raise(self, nu):
-        # the closed-form seed is far off and the polish-width windows
-        # crawl: the sweep budget runs out
+        # at gamma = 4 the closed-form seed is too far off: the sweep
+        # budget runs out
         with pytest.raises(ConvergenceError, match="sweeps"):
-            shoot_eigenvalue(PowerLaw(-1.0, nu), 0.0, 0)
+            shoot_eigenvalue(PowerLaw(-1.0, nu), 4.0, 0)
 
     @pytest.mark.parametrize(
         "lam,nu,n,points,message",
-        [(-1.0, -1.0, 0, 100, "too coarse"), (1.0, 1.0, 2, 250, "differ")],
+        [(-1.0, -1.0, 0, 100, "too coarse"), (-1.0, -1.5, 10, 2000, "differ")],
     )
     def test_too_few_points_raise(self, monkeypatch, lam, nu, n, points, message):
         # start on `points` and cap every grid at the first refinement, so
@@ -278,7 +294,12 @@ class TestLogGridOracle:
 
     @pytest.mark.parametrize(
         "lam,nu,gamma,n,largest",
-        [(1.0, 800.0, 0.0, 0, 53_909), (-1.0, -1.5, 0.5, 10, 7997), (1.0, 2.0, 0.0, 0, 3999)],
+        [
+            (1.0, 800.0, 0.0, 0, 58_439),
+            (-1.0, -1.5, 0.5, 10, 7997),
+            (1.0, 2.0, 0.0, 0, 3999),
+            (-1.0, -1.95, 0.0, 0, 10_371),
+        ],
     )
     def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, lam, nu, gamma, n, largest):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
@@ -340,6 +361,12 @@ class TestSweepCount:
     def test_benchmark_states_within_12_sweeps(self, kernel_sizes, name, lam, nu, gamma, n):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert len(kernel_sizes) <= 12
+
+    def test_steep_wall_sizes_its_grid_once(self, kernel_sizes):
+        # nu = 1000 searches on one grid of 35,305 points, then polishes on
+        # 36,090 and refines on 72,179
+        shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
+        assert len(kernel_sizes) <= 8 and len(set(kernel_sizes)) <= 3
 
 
 # (lam, nu, gamma) for the miss-distance checks
