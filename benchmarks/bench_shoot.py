@@ -18,8 +18,9 @@ which grows its grid past the starting 2000 points.  For each state it
 records:
 
 - seconds: the best of REPEAT solves;
-- sweeps and points: Numerov kernel calls and the grid points they swept
-  (the kernels' 7th positional argument, as perfbench's tracer counts it);
+- sweeps and points: calls of the Numerov kernel numerov_match, the only
+  one a solve uses, and the grid points they swept (its 7th positional
+  argument, as perfbench's tracer counts it);
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
 
 --perfbench-record folds in the per-solve counters of a traced perfbench
@@ -66,19 +67,16 @@ TRACE_METRICS = (
 
 
 def _counting(kernels, work: list[int]):
-    """Wrap both Numerov kernels so that each call adds (1, grid size) to work."""
-    originals = kernels.numerov_count, kernels.numerov_match
+    """Wrap the Numerov kernel so that each call adds (1, grid size) to work."""
+    original = kernels.numerov_match
 
-    def wrap(fn):
-        def counted(*args):
-            work[0] += 1
-            work[1] += args[6]
-            return fn(*args)
+    def counted(*args):
+        work[0] += 1
+        work[1] += args[6]
+        return original(*args)
 
-        return counted
-
-    kernels.numerov_count, kernels.numerov_match = (wrap(fn) for fn in originals)
-    return originals
+    kernels.numerov_match = counted
+    return original
 
 
 def measure() -> dict:
@@ -91,11 +89,11 @@ def measure() -> dict:
     for name, lam, nu, gamma, n in STATES:
         pot = PowerLaw(lam, nu)
         work = [0, 0]
-        originals = _counting(_kernels, work)
+        original = _counting(_kernels, work)
         try:
             energy = oracles.shoot_eigenvalue(pot, gamma, n)
         finally:
-            _kernels.numerov_count, _kernels.numerov_match = originals
+            _kernels.numerov_match = original
         best = None
         for _ in range(REPEAT):
             start = time.perf_counter()

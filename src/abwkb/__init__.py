@@ -10,7 +10,6 @@ from .action import (
     QuantizationSetup,
     action_integral_closed,
     action_integral_numeric,
-    quantization_constant,
     quantize_energy,
     turning_point,
 )
@@ -28,7 +27,6 @@ from .closed_form import (
 from .errors import ConvergenceError
 from .model import (
     InfiniteWell,
-    MaslovConstant,
     PotentialSpec,
     PowerLaw,
     UnitScale,
@@ -46,7 +44,6 @@ __all__ = [
     "ConvergenceError",
     "EnergyLevel",
     "InfiniteWell",
-    "MaslovConstant",
     "PotentialSpec",
     "PowerLaw",
     "QuantizationSetup",
@@ -62,7 +59,6 @@ __all__ = [
     "closed_form_energy",
     "duality_map",
     "effective_gamma",
-    "quantization_constant",
     "quantize_energy",
     "shoot_eigenvalue",
     "spectral_derivative",

@@ -21,11 +21,11 @@ which action_integral_closed evaluates for the paper's check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels, closed_form
 from .errors import ConvergenceError
-from .model import InfiniteWell, MaslovConstant, PotentialSpec, PowerLaw
+from .model import InfiniteWell, PotentialSpec
 from .special_functions import gamma_ratio
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "turning_point",
     "action_integral_numeric",
     "action_integral_closed",
-    "quantization_constant",
     "quantize_energy",
 ]
 
@@ -110,40 +109,24 @@ def action_integral_closed(E: float, potential: PotentialSpec) -> float:
     return rc * math.sqrt(abs(E)) * p * 0.5 * math.sqrt(math.pi) * gamma_ratio(1.0 + inv_q, 1.5 + inv_q)
 
 
-def quantization_constant(
-    potential: PotentialSpec, gamma: float, maslov: MaslovConstant | None = None
-) -> float:
-    """Additive constant c in the condition action = (n + c) pi.
-
-    With maslov=None c is the closed form's slope * g + offset: the
-    exponent-dependent constant for nu < 0, g/2 + 3/4 for nu > 0 and
-    g/2 + 1 for the well.  An explicit MaslovConstant m replaces the
-    boundary part: c = g/2 + m (positive powers and well only; the
-    negative-power constant has no such split).
-    """
-    c = closed_form.level_coefficients(potential)
-    if maslov is None:
-        return c.slope * gamma + c.offset
-    if isinstance(potential, PowerLaw) and potential.nu < 0.0:
-        raise ValueError("explicit Maslov override applies to nu > 0 or the well")
-    return c.slope * gamma + maslov.value
-
-
 @dataclass(frozen=True)
 class QuantizationSetup:
     """Everything needed to solve the quantization condition for a level."""
 
     potential: PotentialSpec
     gamma: float
-    maslov: MaslovConstant | None = None
-    constant: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        object.__setattr__(
-            self, "constant", quantization_constant(self.potential, self.gamma, self.maslov)
-        )
+
+    @property
+    def constant(self) -> float:
+        """Additive constant c in the condition action = (n + c) pi: the
+        closed form's slope * g + offset, so (2g + nu + 3)/(2 nu + 4) for
+        nu < 0, g/2 + 3/4 for nu > 0 and g/2 + 1 for the well."""
+        c = closed_form.level_coefficients(self.potential)
+        return c.slope * self.gamma + c.offset
 
 
 def quantize_energy(setup: QuantizationSetup, n: int) -> float:

@@ -22,18 +22,12 @@ from . import action as action_mod
 from . import analysis, closed_form, oracles, svg
 from .closed_form import SpectrumTable, spectrum_table
 from .errors import ConvergenceError
-from .model import UNIT_PRESETS, InfiniteWell, MaslovConstant, PowerLaw, UnitScale, unit_scale
+from .model import UNIT_PRESETS, InfiniteWell, PowerLaw, UnitScale, unit_scale
 
 __all__ = ["main", "build_parser", "table_to_csv", "table_to_json", "table_from_json"]
 
 CSV_HEADER = "nu,lambda,mu0,n,q,k,gamma,energy,unit"
 WELL_CSV_COLUMNS = "gamma,n,E_exact,E_semiclassical,diff"
-
-_MASLOV_NAMES = {
-    "smooth-smooth": MaslovConstant.SMOOTH_SMOOTH,
-    "wall-smooth": MaslovConstant.WALL_SMOOTH,
-    "wall-wall": MaslovConstant.WALL_WALL,
-}
 
 
 def fmt12(x: float) -> str:
@@ -291,11 +285,7 @@ def _cmd_verify_action(args) -> int:
 
 def _cmd_quantize(args) -> int:
     potential = _potential_from_args(args)
-    setup = action_mod.QuantizationSetup(
-        potential,
-        args.gamma,
-        maslov=_MASLOV_NAMES[args.maslov] if args.maslov else None,
-    )
+    setup = action_mod.QuantizationSetup(potential, args.gamma)
     energy = action_mod.quantize_energy(setup, args.n)
     if isinstance(potential, InfiniteWell):
         shape = {"nu": "inf", "radius": round12(potential.a)}
@@ -414,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_potential(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--maslov", choices=sorted(_MASLOV_NAMES))
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_quantize)
 

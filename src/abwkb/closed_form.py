@@ -138,7 +138,8 @@ def spectrum_table(
     """Closed-form levels for every (n, q, k) in the requested ranges.
 
     Rows are emitted in lexicographic (n, q, k) order.  Each level is the
-    scalar closed_form_energy(potential, n, gamma) times the unit factor.
+    scalar closed_form_energy(potential, n, gamma) times the unit factor;
+    raises ValueError when a displayed level is not finite.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
@@ -154,4 +155,9 @@ def spectrum_table(
         for n in range(n_max + 1)
         for q, k, g in qk_gammas
     )
+    # |E| is monotone in n + slope * g, so the displayed levels peak at one of the grid's corners
+    gammas = [g for _, _, g in qk_gammas]
+    for r in (rows[gammas.index(min(gammas))], rows[n_max * len(gammas) + gammas.index(max(gammas))]):
+        if not math.isfinite(r.energy):
+            raise ValueError(f"level n={r.n}, gamma={r.gamma} is not finite: E = {r.energy}")
     return SpectrumTable(potential, mu0, unit, rows)

@@ -1,4 +1,4 @@
-"""Domain types: potentials, flux quantum numbers, matching constants, units.
+"""Domain types: potentials, flux quantum numbers, units.
 
 Reduced units are used throughout the numeric core: hbar = 1 and 2m = 1,
 so the radial equation reads u'' + (E - V(r) - gamma(gamma+1)/r^2) u = 0.
@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
     "PowerLaw",
     "InfiniteWell",
     "PotentialSpec",
-    "MaslovConstant",
     "UnitScale",
     "effective_gamma",
     "duality_map",
@@ -80,18 +78,6 @@ def effective_gamma(q: int, k: int, mu0: float) -> float:
     return q + abs(k + mu0)
 
 
-class MaslovConstant(Enum):
-    """Additive matching constant of the quantization condition.
-
-    1/2 for two smooth turning points, 3/4 with one hard wall, 1 for the
-    infinitely deep square well (two walls).
-    """
-
-    SMOOTH_SMOOTH = 0.5
-    WALL_SMOOTH = 0.75
-    WALL_WALL = 1.0
-
-
 def duality_map(nu: float, E: float, lam: float, gamma: float) -> tuple[float, float, float, float]:
     """Map a positive-power problem (nu > 0) onto its negative-power dual.
 
@@ -121,8 +107,8 @@ class UnitScale:
     factor: float
 
     def __post_init__(self):
-        if not self.factor > 0.0:
-            raise ValueError(f"unit factor must be positive, got {self.factor}")
+        if not 0.0 < self.factor < math.inf:
+            raise ValueError(f"unit factor must be positive and finite, got {self.factor}")
 
 
 def unit_scale(preset: str, potential: PotentialSpec | None = None) -> UnitScale:

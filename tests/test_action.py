@@ -13,13 +13,11 @@ import pytest
 from abwkb import (
     ConvergenceError,
     InfiniteWell,
-    MaslovConstant,
     PowerLaw,
     QuantizationSetup,
     action_integral_closed,
     action_integral_numeric,
     closed_form_energy,
-    quantization_constant,
     quantize_energy,
     turning_point,
 )
@@ -160,17 +158,11 @@ class TestClosedAction:
 
 class TestQuantizationConstant:
     def test_paper_defaults(self):
-        assert quantization_constant(PowerLaw(-1.0, -1.0), 0.0) == pytest.approx(1.0)
-        assert quantization_constant(PowerLaw(-1.0, -1.0), 1.5) == pytest.approx(2.5)
-        assert quantization_constant(PowerLaw(1.0, 2.0), 0.0) == pytest.approx(0.75)
-        assert quantization_constant(PowerLaw(1.0, 7.0), 3.0) == pytest.approx(1.5 + 0.75)
-        assert quantization_constant(InfiniteWell(1.0), 2.5) == pytest.approx(2.25)
-
-    def test_explicit_maslov(self):
-        c = quantization_constant(InfiniteWell(1.0), 2.5, MaslovConstant.WALL_SMOOTH)
-        assert c == pytest.approx(1.25 + 0.75)
-        with pytest.raises(ValueError):
-            quantization_constant(PowerLaw(-1.0, -1.0), 0.0, MaslovConstant.WALL_WALL)
+        assert QuantizationSetup(PowerLaw(-1.0, -1.0), 0.0).constant == pytest.approx(1.0)
+        assert QuantizationSetup(PowerLaw(-1.0, -1.0), 1.5).constant == pytest.approx(2.5)
+        assert QuantizationSetup(PowerLaw(1.0, 2.0), 0.0).constant == pytest.approx(0.75)
+        assert QuantizationSetup(PowerLaw(1.0, 7.0), 3.0).constant == pytest.approx(1.5 + 0.75)
+        assert QuantizationSetup(InfiniteWell(1.0), 2.5).constant == pytest.approx(2.25)
 
 
 class TestQuantizeEnergy:
@@ -204,11 +196,6 @@ class TestQuantizeEnergy:
                 for n in (0, 1, 3):
                     expected = ((n + 0.5 * gamma + 1.0) * math.pi / a) ** 2
                     assert quantize_energy(setup, n) == pytest.approx(expected, rel=1e-9)
-
-    def test_well_with_explicit_maslov(self):
-        # overriding the wall-wall constant recovers the unadjusted 3/4 rule
-        setup = QuantizationSetup(InfiniteWell(1.0), 0.0, maslov=MaslovConstant.WALL_SMOOTH)
-        assert quantize_energy(setup, 0) == pytest.approx((0.75 * math.pi) ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.5), PowerLaw(1.0, 3.0), InfiniteWell(1.5)])
     def test_one_quadrature_per_level(self, pot, monkeypatch):

@@ -261,6 +261,25 @@ class TestTendency:
         assert out == ""
         assert "level n=0, gamma=" in err and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the fig2a factor 4/lam**2 is inf
+            ["--nu", "50", "--lambda", "1e-154", "--n-max", "1"],
+            # a finite factor times a finite level overflows
+            ["--nu", "1e6", "--lambda", "2e-154", "--mu0", "1e10", "--n-max", "0"],
+        ],
+        ids=["factor", "product"],
+    )
+    def test_overflowing_display_unit_exits_2(self, capsys, argv):
+        for command in ("spectrum", "tendency"):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(
+                    capsys, command, *argv, "--units", "fig2a", "--q-max", "0", "--k", "0", "--format", fmt
+                )
+                assert (code, out) == (2, ""), (command, fmt)
+                assert "finite" in err
+
     def test_flux_at_the_kink_is_accepted(self, capsys):
         # the exact report needs no kmu derivative at the point k + mu0 = 0
         code, out, err = run_cli(

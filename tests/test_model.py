@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from abwkb import (
     InfiniteWell,
-    MaslovConstant,
     PowerLaw,
     duality_map,
     effective_gamma,
@@ -120,13 +119,6 @@ class TestDuality:
         assert back == pytest.approx(nu, rel=1e-12)
 
 
-class TestMaslov:
-    def test_values(self):
-        assert MaslovConstant.SMOOTH_SMOOTH.value == 0.5
-        assert MaslovConstant.WALL_SMOOTH.value == 0.75
-        assert MaslovConstant.WALL_WALL.value == 1.0
-
-
 class TestUnitScale:
     def test_reduced(self):
         assert unit_scale("reduced").factor == 1.0
@@ -159,3 +151,8 @@ class TestUnitScale:
             unit_scale("fig2d", PowerLaw(1.0, 2.0))
         with pytest.raises(ValueError):
             unit_scale("fig2a", None)
+
+    def test_overflowing_factor_is_rejected(self):
+        # 4/lam**2 is inf for lam = 1e-154
+        with pytest.raises(ValueError, match="positive and finite"):
+            unit_scale("fig2a", PowerLaw(1e-154, 50.0))

@@ -71,6 +71,13 @@ _J_REFERENCE = [
     (0.5, 30.0, -0.1439296533703999),  # asymptotic branch
     (3.0, 50.0, 0.09273480406163444),  # asymptotic branch
     (11.0, 79.0, 0.038439869066453206),  # asymptotic branch
+    # Miller at high order: x near the order, where the ascending series
+    # cancels, and order * ln(x/2) past ~680, where (x/2)**order overflows
+    (99.5, 99.16, 0.09008957428975318),
+    (75.0, 74.58, 0.09648650569632129),
+    (50.5, 49.75, 0.09895704402815962),
+    (90.0, 3889.0, -0.01278799897949220),
+    (95.0, 3500.0, -0.009387542736562911),
 ]
 
 
