@@ -142,22 +142,12 @@ def _potential_from_args(args) -> PowerLaw | InfiniteWell:
     return PowerLaw(args.lam, args.nu)
 
 
-def _unit_from_args(args, potential) -> UnitScale:
-    preset = getattr(args, "units", None) or "reduced"
-    return unit_scale(preset, potential)
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_svg(markup: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(markup)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +171,7 @@ def _levels_svg(table: SpectrumTable, title: str, key, label: str) -> str:
 
 def _cmd_spectrum(args) -> int:
     potential = _potential_from_args(args)
-    unit = _unit_from_args(args, potential)
+    unit = unit_scale(args.units or "reduced", potential)
     k = args.k or 0
     k_range = args.k_range or (k, k)
     table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, k_range, unit)
@@ -189,7 +179,7 @@ def _cmd_spectrum(args) -> int:
     _write_output(text, args.out)
     if args.svg:
         title = f"levels, mu0={fmt12(table.mu0)}"
-        _write_svg(_levels_svg(table, title, lambda r: (r.q, r.k), "q={},k={}"), args.svg)
+        _write_output(_levels_svg(table, title, lambda r: (r.q, r.k), "q={},k={}"), args.svg)
     return 0
 
 
@@ -226,7 +216,7 @@ def _cmd_compare_well(args) -> int:
         left.series.append(svg.Series("semiclassical", ns, semi))
         right = svg.Panel("semiclassical - exact", "n", "difference")
         right.series.append(svg.Series("", ns, diffs))
-        _write_svg(svg.render_svg([left, right]), args.svg)
+        _write_output(svg.render_svg([left, right]), args.svg)
     return 0
 
 
@@ -258,7 +248,7 @@ def _cmd_tendency(args) -> int:
         sys.stderr.write(json.dumps(report_obj) + "\n")
     if args.svg:
         title = f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}"
-        _write_svg(_levels_svg(table, title, lambda r: (r.q,), "q={}"), args.svg)
+        _write_output(_levels_svg(table, title, lambda r: (r.q,), "q={}"), args.svg)
     return 0
 
 

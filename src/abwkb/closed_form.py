@@ -75,18 +75,16 @@ class LevelCoefficients:
 
 
 def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
+    try:
+        scale = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam)
+    except OverflowError:
+        raise ValueError(f"energy scale |lam|**(2/(nu+2)) overflows at lam={lam}, nu={nu}") from None
     if lam < 0.0 and -2.0 < nu < 0.0:
         factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_ratio(1.0 - 1.0 / nu, -1.0 / nu - 0.5)
-        return LevelCoefficients(
-            -abs(lam) ** (2.0 / (nu + 2.0)),
-            factor,
-            1.0 / (nu + 2.0),
-            (nu + 3.0) / (2.0 * nu + 4.0),
-            2.0 * nu / (nu + 2.0),
-        )
+        return LevelCoefficients(scale, factor, 1.0 / (nu + 2.0), (nu + 3.0) / (2.0 * nu + 4.0), 2.0 * nu / (nu + 2.0))
     if lam > 0.0 and nu > 0.0:
         factor = 2.0 * nu * math.sqrt(math.pi) * gamma_ratio(1.0 / nu + 1.5, 1.0 / nu)
-        return LevelCoefficients(lam ** (2.0 / (nu + 2.0)), factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
+        return LevelCoefficients(scale, factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
     raise ValueError(f"need lam < 0, -2 < nu < 0 or lam, nu > 0; got {lam}, {nu}")
 
 

@@ -55,16 +55,18 @@ _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 
 
 def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
-    """Log grid (x0, h, points, im, scale, step) for energies in [lo, hi]
-    around E.
+    """Log grid (x0, h, N, im, scale) for energies in [lo, hi] around E.
 
     x_i = x0 + i h covers the inner edge of the larger |E| and the outer
     edge of hi, whose turning point is the outermost and whose tail
-    decays slowest.  im sits where g peaks for E, inside the classically
+    decays slowest.  N is the least point count, and at least points, on
+    which h**2 |g| / 12 stays within _MAX_STEP_PARAM for either end
+    energy: neither the extent nor the largest |g| depends on N.  A grid
+    whose 2N - 1 point refinement would pass _MAX_POINTS raises
+    ConvergenceError.  im sits where g peaks for E, inside the classically
     allowed region if E has one, and scale is sqrt(g) there (at least
     gamma + 1/2): the local wavenumber, with which the Prufer angle of
-    _miss advances evenly.  step is the largest h**2 |g| / 12 on the
-    grid, for either end energy.
+    _miss advances evenly.
     """
     c = (gamma + 0.5) ** 2
     nu2 = nu + 2.0
@@ -95,12 +97,18 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
             break
     else:
         raise ConvergenceError(f"no outer grid edge within {_MAX_EDGE_STEPS} steps of E={hi!r}")
+    g_max = max(c, g_allowed, kappa2(lo, x))
+    points = max(points, 1 + math.ceil((x - x0) * math.sqrt(g_max / (12.0 * _MAX_STEP_PARAM))))
+    if 2 * points - 1 > _MAX_POINTS:
+        raise ConvergenceError(
+            f"grid step too coarse: h^2 |g| / 12 <= {_MAX_STEP_PARAM} needs {points} points, "
+            f"whose {2 * points - 1} point refinement passes the cap {_MAX_POINTS}"
+        )
     h = (x - x0) / (points - 1)
     xm = math.log(2.0 * E / (nu2 * lam)) / nu
     im = max(2, min(points - 4, int(round((xm - x0) / h))))
     scale = math.sqrt(max(-kappa2(E, x0 + im * h), c))
-    g_max = max(c, g_allowed, kappa2(lo, x))
-    return x0, h, points, im, scale, h * h * g_max / 12.0
+    return x0, h, points, im, scale
 
 
 def _miss(E: float, lam: float, nu: float, gamma: float, grid) -> tuple[float, int]:
@@ -134,11 +142,11 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     refinement of that grid within _REFINE_REL_TOL of its N-point level.
 
     N starts at _START_POINTS and grows only where a check measures that
-    it must: a step h**2 |g| / 12 above _MAX_STEP_PARAM on the grid for
-    any window rescales N to meet the bound (h**2 scales as 1/(N - 1)**2
-    on a grid of fixed extent), and an N-point level further than
-    _REFINE_REL_TOL from its 2N - 1 point level moves the polish to the
-    2N - 1 point grid, which is then checked against its own refinement.
+    it must: _grid gives any window the points that keep h**2 |g| / 12
+    within _MAX_STEP_PARAM, no window gets fewer than the one before it,
+    and an N-point level further than _REFINE_REL_TOL from its 2N - 1
+    point level moves the polish to the 2N - 1 point grid, which is then
+    checked against its own refinement.
     A grid that would pass _MAX_POINTS, a polish that leaves its window,
     a matched solution without n nodes, or more than _MAX_SWEEPS sweeps
     raise ConvergenceError.
@@ -160,19 +168,11 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         return sign * math.exp(sign * y)
 
     def grid_for(y, half):
-        """The grid for the window y -+ half, on more points while too coarse."""
+        """The grid for the window y -+ half, on no fewer points than the last."""
         nonlocal points
-        while True:
-            *grid, step = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, points)
-            if step <= _MAX_STEP_PARAM:
-                return grid
-            needed = max(points + 1, 1 + math.ceil((points - 1) * math.sqrt(step / _MAX_STEP_PARAM)))
-            if 2 * needed - 1 > _MAX_POINTS:
-                raise ConvergenceError(
-                    f"grid step too coarse: h^2 |g| / 12 = {step:.3g} on {points} points; "
-                    f"{needed} points, with a {2 * needed - 1} point refinement, pass the cap {_MAX_POINTS}"
-                )
-            points = needed
+        grid = _grid(energy(y), *sorted((energy(y - half), energy(y + half))), lam, nu, gamma, points)
+        points = grid[2]
+        return grid
 
     def miss(grid):
         def residual(y):
@@ -187,11 +187,11 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
 
     # the closed-form level E = scale (factor x)**power, x = n + slope g +
     # offset, has phase pi x, so dF/dy ~ pi x / |power|
+    coefficients = closed_form.level_coefficients(potential)
     try:
-        coefficients = closed_form.level_coefficients(potential)
         E, index = coefficients.energy(n, gamma), coefficients.level_index(n, gamma)
     except ValueError:
-        E, index = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam), n + 1.0
+        E, index = coefficients.scale, n + 1.0
     y, slope = sign * math.log(abs(E)), math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
 
     # 1. search on grids for windows y -+ width; a step out of the window

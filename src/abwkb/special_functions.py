@@ -169,7 +169,8 @@ def bessel_j_zeros(order: float, count: int) -> list[float]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _check_order_x(order, 1.0)
+    if not 0.0 <= order <= _MAX_ORDER - 1.0:  # the Newton polish evaluates J_{order+1}
+        raise ValueError(f"Bessel zeros need 0 <= order <= {_MAX_ORDER - 1.0:g}, got {order}")
     zeros: list[float] = []
     x = max(1e-3, math.sqrt(order * (order + 2.0)))
     f_prev = bessel_j(order, x)

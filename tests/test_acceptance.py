@@ -6,9 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the checklist.
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
+import abwkb
 from abwkb import (
     InfiniteWell,
     PowerLaw,
@@ -245,6 +248,10 @@ def test_criterion_10_special_function_floor():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
+    # the child processes import the same abwkb as this one, installed or not
+    src = str(pathlib.Path(abwkb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
     def run(tag: str):
         svg = tmp_path / f"{tag}.svg"
         csv = subprocess.run(
@@ -256,6 +263,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             ],
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
         js = subprocess.run(
             [
@@ -265,6 +273,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             ],
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
         return csv, js, svg.read_bytes()
 

@@ -397,6 +397,34 @@ class TestJsonCommands:
         zs = json.loads(out)["zeros"]
         assert zs == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("zeros", "--order", "99.5", "--count", "1"), "order <= 99, got 99.5"),
+            (("compare-well", "--gamma", "99.2", "--n-max", "0"), "order <= 99, got 99.7"),
+        ],
+        ids=["zeros", "compare-well"],
+    )
+    def test_bessel_order_past_the_zeros_limit_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--n-max", "0", "--q-max", "0"),
+            ("tendency", "--n-max", "0", "--q-max", "0"),
+            ("quantize", "--gamma", "0", "--n", "0"),
+            ("shoot", "--gamma", "0", "--n", "0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflowing_energy_scale_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--nu", "-1.99", "--lambda", "-1e10")
+        assert (code, out) == (2, "")
+        assert "overflows at lam=-10000000000.0, nu=-1.99" in err
+
 
 @pytest.mark.parametrize(
     "argv,flag,value",

@@ -208,6 +208,11 @@ class TestUnderflow:
         with pytest.raises(ValueError, match="not finite"):
             closed_form_energy(pot, 0, gamma)
 
+    def test_overflowing_energy_scale_is_named(self):
+        # |lam|**(2/(nu+2)) = 1e10**200 has no float value
+        with pytest.raises(ValueError, match=r"overflows at lam=-10000000000\.0, nu=-1\.99"):
+            closed_form_energy(PowerLaw(-1e10, -1.99), 0, 0.0)
+
 
 class TestSmallExponents:
     @pytest.mark.parametrize("nu", [-1e-3, -1e-5, 1e-5, 1e-3])

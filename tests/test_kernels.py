@@ -65,7 +65,7 @@ def _seeded_state(seed):
         lam, nu = math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.2, 40.0)
     gamma = rng.choice([0.0, rng.uniform(0.0, 20.0)])
     E = closed_form.closed_form_energy(PowerLaw(lam, nu), rng.randrange(5), gamma) * rng.uniform(0.8, 1.25)
-    x0, h, n, im, scale, _ = oracles._grid(E, *sorted((0.9 * E, E / 0.9)), lam, nu, gamma, 2000)
+    x0, h, n, im, scale = oracles._grid(E, *sorted((0.9 * E, E / 0.9)), lam, nu, gamma, 2000)
     return E, lam, nu, gamma, x0, h, n, im, scale
 
 

@@ -10,6 +10,7 @@ below from its Maclaurin series.
 import importlib.util
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -273,6 +274,11 @@ class TestLogGridOracle:
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert got == pytest.approx(level, rel=1e-7)
 
+    def test_overflowing_energy_scale_raises_value_error(self):
+        # the closed-form record has no finite scale, so there is no seed
+        with pytest.raises(ValueError, match=r"overflows at lam=-10000000000\.0, nu=-1\.99"):
+            shoot_eigenvalue(PowerLaw(-1e10, -1.99), 0.0, 0)
+
     @pytest.mark.parametrize("nu", [-1.99])
     def test_out_of_reach_exponents_raise(self, nu):
         # at gamma = 4 the closed-form seed is too far off: the sweep
@@ -368,6 +374,74 @@ class TestSweepCount:
         shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
         assert len(kernel_sizes) <= 8 and len(set(kernel_sizes)) <= 3
 
+    def test_one_grid_per_window(self, monkeypatch):
+        # one search window and one polish window, each sized by the grid
+        # builder itself; the refinement is a nested grid, not a new one
+        calls = []
+        monkeypatch.setattr(oracles, "_grid", lambda *a, grid=_grid: calls.append(a) or grid(*a))
+        shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
+        assert len(calls) == 2
+
+
+def _step_parameter(grid, lam, nu, gamma, E, points=None):
+    """max h**2 |g(x_i)| / 12 over the points x_i of grid, or of the grid of
+    the same extent on `points` points, for phi'' = g phi with
+    g = r**2 (lam r**nu - E) + (gamma + 1/2)**2 and r = e**x."""
+    x0, h, count, _, _ = grid
+    points = points or count
+    h = h * (count - 1) / (points - 1)
+    r = np.exp(x0 + h * np.arange(points))
+    g = r**2 * (lam * r**nu - E) + (gamma + 0.5) ** 2
+    return h * h * float(np.abs(g).max()) / 12.0
+
+
+def _seeded_windows(count):
+    """(lam, nu, gamma, E, lo, hi): a closed-form level and a search or
+    polish window around it, tail or confined."""
+    rng = random.Random(18)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            lam, nu = -rng.uniform(0.5, 2.0), rng.uniform(-1.9, -0.02)
+        else:
+            lam, nu = rng.uniform(0.5, 2.0), rng.uniform(0.02, 60.0)
+        gamma, n = rng.uniform(0.0, 4.0), rng.randrange(7)
+        ratio = rng.choice([2.0 ** min(1.0, abs(nu)), math.exp(_POLISH_WIDTH)])
+        E = closed_form_energy(PowerLaw(lam, nu), n, gamma)
+        yield (lam, nu, gamma, E, *sorted((E / ratio, E * ratio)))
+
+
+STEEP_WINDOWS = [
+    pytest.param(lam, nu, gamma, closed_form_energy(PowerLaw(lam, nu), 0, gamma), ratio, id=f"{nu:g}-g{gamma:g}-{name}")
+    for lam, nu in ((1.0, 1000.0), (-1.0, -1.95))
+    for gamma in (0.0, 4.0)
+    for name, ratio in (("search", 2.0), ("polish", math.exp(_POLISH_WIDTH)))
+]
+
+
+class TestGridStepBound:
+    # every grid _grid returns keeps h**2 |g| / 12 within the bound at its
+    # points for both ends of its window, and any grid that grew past the
+    # points asked for would break it on one point fewer
+
+    @staticmethod
+    def check(lam, nu, gamma, E, lo, hi):
+        grid = _grid(E, lo, hi, lam, nu, gamma, 2000)
+        points = grid[2]
+        assert points >= 2000
+        assert max(_step_parameter(grid, lam, nu, gamma, e) for e in (lo, hi)) <= _MAX_STEP_PARAM
+        if points > 2000:
+            assert max(_step_parameter(grid, lam, nu, gamma, e, points - 1) for e in (lo, hi)) > _MAX_STEP_PARAM
+        return points
+
+    def test_seeded_windows(self):
+        sizes = [self.check(*window) for window in _seeded_windows(400)]
+        assert sum(n > 2000 for n in sizes) >= 10
+
+    @pytest.mark.parametrize("lam,nu,gamma,E,ratio", STEEP_WINDOWS)
+    def test_steep_wall_and_floor_windows(self, lam, nu, gamma, E, ratio):
+        # on 2000 points nu = 1000 had a step parameter of 131
+        assert self.check(lam, nu, gamma, E, *sorted((E / ratio, E * ratio))) > 2000
+
 
 # (lam, nu, gamma) for the miss-distance checks
 MISS_POTENTIALS = [
@@ -385,8 +459,7 @@ class TestPruferMissDistance:
         pot = PowerLaw(lam, nu)
         e0, e4 = (shoot_eigenvalue(pot, gamma, n) for n in (0, 4))
         lo, hi = e0 - 0.2 * abs(e0), e4 + 0.1 * abs(e4)
-        *grid, step = _grid(0.5 * (e0 + e4), lo, hi, lam, nu, gamma, 4000)
-        assert step <= _MAX_STEP_PARAM
+        grid = _grid(0.5 * (e0 + e4), lo, hi, lam, nu, gamma, 4000)
         count = 120
         phases = [_miss(lo * (hi / lo) ** (k / (count - 1)), lam, nu, gamma, grid)[0] for k in range(count)]
         assert all(b > a for a, b in zip(phases, phases[1:]))
@@ -405,7 +478,7 @@ class TestPruferMissDistance:
         # the N-point polish tolerance 0.125 _REFINE_REL_TOL |E| times dF/dE
         E = level(n)
         half = _POLISH_WIDTH * abs(E)
-        *grid, step = _grid(E, E - half, E + half, lam, nu, gamma, 2000)
+        grid = _grid(E, E - half, E + half, lam, nu, gamma, 2000)
         phase, nodes = _miss(E, lam, nu, gamma, grid)
         delta = 1e-6 * abs(E)
         slope = (_miss(E + delta, lam, nu, gamma, grid)[0] - _miss(E - delta, lam, nu, gamma, grid)[0]) / (2.0 * delta)

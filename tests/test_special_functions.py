@@ -161,6 +161,12 @@ class TestBesselZeros:
         with pytest.raises(ValueError):
             bessel_j_zero(1.0, 0)
 
+    def test_order_limit_leaves_room_for_the_derivative(self):
+        # the Newton polish evaluates J_{order+1}, so zeros stop at order 99
+        assert bessel_j_zeros(99.0, 1) == pytest.approx([107.808103297], rel=1e-11)
+        with pytest.raises(ValueError, match=r"order <= 99, got 99\.5"):
+            bessel_j_zeros(99.5, 1)
+
     @given(
         st.floats(min_value=0.0, max_value=8.0),
         st.integers(min_value=1, max_value=12),
