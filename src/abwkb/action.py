@@ -21,6 +21,7 @@ which action_integral_closed evaluates for the paper's check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _kernels, closed_form
@@ -42,7 +43,8 @@ _REL_TOL = 1e-12  # stop once two consecutive mesh levels agree to this
 
 
 def turning_point(E: float, potential: PotentialSpec) -> float:
-    """Classical turning point rc with V(rc) = E (well: always the radius)."""
+    """Classical turning point rc with V(rc) = E (well: always the radius);
+    ValueError where rc is not a normal float."""
     if not math.isfinite(E):
         raise ValueError(f"energy must be finite, got E={E}")
     if isinstance(potential, InfiniteWell):
@@ -55,9 +57,20 @@ def turning_point(E: float, potential: PotentialSpec) -> float:
     if lam > 0.0 and not E > 0.0:
         raise ValueError(f"bound energies for lam > 0 are positive, got E={E}")
     try:
-        return (E / lam) ** (1.0 / nu)
-    except OverflowError:
-        raise ValueError(f"turning point (E/lam)**(1/nu) overflows at E={E}, lam={lam}, nu={nu}") from None
+        rc = (E / lam) ** (1.0 / nu)
+    except (OverflowError, ZeroDivisionError):  # E/lam = 0 under a negative power is the limit inf
+        rc = math.inf
+    if not sys.float_info.min <= rc < math.inf:
+        what = "overflows" if rc > 1.0 else "underflows"
+        raise ValueError(f"turning point (E/lam)**(1/nu) {what} at E={E}, lam={lam}, nu={nu}")
+    return rc
+
+
+def _normal_action(S: float, E: float, potential: PotentialSpec) -> float:
+    """S, the action at E, where it is a normal float; ValueError otherwise."""
+    if not sys.float_info.min <= S < math.inf:
+        raise ValueError(f"action at E={E} {'overflows' if S > 1.0 else 'underflows'} for {potential}")
+    return S
 
 
 def action_integral_numeric(E: float, potential: PotentialSpec) -> float:
@@ -67,7 +80,8 @@ def action_integral_numeric(E: float, potential: PotentialSpec) -> float:
     otherwise), which leaves a bounded integrand with a square-root zero
     at the turning point; the double-exponential nodes absorb that.  The
     mesh is halved until two consecutive levels agree to _REL_TOL; raises
-    ConvergenceError when they still disagree at the finest level.
+    ConvergenceError when they still disagree at the finest level, and
+    ValueError where rc or the action is not a normal float.
     """
     rc = turning_point(E, potential)
     if isinstance(potential, InfiniteWell):
@@ -78,7 +92,7 @@ def action_integral_numeric(E: float, potential: PotentialSpec) -> float:
     for level in range(2, _MAX_LEVEL + 1):
         h = 1.0 / 2**level
         kmax = int(math.ceil(_T_MAX / h))
-        cur = _kernels.action_sum(E, lam, nu, rc, h, kmax)
+        cur = _normal_action(_kernels.action_sum(E, lam, nu, rc, h, kmax), E, potential)
         delta = abs(cur - prev)
         if delta <= _REL_TOL * abs(cur):
             return cur
@@ -106,7 +120,8 @@ def action_integral_closed(E: float, potential: PotentialSpec) -> float:
         p, inv_q = 2.0 / (nu + 2.0), -(nu + 2.0) / (2.0 * nu)
     else:
         p, inv_q = 1.0, 1.0 / nu
-    return rc * math.sqrt(abs(E)) * p * 0.5 * math.sqrt(math.pi) * gamma_ratio(1.0 + inv_q, 1.5 + inv_q)
+    S = rc * math.sqrt(abs(E)) * p * 0.5 * math.sqrt(math.pi) * gamma_ratio(1.0 + inv_q, 1.5 + inv_q)
+    return _normal_action(S, E, potential)
 
 
 @dataclass(frozen=True)

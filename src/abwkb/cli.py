@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from . import action as action_mod
-from . import analysis, closed_form, oracles, svg
+from . import analysis, closed_form, oracles, special_functions, svg
 from .closed_form import SpectrumTable, spectrum_table
 from .errors import ConvergenceError
 from .model import UNIT_PRESETS, InfiniteWell, PowerLaw, UnitScale, unit_scale
@@ -121,12 +121,6 @@ def _dump_json(obj: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_nu(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     if not hi:
@@ -169,21 +163,19 @@ def _levels_svg(table: SpectrumTable, title: str, key, label: str) -> str:
     return svg.render_svg([panel])
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, str | None]:
     potential = _potential_from_args(args)
     unit = unit_scale(args.units or "reduced", potential)
     k = args.k or 0
     k_range = args.k_range or (k, k)
     table = spectrum_table(potential, args.mu0, args.n_max, args.q_max, k_range, unit)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
-    _write_output(text, args.out)
-    if args.svg:
-        title = f"levels, mu0={fmt12(table.mu0)}"
-        _write_output(_levels_svg(table, title, lambda r: (r.q, r.k), "q={},k={}"), args.svg)
-    return 0
+    if not args.svg:
+        return text, None
+    return text, _levels_svg(table, f"levels, mu0={fmt12(table.mu0)}", lambda r: (r.q, r.k), "q={},k={}")
 
 
-def _cmd_compare_well(args) -> int:
+def _cmd_compare_well(args) -> tuple[str, str | None]:
     g, n_max = args.gamma, args.n_max
     if g < 0.0 or n_max < 0:
         raise ValueError("gamma and n-max must be non-negative")
@@ -208,22 +200,21 @@ def _cmd_compare_well(args) -> int:
         for n in range(n_max + 1):
             lines.append(f"{fmt12(g)},{n},{fmt12(exact[n])},{fmt12(semi[n])},{fmt12(diffs[n])}")
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
-    if args.svg:
-        ns = [float(n) for n in range(n_max + 1)]
-        left = svg.Panel("well levels", "n", "E [hbar^2 pi^2/2ma^2]")
-        left.series.append(svg.Series("exact", ns, exact))
-        left.series.append(svg.Series("semiclassical", ns, semi))
-        right = svg.Panel("semiclassical - exact", "n", "difference")
-        right.series.append(svg.Series("", ns, diffs))
-        _write_output(svg.render_svg([left, right]), args.svg)
-    return 0
+    if not args.svg:
+        return text, None
+    ns = [float(n) for n in range(n_max + 1)]
+    left = svg.Panel("well levels", "n", "E [hbar^2 pi^2/2ma^2]")
+    left.series.append(svg.Series("exact", ns, exact))
+    left.series.append(svg.Series("semiclassical", ns, semi))
+    right = svg.Panel("semiclassical - exact", "n", "difference")
+    right.series.append(svg.Series("", ns, diffs))
+    return text, svg.render_svg([left, right])
 
 
 _TENDENCY_DEFAULT_UNITS = {-1.0: "fig2a", 1.0: "fig2b", 2.0: "fig2c", math.inf: "fig2d"}
 
 
-def _cmd_tendency(args) -> int:
+def _cmd_tendency(args) -> tuple[str, str | None]:
     potential = _potential_from_args(args)
     preset = args.units or _TENDENCY_DEFAULT_UNITS.get(args.nu, "reduced")
     unit = unit_scale(preset, potential)
@@ -242,38 +233,32 @@ def _cmd_tendency(args) -> int:
         # dump with every line after the first indented two more spaces
         report_text = json.dumps(report_obj, indent=2).replace("\n", "\n  ")
         table_text = table_to_json(table)[:-1].replace("\n", "\n  ")
-        _write_output(f'{{\n  "report": {report_text},\n  "table": {table_text}\n}}\n', args.out)
+        text = f'{{\n  "report": {report_text},\n  "table": {table_text}\n}}\n'
     else:
-        _write_output(table_to_csv(table), args.out)
+        text = table_to_csv(table)
         sys.stderr.write(json.dumps(report_obj) + "\n")
-    if args.svg:
-        title = f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}"
-        _write_output(_levels_svg(table, title, lambda r: (r.q,), "q={}"), args.svg)
-    return 0
+    if not args.svg:
+        return text, None
+    title = f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}"
+    return text, _levels_svg(table, title, lambda r: (r.q,), "q={}")
 
 
-def _cmd_verify_action(args) -> int:
+def _cmd_verify_action(args) -> dict:
     potential = PowerLaw(args.lam, args.nu)
     numeric = action_mod.action_integral_numeric(args.energy, potential)
     closed = action_mod.action_integral_closed(args.energy, potential)
     rel = abs(numeric - closed) / abs(closed)
-    _write_output(
-        _dump_json(
-            {
-                "nu": round12(args.nu),
-                "lambda": round12(args.lam),
-                "energy": round12(args.energy),
-                "numeric": round12(numeric),
-                "closed": round12(closed),
-                "rel_err": float(f"{rel:.3g}"),
-            }
-        ),
-        args.out,
-    )
-    return 0
+    return {
+        "nu": round12(args.nu),
+        "lambda": round12(args.lam),
+        "energy": round12(args.energy),
+        "numeric": round12(numeric),
+        "closed": round12(closed),
+        "rel_err": float(f"{rel:.3g}"),
+    }
 
 
-def _cmd_quantize(args) -> int:
+def _cmd_quantize(args) -> dict:
     potential = _potential_from_args(args)
     setup = action_mod.QuantizationSetup(potential, args.gamma)
     energy = action_mod.quantize_energy(setup, args.n)
@@ -281,49 +266,29 @@ def _cmd_quantize(args) -> int:
         shape = {"nu": "inf", "radius": round12(potential.a)}
     else:
         shape = {"nu": round12(potential.nu), "lambda": round12(potential.lam)}
-    _write_output(
-        _dump_json(
-            {
-                **shape,
-                "gamma": round12(args.gamma),
-                "n": args.n,
-                "constant": round12(setup.constant),
-                "energy": round12(energy),
-            }
-        ),
-        args.out,
-    )
-    return 0
+    return {
+        **shape,
+        "gamma": round12(args.gamma),
+        "n": args.n,
+        "constant": round12(setup.constant),
+        "energy": round12(energy),
+    }
 
 
-def _cmd_shoot(args) -> int:
+def _cmd_shoot(args) -> dict:
     energy = oracles.shoot_eigenvalue(PowerLaw(args.lam, args.nu), args.gamma, args.n)
-    _write_output(
-        _dump_json(
-            {
-                "nu": round12(args.nu),
-                "lambda": round12(args.lam),
-                "gamma": round12(args.gamma),
-                "n": args.n,
-                "energy": round12(energy),
-            }
-        ),
-        args.out,
-    )
-    return 0
+    return {
+        "nu": round12(args.nu),
+        "lambda": round12(args.lam),
+        "gamma": round12(args.gamma),
+        "n": args.n,
+        "energy": round12(energy),
+    }
 
 
-def _cmd_zeros(args) -> int:
-    from .special_functions import bessel_j_zeros
-
-    zeros = bessel_j_zeros(args.order, args.count)
-    _write_output(
-        _dump_json(
-            {"order": round12(args.order), "count": args.count, "zeros": [round12(z) for z in zeros]}
-        ),
-        args.out,
-    )
-    return 0
+def _cmd_zeros(args) -> dict:
+    zeros = special_functions.bessel_j_zeros(args.order, args.count)
+    return {"order": round12(args.order), "count": args.count, "zeros": [round12(z) for z in zeros]}
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +296,8 @@ def _cmd_zeros(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    if fmt:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _add_potential(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=_parse_nu, required=True, help="exponent; 'inf' selects the well")
+    p.add_argument("--nu", type=float, required=True, help="exponent; 'inf' selects the well")
     p.add_argument("--lambda", dest="lam", type=float, help="coupling (sign must match nu range)")
     p.add_argument("--radius", type=float, default=1.0, help="well radius for --nu inf")
 
@@ -362,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     k_flags.add_argument("--k-range", type=_parse_k_range, metavar="LO..HI")
     p.add_argument("--units", choices=UNIT_PRESETS)
     p.add_argument("--svg", help="also write an SVG plot to this path")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("compare-well", help="exact vs semiclassical well levels")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--svg", help="two-panel SVG (levels, difference)")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_compare_well)
 
     p = sub.add_parser("tendency", help="E(n, q) grid plus a tendency report")
@@ -380,21 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--units", choices=UNIT_PRESETS)
     p.add_argument("--svg")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_tendency)
 
     p = sub.add_parser("verify-action", help="numeric vs closed-form action integral")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--energy", type=float, required=True)
-    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_verify_action)
 
     p = sub.add_parser("quantize", help="energy from the quantization condition")
     _add_potential(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("shoot", help="Numerov shooting eigenvalue")
@@ -402,18 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_shoot)
 
     p = sub.add_parser("zeros", help="positive zeros of J_order")
     p.add_argument("--order", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
-    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_zeros)
 
     # a word after a flag is its value, not an option, where argparse's negative-number pattern
     # matches it; its own takes -0.5 but not -1e-05, this one any -<digit> or -.<digit> word
     for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this path instead of stdout")
         p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
@@ -425,7 +381,13 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        # a table command returns its text and figure, any other one its JSON document
+        text, figure = (_dump_json(result), None) if isinstance(result, dict) else result
+        _write_output(text, args.out)
+        if figure is not None:
+            _write_output(figure, args.svg)
+        return 0
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

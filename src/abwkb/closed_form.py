@@ -67,18 +67,20 @@ class LevelCoefficients:
             e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
         except OverflowError:  # float ** raises where * would give inf
             e = math.copysign(math.inf, self.scale)
-        if not math.isfinite(e):
-            raise ValueError(f"level n={n}, gamma={gamma} is not finite: E = {e}")
-        if not abs(e) >= sys.float_info.min:
-            raise ValueError(f"level n={n}, gamma={gamma} underflows: |E| = {abs(e):.3g}")
-        return e
+        return _normal_level(e, n, gamma)
 
 
-def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
-    try:
-        scale = math.copysign(abs(lam) ** (2.0 / (nu + 2.0)), lam)
-    except OverflowError:
-        raise ValueError(f"energy scale |lam|**(2/(nu+2)) overflows at lam={lam}, nu={nu}") from None
+def _normal_level(e: float, n: float, gamma: float) -> float:
+    """e, the level (n, gamma), where it is a finite normal float; where it
+    is not, it would print as inf, -0 or a subnormal, and ValueError names it."""
+    if not math.isfinite(e):
+        raise ValueError(f"level n={n}, gamma={gamma} is not finite: E = {e}")
+    if not abs(e) >= sys.float_info.min:
+        raise ValueError(f"level n={n}, gamma={gamma} underflows: |E| = {abs(e):.3g}")
+    return e
+
+
+def _power_law_coefficients(lam: float, nu: float, scale: float) -> LevelCoefficients:
     if lam < 0.0 and -2.0 < nu < 0.0:
         factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_ratio(1.0 - 1.0 / nu, -1.0 / nu - 0.5)
         return LevelCoefficients(scale, factor, 1.0 / (nu + 2.0), (nu + 3.0) / (2.0 * nu + 4.0), 2.0 * nu / (nu + 2.0))
@@ -90,10 +92,30 @@ def _power_law_coefficients(lam: float, nu: float) -> LevelCoefficients:
 
 @functools.lru_cache(maxsize=64)
 def level_coefficients(potential: PotentialSpec) -> LevelCoefficients:
-    """The closed-form record of a potential (reduced units), computed once."""
-    if isinstance(potential, InfiniteWell):
-        return LevelCoefficients(math.pi**2 / potential.a**2, 1.0, 0.5, 1.0, 2.0)
-    return _power_law_coefficients(potential.lam, potential.nu)
+    """The closed-form record of a potential (reduced units), computed once.
+
+    Raises ValueError where the energy scale, pi**2/a**2 for the well and
+    |lam|**(2/(nu+2)) otherwise, is not a normal float: every level is
+    that scale times a power of the level index.
+    """
+    well = isinstance(potential, InfiniteWell)
+    try:
+        if well:
+            scale = math.pi**2 / potential.a**2
+        else:
+            scale = math.copysign(abs(potential.lam) ** (2.0 / (potential.nu + 2.0)), potential.lam)
+    except (OverflowError, ZeroDivisionError):  # a**2 or the power left the range
+        scale = math.nan
+    if not sys.float_info.min <= abs(scale) < math.inf:
+        if well:
+            formula, at, grows = "pi**2/a**2", f"a={potential.a}", potential.a < 1.0
+        else:
+            formula, at = "|lam|**(2/(nu+2))", f"lam={potential.lam}, nu={potential.nu}"
+            grows = abs(potential.lam) > 1.0
+        raise ValueError(f"energy scale {formula} {'overflows' if grows else 'underflows'} at {at}")
+    if well:
+        return LevelCoefficients(scale, 1.0, 0.5, 1.0, 2.0)
+    return _power_law_coefficients(potential.lam, potential.nu, scale)
 
 
 def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:

@@ -119,7 +119,16 @@ def unit_scale(preset: str, potential: PotentialSpec | None = None) -> UnitScale
     fig2b        -- (9 pi^2 lam^2 hbar^2 / 8m)^(1/3) for the linear case
     fig2c        -- hbar*omega for the oscillator (lam = m omega^2 / 2)
     fig1, fig2d  -- hbar^2 pi^2 / (2 m a^2) for the well
+
+    A factor outside the double range raises ValueError.
     """
+    try:
+        return _unit_scale(preset, potential)
+    except (OverflowError, ZeroDivisionError):  # lam * lam underflowed to 0, or a**2 overflowed
+        raise ValueError(f"{preset} unit factor is not finite and positive for {potential}") from None
+
+
+def _unit_scale(preset: str, potential: PotentialSpec | None) -> UnitScale:
     if preset == "reduced":
         return UnitScale("reduced", 1.0)
     if preset == "fig2a":

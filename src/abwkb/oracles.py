@@ -147,6 +147,15 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     and an N-point level further than _REFINE_REL_TOL from its 2N - 1
     point level moves the polish to the 2N - 1 point grid, which is then
     checked against its own refinement.
+
+    The levels of lam r**nu are |lam|**(2/(nu+2)) times those of
+    sign(lam) r**nu (r scales by |lam|**(-1/(nu+2))), so the search runs at
+    unit coupling and the level found is multiplied by that scale, the
+    closed form's LevelCoefficients.scale; the energies that a
+    ConvergenceError names are those at unit coupling.  A scale or a level
+    outside the normal double range raises ValueError, as the closed form
+    does.
+
     A grid that would pass _MAX_POINTS, a polish that leaves its window,
     a matched solution without n nodes, or more than _MAX_SWEEPS sweeps
     raise ConvergenceError.
@@ -157,12 +166,14 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    lam, nu = potential.lam, potential.nu
+    level_scale = abs(closed_form.level_coefficients(potential).scale)
+    nu = potential.nu
+    # the search runs at unit coupling lam = sign, in y = sign(E) ln|E|,
+    # which rises with E and in which F is close to linear even across
+    # decades of E
+    lam = sign = math.copysign(1.0, potential.lam)
 
     sweeps, points = 0, _START_POINTS
-    # the search runs in y = sign(E) ln|E|, which rises with E and in which
-    # F is close to linear even across decades of E
-    sign = math.copysign(1.0, lam)
 
     def energy(y):
         return sign * math.exp(sign * y)
@@ -187,7 +198,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
 
     # the closed-form level E = scale (factor x)**power, x = n + slope g +
     # offset, has phase pi x, so dF/dy ~ pi x / |power|
-    coefficients = closed_form.level_coefficients(potential)
+    coefficients = closed_form.level_coefficients(PowerLaw(lam, nu))
     try:
         E, index = coefficients.energy(n, gamma), coefficients.level_index(n, gamma)
     except ValueError:
@@ -227,7 +238,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         grid = fine
     if found != n:
         raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
-    return energy(y2)
+    return closed_form._normal_level(level_scale * energy(y2), n, gamma)
 
 
 def _secant(residual, y, slope, lo, hi, tol, probe=False, measured=False):

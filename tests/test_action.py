@@ -7,6 +7,7 @@ The analytic spot values come from elementary integrals:
 """
 
 import math
+import re
 
 import pytest
 
@@ -54,6 +55,22 @@ class TestTurningPoint:
     def test_non_finite_energy(self, pot, e):
         with pytest.raises(ValueError, match="energy must be finite"):
             turning_point(e, pot)
+
+    @pytest.mark.parametrize(
+        "e,pot,what",
+        [
+            # (1.5e65)**(-843) is 0
+            (-22.03611651852593, PowerLaw(-1.4448136191454214e-64, -0.0011859150628629645), "underflows"),
+            # E/lam = 2.4e-423 is 0, and 0.0 ** (1/nu < 0) raises ZeroDivisionError
+            (-2.7437620081659626e-165, PowerLaw(-1.160724266423313e258, -1.9999614336821794), "overflows"),
+        ],
+        ids=["zero", "zero-ratio"],
+    )
+    def test_out_of_range_turning_point_is_named(self, e, pot, what):
+        at = f"at E={e}, lam={pot.lam}, nu={pot.nu}"
+        for f in (turning_point, action_integral_numeric, action_integral_closed):
+            with pytest.raises(ValueError, match=rf"turning point \(E/lam\)\*\*\(1/nu\) {what} {re.escape(at)}"):
+                f(e, pot)
 
 
 class TestNumericAction:
@@ -154,6 +171,17 @@ class TestClosedAction:
             num = action_integral_numeric(e, pot)
             clo = action_integral_closed(e, pot)
             assert abs(num - clo) <= 1e-14 * abs(clo), e
+
+    @pytest.mark.parametrize(
+        "e,pot,what",
+        # rc = E/lam is normal, rc sqrt(E) is not
+        [(1e-300, PowerLaw(1e-100, 1.0), "underflows"), (1e300, PowerLaw(1e100, 1.0), "overflows")],
+        ids=["underflow", "overflow"],
+    )
+    def test_out_of_range_action_is_named(self, e, pot, what):
+        for f in (action_integral_numeric, action_integral_closed):
+            with pytest.raises(ValueError, match=re.escape(f"action at E={e} {what} for {pot}")):
+                f(e, pot)
 
 
 class TestQuantizationConstant:

@@ -1,7 +1,10 @@
 """CLI contract tests: schemas, exit codes, round trips, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import random
 
 import pytest
 
@@ -424,6 +427,224 @@ class TestJsonCommands:
         code, out, err = run_cli(capsys, *argv, "--nu", "-1.99", "--lambda", "-1e10")
         assert (code, out) == (2, "")
         assert "overflows at lam=-10000000000.0, nu=-1.99" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("shoot", "--nu", "-1.99", "--lambda", "-1e-10", "--gamma", "0", "--n", "0"),
+             "energy scale |lam|**(2/(nu+2)) underflows at lam=-1e-10, nu=-1.99"),
+            (("shoot", "--nu", "-1.5", "--lambda", "-1.4e-77", "--gamma", "0", "--n", "0"),
+             "level n=0, gamma=0.0 underflows"),
+            (("spectrum", "--nu", "-1.99", "--lambda", "-0.025", "--n-max", "0", "--q-max", "0"),
+             "energy scale |lam|**(2/(nu+2)) underflows at lam=-0.025, nu=-1.99"),
+            (("spectrum", "--nu", "inf", "--radius", "1e-170", "--n-max", "0", "--q-max", "0"),
+             "energy scale pi**2/a**2 overflows at a=1e-170"),
+            (("quantize", "--nu", "inf", "--radius", "1e-170", "--gamma", "0", "--n", "0"),
+             "energy scale pi**2/a**2 overflows at a=1e-170"),
+            (("spectrum", "--nu", "inf", "--radius", "1e200", "--n-max", "0", "--q-max", "0"),
+             "energy scale pi**2/a**2 underflows at a=1e+200"),
+            (("quantize", "--nu", "inf", "--radius", "1e200", "--gamma", "0", "--n", "0"),
+             "energy scale pi**2/a**2 underflows at a=1e+200"),
+            (("verify-action", "--nu", "-0.0011859150628629645", "--lambda", "-1.4448136191454214e-64",
+              "--energy", "-22.03611651852593"),
+             "turning point (E/lam)**(1/nu) underflows at E=-22.03611651852593"),
+            (("verify-action", "--nu", "-1.9999614336821794", "--lambda", "-1.160724266423313e+258",
+              "--energy", "-2.7437620081659626e-165"),
+             "turning point (E/lam)**(1/nu) overflows at E=-2.7437620081659626e-165"),
+            (("verify-action", "--nu", "1", "--lambda", "1e-100", "--energy", "1e-300"),
+             "action at E=1e-300 underflows for PowerLaw(lam=1e-100, nu=1.0)"),
+            (("tendency", "--nu", "297.02821539612927", "--lambda", "3.3824148390993665e-230",
+              "--n-max", "2", "--q-max", "0", "--units", "fig2a"),
+             "fig2a unit factor is not finite and positive for PowerLaw(lam=3.3824148390993665e-230"),
+            (("spectrum", "--nu", "inf", "--radius", "1e160", "--n-max", "0", "--q-max", "0", "--units", "fig1"),
+             "fig1 unit factor is not finite and positive for InfiniteWell(a=1e+160)"),
+            # tendency's default unit at nu = inf is fig2d
+            (("tendency", "--nu", "inf", "--radius", "1e160", "--n-max", "0", "--q-max", "0"),
+             "fig2d unit factor is not finite and positive for InfiniteWell(a=1e+160)"),
+        ],
+        ids=[
+            "shoot-zero-scale", "shoot-subnormal-level", "spectrum-subnormal-scale",
+            "spectrum-well-zero-a2", "quantize-well-zero-a2", "spectrum-well-inf-a2", "quantize-well-inf-a2",
+            "verify-action-zero-rc", "verify-action-zero-ratio", "verify-action-zero-action",
+            "tendency-fig2a", "spectrum-fig1", "tendency-fig2d",
+        ],
+    )
+    def test_out_of_range_values_are_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_shoot_at_tiny_coupling(self, capsys):
+        # the unit-coupling level times (1e-300)**(2/1002)
+        code, out, _ = run_cli(capsys, "shoot", "--nu", "1000", "--lambda", "1e-300", "--gamma", "0", "--n", "0")
+        assert code == 0
+        assert json.loads(out)["energy"] == 2.42392149641
+
+
+class TestOutputPath:
+    # main writes every command's output: --out gets what stdout would
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--nu", "-1", "--lambda", "-1", "--mu0", "0.3", "--n-max", "2", "--q-max", "1", "--k-range=-1..1"),
+            ("compare-well", "--gamma", "2.5", "--n-max", "3", "--format", "json"),
+            ("tendency", "--nu", "2", "--lambda", "1", "--mu0", "0.5", "--n-max", "2", "--q-max", "1", "--format", "json"),
+            ("verify-action", "--nu", "-1.5", "--lambda", "-0.7", "--energy", "-0.3"),
+            ("quantize", "--nu", "inf", "--radius", "2", "--gamma", "0.5", "--n", "1"),
+            ("shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "1"),
+            ("zeros", "--order", "1.5", "--count", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_holds_what_stdout_prints(self, capsys, tmp_path, argv):
+        code, printed, err = run_cli(capsys, *argv)
+        assert code == 0 and printed
+        out_file = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(out_file)) == (0, "", err)
+        assert out_file.read_text(encoding="utf-8") == printed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--nu", "2", "--lambda", "1", "--n-max", "2", "--q-max", "1"),
+            ("compare-well", "--gamma", "0.5", "--n-max", "2"),
+            ("tendency", "--nu", "-1", "--lambda", "-1", "--n-max", "2", "--q-max", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_svg_beside_out(self, capsys, tmp_path, argv):
+        _, printed, _ = run_cli(capsys, *argv)
+        out_file, svg_file = tmp_path / "out.csv", tmp_path / "fig.svg"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_file), "--svg", str(svg_file))
+        assert (code, out) == (0, "")
+        assert out_file.read_text(encoding="utf-8") == printed
+        assert svg_file.read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize("nu", ["abc", "1..5", ""])
+    def test_malformed_nu_is_an_invalid_float(self, capsys, nu):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", f"--nu={nu}", "--lambda", "1", "--n-max", "0", "--q-max", "0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"argument --nu: invalid float value: {nu!r}" in err
+
+    @pytest.mark.parametrize("nu", ["inf", "INF", " Infinity ", "infinity"])
+    def test_any_spelling_of_inf_selects_the_well(self, capsys, nu):
+        argv = ("spectrum", "--radius", "2", "--n-max", "1", "--q-max", "0")
+        assert run_cli(capsys, *argv, f"--nu={nu}") == run_cli(capsys, *argv, "--nu", "inf")
+        assert run_cli(capsys, *argv, f"--nu={nu}")[1].split("\n")[1].startswith("inf,0,")
+
+    def test_tendency_csv_reports_before_an_unwritable_out(self, capsys, tmp_path):
+        # the command hands its table back before main writes it, so the
+        # report line on stderr precedes the write's error
+        argv = ("tendency", "--nu", "-1", "--lambda", "-1", "--n-max", "1", "--q-max", "0")
+        _, _, report = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "t.csv"))
+        assert (code, out) == (2, "")
+        first, second = err.splitlines()
+        assert first + "\n" == report and json.loads(first)["curvature"] == "bends-down"
+        assert second.startswith("error: [Errno 2]")
+
+
+_SHOOT_NUS = (-1.5, -1.0, 0.5, 1.0, 2.0, 12.0, 1000.0)  # each solve within ~40 ms
+_FORBIDDEN = ("math domain error", "division by zero", "(34,", "cannot be raised")
+
+
+def _magnitude(rng):
+    return 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def _exponent(rng):
+    kind = rng.randrange(4)
+    if kind == 0:  # near 0, either side
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, -1.0)
+    if kind == 1:  # near -2
+        return -2.0 + 10.0 ** rng.uniform(-7.0, -1.0)
+    if kind == 2:
+        return rng.uniform(-2.0, 20.0)
+    return 10.0 ** rng.uniform(0.0, 300.0)
+
+
+def _coupling(rng, nu):
+    # mostly of the sign the exponent needs
+    return math.copysign(_magnitude(rng), nu if rng.random() < 0.95 else -nu)
+
+
+def _potential_flags(rng):
+    if rng.random() < 0.2:
+        return ["--nu", "inf", "--radius", repr(_magnitude(rng))]
+    nu = _exponent(rng)
+    return ["--nu", repr(nu), "--lambda", repr(_coupling(rng, nu))]
+
+
+def _seeded_argv(rng):
+    command = rng.choice(("spectrum", "compare-well", "tendency", "verify-action", "quantize", "shoot", "zeros"))
+    if command in ("spectrum", "tendency"):
+        argv = [command, *_potential_flags(rng), "--mu0", repr(rng.uniform(-2.0, 2.0))]
+        argv += ["--n-max", str(rng.randint(0, 3)), "--q-max", str(rng.randint(0, 2)), f"--k={rng.randint(-2, 2)}"]
+        if rng.random() < 0.7:
+            argv += ["--units", rng.choice(("reduced", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"))]
+        return argv + ["--format", rng.choice(("csv", "json"))]
+    if command == "compare-well":
+        argv = [command, "--gamma", repr(rng.uniform(0.0, 100.0)), "--n-max", str(rng.randint(0, 4))]
+        return argv + ["--format", rng.choice(("csv", "json"))]
+    if command == "verify-action":
+        nu = _exponent(rng)
+        lam = _coupling(rng, nu)
+        return [command, "--nu", repr(nu), "--lambda", repr(lam), "--energy", repr(math.copysign(_magnitude(rng), lam))]
+    if command == "quantize":
+        return [command, *_potential_flags(rng), "--gamma", repr(rng.uniform(0.0, 4.0)), "--n", str(rng.randint(0, 5))]
+    if command == "shoot":
+        nu = rng.choice(_SHOOT_NUS)
+        return [
+            command, "--nu", repr(nu), "--lambda", repr(math.copysign(_magnitude(rng), nu)),
+            "--gamma", repr(rng.uniform(0.0, 2.0)), "--n", str(rng.randint(0, 3)),
+        ]
+    return [command, "--order", repr(rng.uniform(0.0, 120.0)), "--count", str(rng.randint(1, 5))]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def _non_finite_number(text):
+    """The first non-finite number of a JSON document or a CSV table, or
+    None; CSV's nu column holds the word inf for the well by design."""
+    if text.startswith("{"):
+        try:
+            json.loads(text, parse_constant=_reject_constant)
+        except ValueError as exc:
+            return str(exc)
+        return None
+    header, *rows = text.splitlines()
+    for row in rows:
+        for column, field in zip(header.split(","), row.split(",")):
+            if column not in ("nu", "unit") and not math.isfinite(float(field)):
+                return f"{column}={field}"
+    return None
+
+
+def test_seeded_contract_sweep():
+    # |lam|, the radius and |E| log-uniform over 1e-300..1e300; exponents near
+    # 0, near -2 and up to 1e300: an input outside the double range exits 2
+    # with a named error, never with a traceback, a bare errno text or inf
+    rng = random.Random(19)
+    failures, succeeded = [], set()
+    for _ in range(300):
+        argv = _seeded_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except BaseException as exc:  # noqa: BLE001 - nothing may escape main
+                code = f"{type(exc).__name__}: {exc}"
+        if code == 0:
+            succeeded.add(argv[0])
+        found = [s for s in _FORBIDDEN if s in err.getvalue()]
+        if code not in (0, 2, 3) or found or (code == 0 and _non_finite_number(out.getvalue())):
+            failures.append((argv, code, err.getvalue()[-200:]))
+    assert failures == []
+    assert succeeded == {"spectrum", "compare-well", "tendency", "verify-action", "quantize", "shoot", "zeros"}
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from abwkb import (
     spectrum_table,
     unit_scale,
 )
-from abwkb.closed_form import closed_form_energy
+from abwkb.closed_form import closed_form_energy, level_coefficients
 from reference_levels import energy_coulomb, energy_oscillator
 
 MU0_GRID = (0.0, 0.3, 0.5, 1.7)
@@ -212,6 +212,26 @@ class TestUnderflow:
         # |lam|**(2/(nu+2)) = 1e10**200 has no float value
         with pytest.raises(ValueError, match=r"overflows at lam=-10000000000\.0, nu=-1\.99"):
             closed_form_energy(PowerLaw(-1e10, -1.99), 0, 0.0)
+
+    @pytest.mark.parametrize(
+        "pot,message",
+        [
+            # 0.025**200 = 3.9e-321 is subnormal: the level it gave, -2.27132e-281, is 2e-4 off
+            (PowerLaw(-0.025, -1.99), r"\|lam\|\*\*\(2/\(nu\+2\)\) underflows at lam=-0\.025, nu=-1\.99"),
+            # 0.02**200 is 0, though the level, -9.42e-301, would be a normal float
+            (PowerLaw(-0.02, -1.99), r"\|lam\|\*\*\(2/\(nu\+2\)\) underflows at lam=-0\.02, nu=-1\.99"),
+            # a**2 is 0 (ZeroDivisionError) and inf (OverflowError)
+            (InfiniteWell(1e-170), r"pi\*\*2/a\*\*2 overflows at a=1e-170"),
+            (InfiniteWell(1e200), r"pi\*\*2/a\*\*2 underflows at a=1e\+200"),
+            (InfiniteWell(1e-160), r"pi\*\*2/a\*\*2 overflows at a=1e-160"),
+        ],
+        ids=["subnormal", "zero", "well-zero-a2", "well-inf-a2", "well-inf-scale"],
+    )
+    def test_energy_scale_outside_the_normal_range_is_named(self, pot, message):
+        with pytest.raises(ValueError, match="energy scale " + message):
+            level_coefficients(pot)
+        with pytest.raises(ValueError, match="energy scale " + message):
+            closed_form_energy(pot, 0, 0.0)
 
 
 class TestSmallExponents:

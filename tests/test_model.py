@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -156,3 +157,17 @@ class TestUnitScale:
         # 4/lam**2 is inf for lam = 1e-154
         with pytest.raises(ValueError, match="positive and finite"):
             unit_scale("fig2a", PowerLaw(1e-154, 50.0))
+
+    @pytest.mark.parametrize(
+        "preset,pot",
+        [
+            # lam * lam is 0, so 4/(lam * lam) raises ZeroDivisionError
+            ("fig2a", PowerLaw(3.3824148390993665e-230, 297.02821539612927)),
+            # a**2 raises OverflowError past a = 1.3e154
+            ("fig1", InfiniteWell(1e160)),
+            ("fig2d", InfiniteWell(1e160)),
+        ],
+    )
+    def test_factor_outside_the_double_range_is_named(self, preset, pot):
+        with pytest.raises(ValueError, match=f"{preset} unit factor is not finite and positive for {re.escape(repr(pot))}"):
+            unit_scale(preset, pot)

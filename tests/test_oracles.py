@@ -275,9 +275,39 @@ class TestLogGridOracle:
         assert got == pytest.approx(level, rel=1e-7)
 
     def test_overflowing_energy_scale_raises_value_error(self):
-        # the closed-form record has no finite scale, so there is no seed
+        # the closed-form record has no finite scale to carry the unit-coupling level over
         with pytest.raises(ValueError, match=r"overflows at lam=-10000000000\.0, nu=-1\.99"):
             shoot_eigenvalue(PowerLaw(-1e10, -1.99), 0.0, 0)
+
+    def test_underflowing_energy_scale_raises_value_error(self):
+        # |lam|**(2/(nu+2)) = 1e-2000 is 0 in doubles
+        with pytest.raises(ValueError, match=r"energy scale \|lam\|\*\*\(2/\(nu\+2\)\) underflows at lam=-1e-10, nu=-1\.99"):
+            shoot_eigenvalue(PowerLaw(-1e-10, -1.99), 0.0, 0)
+
+    def test_subnormal_level_raises_value_error(self):
+        # the scale 1.4e-77**4 = 3.8e-308 is normal; the level, -0.2 times it, is not
+        with pytest.raises(ValueError, match=r"level n=0, gamma=0\.0 underflows"):
+            shoot_eigenvalue(PowerLaw(-1.4e-77, -1.5), 0.0, 0)
+
+    def test_steep_wall_at_tiny_coupling(self):
+        # the unit-coupling level 9.6232317651 times (1e-300)**(2/1002); solving
+        # at lam = 1e-300 itself would put the turning point past r = 2
+        got = shoot_eigenvalue(PowerLaw(1e-300, 1000.0), 0.0, 0)
+        assert got == pytest.approx(9.623231765143135 * 1e-300 ** (1.0 / 501.0), rel=1e-10)
+        assert f"{got:.12g}" == "2.42392149641"
+
+    def test_levels_scale_with_the_coupling(self):
+        # E(lam) = |lam|**(2/(nu+2)) E(sign lam): r scales by |lam|**(-1/(nu+2))
+        rng = random.Random(19)
+        for _ in range(16):
+            nu = rng.choice((-1.5, -1.0, 0.5, 1.0, 2.0, 12.0, 1000.0))
+            gamma, n = rng.uniform(0.0, 2.0), rng.randint(0, 3)
+            # |lam| log-uniform in 1e-300..1e300 wherever the scale stays within 1e-250..1e250
+            bound = min(300.0, 125.0 * (nu + 2.0))
+            lam = math.copysign(10.0 ** rng.uniform(-bound, bound), nu)
+            unit = shoot_eigenvalue(PowerLaw(math.copysign(1.0, nu), nu), gamma, n)
+            got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+            assert got == pytest.approx(abs(lam) ** (2.0 / (nu + 2.0)) * unit, rel=1e-12), (lam, nu, gamma, n)
 
     @pytest.mark.parametrize("nu", [-1.99])
     def test_out_of_reach_exponents_raise(self, nu):
