@@ -3,8 +3,8 @@
 per stratum of perfbench's shoot_oracle workload.
 
     python3 benchmarks/bench_shoot.py
-    python3 benchmarks/bench_shoot.py --label change --record BENCH_13.json
-    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_13.json
+    python3 benchmarks/bench_shoot.py --label change --record BENCH_20.json
+    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_20.json
 
 A diagnostic: it shows where a solve spends its time.  Its figures move
 from run to run on a shared machine; performance claims rest on perfbench
@@ -14,7 +14,7 @@ The states sit at the middle of each stratum of perfbench/inputs.py: six
 tail states (lam < 0: Coulomb, -1.45 <= nu <= -1.1 and -0.95 <= nu <= -0.8,
 each at two (n, q)) and six confined ones (oscillator, Airy, linear with
 gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), none of
-which grows its grid past the starting 2000 points.  For each state it
+which grows its grid past the starting 1200 points.  For each state it
 records:
 
 - seconds: the best of REPEAT solves;

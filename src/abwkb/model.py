@@ -120,32 +120,37 @@ def unit_scale(preset: str, potential: PotentialSpec | None = None) -> UnitScale
     fig2c        -- hbar*omega for the oscillator (lam = m omega^2 / 2)
     fig1, fig2d  -- hbar^2 pi^2 / (2 m a^2) for the well
 
-    A factor outside the double range raises ValueError.
+    A factor outside the double range raises ValueError naming the preset
+    and the potential.
     """
     try:
-        return _unit_scale(preset, potential)
+        label, factor = _unit_factor(preset, potential)
+        if 0.0 < factor < math.inf:
+            return UnitScale(label, factor)
     except (OverflowError, ZeroDivisionError):  # lam * lam underflowed to 0, or a**2 overflowed
-        raise ValueError(f"{preset} unit factor is not finite and positive for {potential}") from None
+        pass
+    # or the factor rounded to 0 or inf
+    raise ValueError(f"{preset} unit factor is not finite and positive for {potential}")
 
 
-def _unit_scale(preset: str, potential: PotentialSpec | None) -> UnitScale:
+def _unit_factor(preset: str, potential: PotentialSpec | None) -> tuple[str, float]:
     if preset == "reduced":
-        return UnitScale("reduced", 1.0)
+        return "reduced", 1.0
     if preset == "fig2a":
         lam = _require_power_law(preset, potential).lam
-        return UnitScale("mc^2 alpha^2/2", 4.0 / (lam * lam))
+        return "mc^2 alpha^2/2", 4.0 / (lam * lam)
     if preset == "fig2b":
         lam = _require_power_law(preset, potential).lam
-        return UnitScale("(9 pi^2 lam^2 hbar^2/8m)^(1/3)", (1.5 * math.pi * abs(lam)) ** (-2.0 / 3.0))
+        return "(9 pi^2 lam^2 hbar^2/8m)^(1/3)", (1.5 * math.pi * abs(lam)) ** (-2.0 / 3.0)
     if preset == "fig2c":
         lam = _require_power_law(preset, potential).lam
         if lam <= 0.0:
             raise ValueError("fig2c units need a positive coupling")
-        return UnitScale("hbar*omega", 1.0 / (2.0 * math.sqrt(lam)))
+        return "hbar*omega", 1.0 / (2.0 * math.sqrt(lam))
     if preset in ("fig1", "fig2d"):
         if not isinstance(potential, InfiniteWell):
             raise ValueError(f"{preset} units apply to the infinite well")
-        return UnitScale("hbar^2 pi^2/2ma^2", potential.a**2 / math.pi**2)
+        return "hbar^2 pi^2/2ma^2", potential.a**2 / math.pi**2
     raise ValueError(f"unknown unit preset {preset!r}")
 
 

@@ -31,16 +31,16 @@ E_GRID = [-0.002 * i * 1.3**i / 20.0 for i in range(1, 21)]
 
 class TestTurningPoint:
     def test_examples(self):
-        assert turning_point(-0.25, PowerLaw(-1.0, -1.0)) == pytest.approx(4.0, rel=1e-14)
-        assert turning_point(9.0, PowerLaw(1.0, 2.0)) == pytest.approx(3.0, rel=1e-14)
-        assert turning_point(2.32, PowerLaw(1.0, 1.0)) == pytest.approx(2.32, rel=1e-14)
+        assert turning_point(-0.25, PowerLaw(-1.0, -1.0)) == pytest.approx(4.0, rel=1e-14, abs=0)
+        assert turning_point(9.0, PowerLaw(1.0, 2.0)) == pytest.approx(3.0, rel=1e-14, abs=0)
+        assert turning_point(2.32, PowerLaw(1.0, 1.0)) == pytest.approx(2.32, rel=1e-14, abs=0)
         assert turning_point(5.0, InfiniteWell(2.0)) == 2.0
 
     def test_potential_value_at_turning_point(self):
         for pot in (PowerLaw(-1.0, -1.5), PowerLaw(1.0, 0.5)):
             e = -0.3 if pot.lam < 0 else 0.7
             rc = turning_point(e, pot)
-            assert pot(rc) == pytest.approx(e, rel=1e-12)
+            assert pot(rc) == pytest.approx(e, rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestNumericAction:
         for a in (0.5, 1.0, 3.0):
             for e in (1.0, 7.3):
                 got = action_integral_numeric(e, InfiniteWell(a))
-                assert got == pytest.approx(math.sqrt(e) * a, rel=1e-12)
+                assert got == pytest.approx(math.sqrt(e) * a, rel=1e-12, abs=0)
 
     def test_monotone_in_energy(self):
         for pot in (PowerLaw(-1.0, -1.3), PowerLaw(1.0, 1.7)):
@@ -138,13 +138,13 @@ class TestActionScaling:
 
 class TestClosedAction:
     def test_coulomb_values(self):
-        assert action_integral_closed(-0.25, PowerLaw(-1.0, -1.0)) == pytest.approx(math.pi, rel=1e-15)
-        assert action_integral_closed(-0.04, PowerLaw(-1.0, -1.0)) == pytest.approx(2.5 * math.pi, rel=1e-15)
+        assert action_integral_closed(-0.25, PowerLaw(-1.0, -1.0)) == pytest.approx(math.pi, rel=1e-15, abs=0)
+        assert action_integral_closed(-0.04, PowerLaw(-1.0, -1.0)) == pytest.approx(2.5 * math.pi, rel=1e-15, abs=0)
 
     def test_quarter_circle_and_well(self):
-        assert action_integral_closed(3.0, PowerLaw(1.0, 2.0)) == pytest.approx(0.75 * math.pi, rel=1e-15)
+        assert action_integral_closed(3.0, PowerLaw(1.0, 2.0)) == pytest.approx(0.75 * math.pi, rel=1e-15, abs=0)
         for a in (0.5, 2.0):
-            assert action_integral_closed(7.3, InfiniteWell(a)) == pytest.approx(a * math.sqrt(7.3), rel=1e-15)
+            assert action_integral_closed(7.3, InfiniteWell(a)) == pytest.approx(a * math.sqrt(7.3), rel=1e-15, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -223,7 +223,7 @@ class TestQuantizeEnergy:
                 setup = QuantizationSetup(InfiniteWell(a), gamma)
                 for n in (0, 1, 3):
                     expected = ((n + 0.5 * gamma + 1.0) * math.pi / a) ** 2
-                    assert quantize_energy(setup, n) == pytest.approx(expected, rel=1e-9)
+                    assert quantize_energy(setup, n) == pytest.approx(expected, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.5), PowerLaw(1.0, 3.0), InfiniteWell(1.5)])
     def test_one_quadrature_per_level(self, pot, monkeypatch):

@@ -33,16 +33,16 @@ class TestSpectralDerivative:
     def test_oscillator_slopes(self):
         # 2 hbar omega with omega = 2, i.e. 4 in reduced units
         d1 = spectral_derivative(OSC, 0.0, (1.0, 1.0, 0.5), "n", 1)
-        assert d1 == pytest.approx(4.0, rel=1e-8)
+        assert d1 == pytest.approx(4.0, rel=1e-8, abs=0)
         d2 = spectral_derivative(OSC, 0.0, (1.0, 1.0, 0.5), "n", 2)
         assert abs(d2) < 1e-6
 
     def test_coulomb_ground_point(self):
         # N = 1 at the origin of quantum numbers: dE/dn = 1/2, d2E/dn2 = -3/2
         d1 = spectral_derivative(COULOMB, 0.0, (0.0, 0.0, 0.0), "n", 1)
-        assert d1 == pytest.approx(0.5, rel=1e-6)
+        assert d1 == pytest.approx(0.5, rel=1e-6, abs=0)
         d2 = spectral_derivative(COULOMB, 0.0, (0.0, 0.0, 0.0), "n", 2)
-        assert d2 == pytest.approx(-1.5, rel=1e-5)
+        assert d2 == pytest.approx(-1.5, rel=1e-5, abs=0)
 
     def test_linear_case_formula(self):
         # dE/dn = pi ((3 pi/2) U)^(-1/3), U = n + (q + kmu)/2 + 3/4
@@ -50,23 +50,23 @@ class TestSpectralDerivative:
         u = n + 0.5 * (q + kmu) + 0.75
         expected = math.pi * (1.5 * math.pi * u) ** (-1.0 / 3.0)
         d1 = spectral_derivative(LINEAR_POT, 0.0, (n, q, kmu), "n", 1)
-        assert d1 == pytest.approx(expected, rel=1e-5)
+        assert d1 == pytest.approx(expected, rel=1e-5, abs=0)
         expected2 = -(math.pi**2 / 2.0) * (1.5 * math.pi * u) ** (-4.0 / 3.0)
         d2 = spectral_derivative(LINEAR_POT, 0.0, (n, q, kmu), "n", 2)
-        assert d2 == pytest.approx(expected2, rel=1e-4)
+        assert d2 == pytest.approx(expected2, rel=1e-4, abs=0)
 
     def test_well_curvature(self):
         # reduced units with a = 1: E = pi^2 (n + gamma/2 + 1)^2, so
         # d2E/dn2 = 2 pi^2
         d2 = spectral_derivative(WELL, 0.0, (1.0, 1.0, 0.5), "n", 2)
-        assert d2 == pytest.approx(2.0 * math.pi**2, rel=1e-5)
+        assert d2 == pytest.approx(2.0 * math.pi**2, rel=1e-5, abs=0)
         assert d2 > 0.0
 
     def test_q_and_kmu_derivatives_match_coulomb(self):
         for which in ("q", "kmu"):
             d1 = spectral_derivative(COULOMB, 0.3, (1.0, 1.0, 1.0), which, 1)
             big_n = 1.0 + 1.0 + 1.3 + 1.0
-            assert d1 == pytest.approx(0.5 / big_n**3, rel=1e-6)
+            assert d1 == pytest.approx(0.5 / big_n**3, rel=1e-6, abs=0)
 
     def test_kmu_kink_rejected(self):
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestFluxSlope:
             low = spectral_derivative(pot, 0.0, (1.0, 1.0, 0.5), "n", 1)
             high = spectral_derivative(pot, 0.0, (1.0, 1.0, 12.0), "n", 1)
             if expect == "0":
-                assert high == pytest.approx(low, rel=1e-9)
+                assert high == pytest.approx(low, rel=1e-9, abs=0)
             elif expect == "-":
                 assert high < low
             else:
@@ -256,7 +256,7 @@ class TestTendencyReport:
             assert rep.curvature == curvature[_sign(d2)], nu
             dn = spectral_derivative(pot, 0.0, point, "n", 1)
             dk = spectral_derivative(pot, 0.0, point, "kmu", 1)
-            assert rep.ratios[0] == pytest.approx(dn / dk, rel=1e-12), nu
+            assert rep.ratios[0] == pytest.approx(dn / dk, rel=1e-12, abs=0), nu
             low = spectral_derivative(pot, 0.0, (n, q, 0.5), "n", 1)
             high = spectral_derivative(pot, 0.0, (n, q, 12.0), "n", 1)
             assert rep.flux_slope_sign == sign_text[_sign(high - low)], nu

@@ -52,7 +52,7 @@ class TestSpectrumCommand:
         assert len(lines) == 4
         # E = -1/(4 (n + 1.5)^2)
         first = lines[1].split(",")
-        assert float(first[7]) == pytest.approx(-1.0 / 9.0, rel=1e-11)
+        assert float(first[7]) == pytest.approx(-1.0 / 9.0, rel=1e-11, abs=0)
 
     def test_oscillator_reduced_values(self, capsys):
         code, out, _ = run_cli(
@@ -62,7 +62,7 @@ class TestSpectrumCommand:
         )
         assert code == 0
         energies = [float(line.split(",")[7]) for line in out.strip().split("\n")[1:]]
-        assert energies == pytest.approx([3.0, 7.0], rel=1e-11)
+        assert energies == pytest.approx([3.0, 7.0], rel=1e-11, abs=0)
 
     def test_invalid_exponent_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -170,7 +170,7 @@ class TestSpectrumCommand:
         )
         assert code == 0
         energies = [float(line.split(",")[7]) for line in out.strip().split("\n")[1:]]
-        assert energies == pytest.approx([1.0, 4.0, 9.0], rel=1e-11)
+        assert energies == pytest.approx([1.0, 4.0, 9.0], rel=1e-11, abs=0)
 
 
 class TestSerialization:
@@ -184,7 +184,7 @@ class TestSerialization:
         assert parsed.unit == table.unit
         assert [(r.n, r.q, r.k) for r in parsed.rows] == [(r.n, r.q, r.k) for r in table.rows]
         for a, b in zip(parsed.rows, table.rows):
-            assert a.energy == pytest.approx(b.energy, rel=1e-11)
+            assert a.energy == pytest.approx(b.energy, rel=1e-11, abs=0)
         assert table_to_json(parsed) == table_to_json(table)
 
     def test_json_idempotent_bytes(self):
@@ -311,7 +311,7 @@ class TestJsonCommands:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["energy"] == pytest.approx((1.5 * math.pi) ** (2.0 / 3.0), rel=1e-6)
+        assert doc["energy"] == pytest.approx((1.5 * math.pi) ** (2.0 / 3.0), rel=1e-6, abs=0)
 
     def test_quantize_well_reports_its_radius(self, capsys):
         # the well takes --radius and ignores --lambda
@@ -372,7 +372,7 @@ class TestJsonCommands:
         )
         assert code == 0
         expected = closed_form_energy(PowerLaw(-1.0, -1.99), 1, 0.5)
-        assert json.loads(out)["energy"] == pytest.approx(expected, rel=1e-9)
+        assert json.loads(out)["energy"] == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_shoot(self, capsys):
         code, out, _ = run_cli(
@@ -461,12 +461,17 @@ class TestJsonCommands:
             # tendency's default unit at nu = inf is fig2d
             (("tendency", "--nu", "inf", "--radius", "1e160", "--n-max", "0", "--q-max", "0"),
              "fig2d unit factor is not finite and positive for InfiniteWell(a=1e+160)"),
+            # factors that round to 0 without raising
+            (("spectrum", "--nu", "inf", "--radius", "1e-170", "--units", "fig1", "--n-max", "0", "--q-max", "0"),
+             "fig1 unit factor is not finite and positive for InfiniteWell(a=1e-170)"),
+            (("spectrum", "--nu", "1", "--lambda", "1.7e308", "--units", "fig2b", "--n-max", "0", "--q-max", "0"),
+             "fig2b unit factor is not finite and positive for PowerLaw(lam=1.7e+308, nu=1.0)"),
         ],
         ids=[
             "shoot-zero-scale", "shoot-subnormal-level", "spectrum-subnormal-scale",
             "spectrum-well-zero-a2", "quantize-well-zero-a2", "spectrum-well-inf-a2", "quantize-well-inf-a2",
             "verify-action-zero-rc", "verify-action-zero-ratio", "verify-action-zero-action",
-            "tendency-fig2a", "spectrum-fig1", "tendency-fig2d",
+            "tendency-fig2a", "spectrum-fig1", "tendency-fig2d", "spectrum-fig1-zero", "spectrum-fig2b-zero",
         ],
     )
     def test_out_of_range_values_are_named(self, capsys, argv, message):
@@ -478,7 +483,7 @@ class TestJsonCommands:
         # the unit-coupling level times (1e-300)**(2/1002)
         code, out, _ = run_cli(capsys, "shoot", "--nu", "1000", "--lambda", "1e-300", "--gamma", "0", "--n", "0")
         assert code == 0
-        assert json.loads(out)["energy"] == 2.42392149641
+        assert json.loads(out)["energy"] == 2.42392150263
 
 
 class TestOutputPath:

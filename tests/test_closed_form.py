@@ -26,16 +26,16 @@ MU0_GRID = (0.0, 0.3, 0.5, 1.7)
 
 class TestNegativePower:
     def test_coulomb_ground_state(self):
-        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 0.0) == pytest.approx(-0.25, rel=1e-12)
+        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 0.0) == pytest.approx(-0.25, rel=1e-12, abs=0)
 
     def test_coulomb_fractional_gamma(self):
-        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 1.5) == pytest.approx(-0.04, rel=1e-12)
+        assert closed_form_energy(PowerLaw(-1.0, -1.0), 0, 1.5) == pytest.approx(-0.04, rel=1e-12, abs=0)
 
     def test_nu_minus_half(self):
         # formula evaluates to -(10/3)^(-2/3) = -0.4481404746557166 here
         e = closed_form_energy(PowerLaw(-1.0, -0.5), 0, 0.0)
         assert e == pytest.approx(-0.4481, abs=1e-3)
-        assert e == pytest.approx(-((10.0 / 3.0) ** (-2.0 / 3.0)), rel=1e-12)
+        assert e == pytest.approx(-((10.0 / 3.0) ** (-2.0 / 3.0)), rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -58,15 +58,15 @@ class TestNegativePower:
 
 class TestPositivePower:
     def test_oscillator_ground_state(self):
-        assert closed_form_energy(PowerLaw(1.0, 2.0), 0, 0.0) == pytest.approx(3.0, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 2.0), 0, 0.0) == pytest.approx(3.0, rel=1e-12, abs=0)
 
     def test_linear_ground_state(self):
         expected = (1.5 * math.pi * 0.75) ** (2.0 / 3.0)  # 2.3202507947101
-        assert closed_form_energy(PowerLaw(1.0, 1.0), 0, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 1.0), 0, 0.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_oscillator_ladder(self):
         # lam = 1 means omega = 2: reduced level is 2(2n + gamma + 3/2)
-        assert closed_form_energy(PowerLaw(1.0, 2.0), 1, 3.5) == pytest.approx(14.0, rel=1e-12)
+        assert closed_form_energy(PowerLaw(1.0, 2.0), 1, 3.5) == pytest.approx(14.0, rel=1e-12, abs=0)
 
     def test_oscillator_identity_any_omega(self):
         for omega in (0.5, 1.0, 2.0, 3.7):
@@ -75,7 +75,7 @@ class TestPositivePower:
                 for gamma in (0.0, 0.5, 2.5):
                     assert closed_form_energy(PowerLaw(lam, 2.0), n, gamma) == pytest.approx(
                         energy_oscillator(n, gamma) * omega, rel=1e-12
-                    )
+                    , abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -87,8 +87,8 @@ class TestPositivePower:
 class TestSpecialCases:
     def test_coulomb_values(self):
         u = unit_scale("fig2a", PowerLaw(-1.0, -1.0))
-        assert energy_coulomb(0, 0, 0, 0.0) * u.factor == pytest.approx(-1.0, rel=1e-12)
-        assert energy_coulomb(0, 0, 0, 0.5) * u.factor == pytest.approx(-4.0 / 9.0, rel=1e-12)
+        assert energy_coulomb(0, 0, 0, 0.0) * u.factor == pytest.approx(-1.0, rel=1e-12, abs=0)
+        assert energy_coulomb(0, 0, 0, 0.5) * u.factor == pytest.approx(-4.0 / 9.0, rel=1e-12, abs=0)
 
     def test_coulomb_integer_flux_matches_hydrogen(self):
         hydrogen = {round(energy_coulomb(n, q, k, 0.0), 15) for n in range(4) for q in range(4) for k in range(-4, 5)}
@@ -184,7 +184,7 @@ class TestFluxPeriodicity:
                 for q in range(3)
                 for k in range(-K, K + 1)
             )
-            assert shifted == pytest.approx(plain, rel=1e-12)
+            assert shifted == pytest.approx(plain, rel=1e-12, abs=0)
 
 
 class TestUnderflow:
@@ -254,7 +254,7 @@ class TestSpectrumTable:
     def test_values_match_formula(self):
         table = spectrum_table(PowerLaw(-1.0, -1.0), 0.0, 1, 1, (0, 0))
         for r in table.rows:
-            assert r.energy == pytest.approx(energy_coulomb(r.n, r.q, r.k, 0.0), rel=1e-14)
+            assert r.energy == pytest.approx(energy_coulomb(r.n, r.q, r.k, 0.0), rel=1e-14, abs=0)
 
     def test_empty_ranges_error(self):
         with pytest.raises(ValueError):
@@ -296,4 +296,4 @@ class TestSpectrumTable:
     def test_well_table_units(self):
         pot = InfiniteWell(1.0)
         table = spectrum_table(pot, 0.0, 2, 0, (0, 0), unit=unit_scale("fig2d", pot))
-        assert [r.energy for r in table.rows] == pytest.approx([1.0, 4.0, 9.0], rel=1e-12)
+        assert [r.energy for r in table.rows] == pytest.approx([1.0, 4.0, 9.0], rel=1e-12, abs=0)

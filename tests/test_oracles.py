@@ -182,7 +182,7 @@ LOG_GRID_LEVELS = [
 # (lam, nu, gamma, level): ground levels at nu = -1.9 and at a steep
 # wall, at gamma 0 and 20; the levels of an 8000-point solve, which the
 # default solves match to 1e-7 (at nu = -1.9, gamma = 20 the step bound
-# grows the grid past 2000 points, and the level lands 6.5e-10 off)
+# grows the grid past the starting points, and the level lands 5.8e-10 off)
 EDGE_LEVELS = [
     (-1.0, -1.9, 0.0, -615213.7453073594),
     (-1.0, -1.9, 20.0, -2.009996814195108e-52),
@@ -192,14 +192,13 @@ EDGE_LEVELS = [
 
 # (lam, nu, gamma, n, level): high levels whose N and 2N - 1 point levels
 # differ on the starting grid, so the polish moves to its 2N - 1 point
-# refinement.  The first two are the levels of a solve started on 4000
-# points, from which these land within 2e-11; at gamma = 4 the step bound
-# starts the search on 2015 points, and the level is that solve's own,
-# 1.9e-8 from the converged -0.03808737017933, as the 4000-point level is
+# refinement.  The levels of a solve started on 4000 points, which one
+# started on 8000 points meets to 3e-11; unextrapolated, the 4000-point
+# levels lie up to 3.8e-8 off
 HIGH_LEVELS = [
-    (-1.0, -1.5, 0.5, 10, -6.504812991130576e-07),
-    (-1.0, -1.2, 0.0, 20, -3.183528834815061e-05),
-    (-1.0, -0.5, 4.0, 30, -0.03808737087855989),
+    (-1.0, -1.5, 0.5, 10, -6.504812949252766e-07),
+    (-1.0, -1.2, 0.0, 20, -3.183528713899102e-05),
+    (-1.0, -0.5, 4.0, 30, -0.038087370179024714),
 ]
 
 # (lam, nu, gamma, n, level): states at the nu floor, where the step bound
@@ -226,18 +225,18 @@ class TestLogGridOracle:
     @pytest.mark.parametrize("lam,nu,gamma,n,level", LOG_GRID_LEVELS)
     def test_reference_levels(self, lam, nu, gamma, n, level):
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-        assert got == pytest.approx(level, rel=1e-7)
+        assert got == pytest.approx(level, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("lam,nu,gamma,level", EDGE_LEVELS)
     def test_domain_edges(self, lam, nu, gamma, level):
         # the kernels' array expressions run under error::RuntimeWarning here
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, 0)
-        assert got == pytest.approx(level, rel=1e-7)
+        assert got == pytest.approx(level, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("lam,nu,gamma,n,level", HIGH_LEVELS)
     def test_high_levels_refine_their_grid(self, lam, nu, gamma, n, level):
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-        assert got == pytest.approx(level, rel=1e-10)
+        assert got == pytest.approx(level, rel=1e-10, abs=0)
 
     def test_steep_walls_approach_the_well(self):
         # as nu -> inf the potential becomes the unit well, ground level pi^2
@@ -256,23 +255,23 @@ class TestLogGridOracle:
         assert all(p < q for p, q in zip(levels, levels[1:])) and levels[-1] < well
         gaps = [(well - e) * nu for e, nu in zip(levels, nus)]
         slope, offset = np.polyfit(np.log(nus), gaps, 1)
-        assert slope / well == pytest.approx(a, rel=1e-6)
-        assert offset / well == pytest.approx(b, rel=1e-6)
+        assert slope / well == pytest.approx(a, rel=1e-6, abs=0)
+        assert offset / well == pytest.approx(b, rel=1e-6, abs=0)
         gap = well - shoot_eigenvalue(PowerLaw(1.0, 1600.0), gamma, n)
         predicted = (slope * math.log(1600.0) + offset) / 1600.0
-        assert predicted / gap - 1.0 == pytest.approx(miss_1600, rel=1e-4)
+        assert predicted / gap - 1.0 == pytest.approx(miss_1600, rel=1e-4, abs=0)
 
     def test_nu_1000_solves_below_the_well(self):
         # the step bound grows the grid to 36,090 points; a 64,000-point
-        # solve lies 1.1e-7 higher, within the 1e-6 N-vs-2N check
+        # solve lies 1.2e-7 higher, within the 1e-6 N-vs-2N check
         got = shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
-        assert got == pytest.approx(9.623231765143135, rel=1e-10)
+        assert got == pytest.approx(9.623231789735597, rel=1e-10, abs=0)
         assert got < math.pi**2
 
     @pytest.mark.parametrize("lam,nu,gamma,n,level", FLOOR_LEVELS, ids=["-1.95-g0-n0", "-1.95-g1.5-n3", "-1.99-g0.5-n0"])
     def test_floor_exponents_solve(self, lam, nu, gamma, n, level):
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-        assert got == pytest.approx(level, rel=1e-7)
+        assert got == pytest.approx(level, rel=1e-7, abs=0)
 
     def test_overflowing_energy_scale_raises_value_error(self):
         # the closed-form record has no finite scale to carry the unit-coupling level over
@@ -290,11 +289,11 @@ class TestLogGridOracle:
             shoot_eigenvalue(PowerLaw(-1.4e-77, -1.5), 0.0, 0)
 
     def test_steep_wall_at_tiny_coupling(self):
-        # the unit-coupling level 9.6232317651 times (1e-300)**(2/1002); solving
+        # the unit-coupling level 9.6232317897 times (1e-300)**(2/1002); solving
         # at lam = 1e-300 itself would put the turning point past r = 2
         got = shoot_eigenvalue(PowerLaw(1e-300, 1000.0), 0.0, 0)
-        assert got == pytest.approx(9.623231765143135 * 1e-300 ** (1.0 / 501.0), rel=1e-10)
-        assert f"{got:.12g}" == "2.42392149641"
+        assert got == pytest.approx(9.623231789735597 * 1e-300 ** (1.0 / 501.0), rel=1e-10, abs=0)
+        assert f"{got:.12g}" == "2.42392150263"
 
     def test_levels_scale_with_the_coupling(self):
         # E(lam) = |lam|**(2/(nu+2)) E(sign lam): r scales by |lam|**(-1/(nu+2))
@@ -307,7 +306,7 @@ class TestLogGridOracle:
             lam = math.copysign(10.0 ** rng.uniform(-bound, bound), nu)
             unit = shoot_eigenvalue(PowerLaw(math.copysign(1.0, nu), nu), gamma, n)
             got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-            assert got == pytest.approx(abs(lam) ** (2.0 / (nu + 2.0)) * unit, rel=1e-12), (lam, nu, gamma, n)
+            assert got == pytest.approx(abs(lam) ** (2.0 / (nu + 2.0)) * unit, rel=1e-12, abs=0), (lam, nu, gamma, n)
 
     @pytest.mark.parametrize("nu", [-1.99])
     def test_out_of_reach_exponents_raise(self, nu):
@@ -332,8 +331,8 @@ class TestLogGridOracle:
         "lam,nu,gamma,n,largest",
         [
             (1.0, 800.0, 0.0, 0, 58_439),
-            (-1.0, -1.5, 0.5, 10, 7997),
-            (1.0, 2.0, 0.0, 0, 3999),
+            (-1.0, -1.5, 0.5, 10, 4861),
+            (1.0, 2.0, 0.0, 0, 2399),
             (-1.0, -1.95, 0.0, 0, 10_371),
         ],
     )
@@ -344,7 +343,7 @@ class TestLogGridOracle:
     def test_census_edge_state_near_nu_minus_1_8(self):
         # the default grid agrees with the level at N = 16000, -0.0041319455138
         got = shoot_eigenvalue(PowerLaw(-1.0, -1.798), 0.425, 0)
-        assert got == pytest.approx(-0.0041319455138, rel=1e-7)
+        assert got == pytest.approx(-0.0041319455138, rel=1e-7, abs=0)
 
     def test_every_sweep_counts_against_the_budget(self, monkeypatch, kernel_sizes):
         # the nu = -1.8 reference state needs 11 sweeps from its poor seed
@@ -354,6 +353,62 @@ class TestLogGridOracle:
         assert len(kernel_sizes) == 8
 
 
+def _level_on(grid, lam, nu, gamma, n, E):
+    """The root of F - n pi on one fixed grid, by secant steps from E until they stall."""
+
+    def residual(e):
+        return _miss(e, lam, nu, gamma, grid)[0] - n * math.pi
+
+    a, b = E, E * (1.0 + 1e-7)
+    fa, fb = residual(a), residual(b)
+    for _ in range(40):
+        if fb == fa:
+            return b
+        a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+        if abs(b - a) <= 1e-15 * abs(b):
+            return b
+        fb = residual(b)
+    raise AssertionError(f"no level near E={E!r}")
+
+
+class TestRichardsonExtrapolation:
+    # the solver returns E_2N + (E_2N - E_N) / 15 from its N and 2N - 1 point levels
+
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,n",
+        [
+            pytest.param(-1.0, -1.0, 0.5, 3, id="coulomb"),
+            pytest.param(1.0, 2.0, 0.5, 3, id="oscillator"),
+            pytest.param(-1.0, -1.5, 1.5, 3, id="tail_nu_-1.5"),
+        ],
+    )
+    def test_nested_grid_errors_fall_as_h4(self, lam, nu, gamma, n):
+        # the premise: on the nested N, 2N - 1 and 4N - 3 point grids of a
+        # polish window the level's error is C h**4, so successive
+        # differences fall 16-fold (15.98, 16.02 and 16.01 here)
+        E = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        window = sorted((E * math.exp(-_POLISH_WIDTH), E * math.exp(_POLISH_WIDTH)))
+        x0, h, points, im, scale = _grid(E, *window, lam, nu, gamma, oracles._START_POINTS)
+        levels = [_level_on((x0, h / k, k * (points - 1) + 1, k * im, scale), lam, nu, gamma, n, E) for k in (1, 2, 4)]
+        ratio = (levels[0] - levels[1]) / (levels[1] - levels[2])
+        assert ratio == pytest.approx(16.0, rel=0.03, abs=0)
+
+    def test_exact_levels_within_1e_10(self):
+        # 32 Coulomb and oscillator levels; the 2N - 1 point level alone is
+        # up to 6.5e-8 off (oscillator gamma = 0, n = 20), the extrapolation 6.6e-11
+        worst = 0.0
+        for gamma in (0.0, 0.5, 1.5, 2.5):
+            for n in (0, 3, 10, 20):
+                coulomb = shoot_eigenvalue(PowerLaw(-1.0, -1.0), gamma, n)
+                oscillator = shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, n)
+                worst = max(
+                    worst,
+                    abs(coulomb / energy_coulomb(n, 0, 0, gamma) - 1.0),
+                    abs(oscillator / (2.0 * energy_oscillator(n, gamma)) - 1.0),
+                )
+        assert worst <= 1e-10
+
+
 class TestDualOracle:
     @pytest.mark.parametrize("nu_p", [-1.8, -1.5, -1.2, -0.8, -0.5, -0.2])
     def test_direct_solve_matches_its_dual(self, nu_p):
@@ -361,17 +416,17 @@ class TestDualOracle:
         # gamma + 1/2 = (gamma' + 1/2)(nu + 2)/2, mapped through duality_map
         # (Kostelecky, Nieto & Truax, PRD 32, 2627 (1985)) is the tail state
         # (lam', gamma', n); its level E' is fixed by lam = 1 alone.  Worst
-        # miss over these 36 states: 7.8e-11
+        # miss over these 36 states: 3.2e-11
         nu = -2.0 * nu_p / (nu_p + 2.0)
         for gamma_p in (0.0, 0.5, 1.5):
             gamma = ((gamma_p + 0.5) * (nu + 2.0) - 1.0) / 2.0
             for n in (0, 1):
                 level = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n)
                 nu_d, e_d, lam_d, gamma_d = duality_map(nu, level, 1.0, gamma)
-                assert nu_d == pytest.approx(nu_p, rel=1e-15)
+                assert nu_d == pytest.approx(nu_p, rel=1e-15, abs=0)
                 assert gamma_d == pytest.approx(gamma_p, abs=1e-15)
                 got = shoot_eigenvalue(PowerLaw(lam_d, nu_d), gamma_d, n)
-                assert got == pytest.approx(e_d, rel=1e-10)
+                assert got == pytest.approx(e_d, rel=1e-10, abs=0)
 
 
 @pytest.fixture
