@@ -11,9 +11,10 @@ perfbench (perfbench/run.py), not on this script.
 
 For each grid it times closed_form.spectrum_table, cli.table_to_csv and
 cli.table_to_json on the built table, and cli.main end to end with
---format json and --format csv (stdout captured in memory).  The grids
-are the fixed 1e5-row nu = 3 census grid of perfbench's grid_cli
-workload, a 10k-row grid and a 12-row command.  Each figure is the best
+--format json and --format csv (stdout captured in memory); on the
+12-row command it also times cli.main with --svg to a temporary file
+(main_svg).  The grids are the fixed 1e5-row nu = 3 census grid of
+perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  Each figure is the best
 of REPEAT samples; a sample loops a call enough times to last about
 50 ms, so the 12-row figures are not timer noise.  The first cli.main
 call of the process is timed on its own, because it also pays for
@@ -32,6 +33,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from contextlib import redirect_stdout
 
@@ -44,6 +46,8 @@ GRIDS = (
     ("command_12", 3, 2, (0, 0)),
 )
 NU, LAM, MU0 = 3.0, 1.0, 0.3
+# the grid whose cli.main is also timed with --svg
+SVG_GRID = "command_12"
 SAMPLE_S = 0.05
 REPEAT = 7
 
@@ -111,6 +115,10 @@ def measure() -> dict:
                 "main_csv": best_of(lambda: _run_main(cli, argv_csv)),
             },
         }
+        if name == SVG_GRID:
+            with tempfile.TemporaryDirectory() as tmp:
+                argv_svg = [*argv_csv, "--svg", os.path.join(tmp, "levels.svg")]
+                grids[name]["seconds"]["main_svg"] = best_of(lambda: _run_main(cli, argv_svg))
     return {
         "env": {
             "python": platform.python_version(),

@@ -66,17 +66,21 @@ def table_to_csv(table: SpectrumTable) -> str:
         nu_s, lam_s = fmt12(pot.nu), fmt12(pot.lam)
     head = f"{nu_s},{lam_s},{fmt12(table.mu0)},"
     tail = f",{table.unit.label}"
+    mids = [f",{q},{k},{g:.12g}," for q, k, g in table.states]
     lines = [CSV_HEADER]
-    lines += [f"{head}{r.n},{r.q},{r.k},{r.gamma:.12g},{r.energy:.12g}{tail}" for r in table.rows]
+    for n, levels in enumerate(_by_n(table)):
+        prefix = f"{head}{n}"
+        lines += [f"{prefix}{mid}{e:.12g}{tail}" for mid, e in zip(mids, levels)]
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: SpectrumTable) -> str:
     """The bytes json.dumps(indent=2) writes for the table's dict form: the
-    metadata goes through json.dumps and each row through one f-string,
-    since repr(round12(x)) is what json.dumps writes for a finite x.  A
-    non-finite gamma or energy has no JSON form and raises ValueError."""
-    if not all(math.isfinite(r.gamma) and math.isfinite(r.energy) for r in table.rows):
+    metadata goes through json.dumps, the q, k and gamma text once per
+    state and each row through one f-string, since repr(round12(x)) is
+    what json.dumps writes for a finite x.  A non-finite gamma or energy
+    has no JSON form and raises ValueError."""
+    if not all(math.isfinite(g) for _, _, g in table.states) or not all(map(math.isfinite, table.energies)):
         raise ValueError("table_to_json: gamma and energy must be finite")
     head = _dump_json(
         {
@@ -86,29 +90,52 @@ def table_to_json(table: SpectrumTable) -> str:
             "rows": [],
         }
     )
-    if not table.rows:
+    if not table.energies:
         return head
-    rows = [
-        f'    {{\n      "n": {r.n},\n      "q": {r.q},\n      "k": {r.k},\n'
-        f'      "gamma": {float(f"{r.gamma:.12g}")!r},\n      "energy": {float(f"{r.energy:.12g}")!r}\n    }}'
-        for r in table.rows
+    mids = [
+        f',\n      "q": {q},\n      "k": {k},\n      "gamma": {round12(g)!r},\n      "energy": '
+        for q, k, g in table.states
     ]
+    rows = []
+    for n, levels in enumerate(_by_n(table)):
+        prefix = f'    {{\n      "n": {n}'
+        rows += [f'{prefix}{mid}{float(f"{e:.12g}")!r}\n    }}' for mid, e in zip(mids, levels)]
     # head ends with '"rows": []\n}\n'; one join, so the output is copied once
     rows[0] = head[:-5] + "[\n" + rows[0]
     rows[-1] += "\n  ]\n}\n"
     return ",\n".join(rows)
 
 
+def _by_n(table: SpectrumTable):
+    """The table's energies cut into one slice per n, in order; none for a
+    table without states, whose energies are empty."""
+    m = len(table.states)
+    return (table.energies[i : i + m] for i in range(0, len(table.energies), m or 1))
+
+
 def table_from_json(text: str) -> SpectrumTable:
+    """The table that table_to_json wrote; its states are the n = 0 rows.
+    Raises ValueError when the rows do not form the (n, q, k) grid over
+    them, n running from 0 and (q, k) ascending within each n."""
     obj = json.loads(text)
-    rows = tuple(
-        closed_form.EnergyLevel(r["n"], r["q"], r["k"], r["gamma"], r["energy"]) for r in obj["rows"]
-    )
+    rows = obj["rows"]
+    states = []
+    for r in rows:
+        if r["n"] != 0:
+            break
+        states.append((r["q"], r["k"], r["gamma"]))
+    m = len(states)
+    if rows and not (m and len(rows) % m == 0 and all(a[:2] < b[:2] for a, b in zip(states, states[1:]))):
+        raise ValueError(f"table_from_json: {len(rows)} rows do not form an (n, q, k) grid")
+    for i, r in enumerate(rows):
+        if (r["n"], r["q"], r["k"], r["gamma"]) != (i // m, *states[i % m]):
+            raise ValueError(f"table_from_json: row {i} does not fit the (n, q, k) grid of the n = 0 rows")
     return SpectrumTable(
         _potential_from_json(obj["potential"]),
         obj["mu0"],
         UnitScale(obj["unit"]["label"], obj["unit"]["factor"]),
-        rows,
+        tuple(states),
+        tuple(r["energy"] for r in rows),
     )
 
 
@@ -149,17 +176,14 @@ def _write_output(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _levels_svg(table: SpectrumTable, title: str, key, label: str) -> str:
-    """One E(n) panel with a series per group of rows sharing key(row), a
-    tuple, named label.format(*key(row)); groups and the points in each
-    run in ascending order."""
-    groups: dict[tuple, list] = {}
-    for r in table.rows:
-        groups.setdefault(key(r), []).append(r)
+def _levels_svg(table: SpectrumTable, title: str, label: str) -> str:
+    """One E(n) panel with a series per state, in the states' (q, k)
+    order, named label.format(q=q, k=k)."""
+    m = len(table.states)
+    ns = [float(n) for n in range(len(table.energies) // m)]
     panel = svg.Panel(title, "n", f"E [{table.unit.label}]")
-    for g, rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r.n)
-        panel.series.append(svg.Series(label.format(*g), [float(r.n) for r in rows], [r.energy for r in rows]))
+    for j, (q, k, _) in enumerate(table.states):
+        panel.series.append(svg.Series(label.format(q=q, k=k), ns, list(table.energies[j::m])))
     return svg.render_svg([panel])
 
 
@@ -172,7 +196,7 @@ def _cmd_spectrum(args) -> tuple[str, str | None]:
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     if not args.svg:
         return text, None
-    return text, _levels_svg(table, f"levels, mu0={fmt12(table.mu0)}", lambda r: (r.q, r.k), "q={},k={}")
+    return text, _levels_svg(table, f"levels, mu0={fmt12(table.mu0)}", "q={q},k={k}")
 
 
 def _cmd_compare_well(args) -> tuple[str, str | None]:
@@ -239,8 +263,8 @@ def _cmd_tendency(args) -> tuple[str, str | None]:
         sys.stderr.write(json.dumps(report_obj) + "\n")
     if not args.svg:
         return text, None
-    title = f"E(n) by q, |k+mu0|={fmt12(abs(table.rows[0].k + table.mu0))}"
-    return text, _levels_svg(table, title, lambda r: (r.q,), "q={}")
+    title = f"E(n) by q, |k+mu0|={fmt12(abs(args.k + table.mu0))}"
+    return text, _levels_svg(table, title, "q={q}")
 
 
 def _cmd_verify_action(args) -> dict:

@@ -139,12 +139,29 @@ class EnergyLevel(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Grid of levels over quantum-number ranges, sorted by (n, q, k)."""
+    """Grid of levels over quantum-number ranges, held as columns.
+
+    states holds one (q, k, gamma) per state in (q, k) order, and energies
+    the levels in (n, q, k) order, so energies[i] is the level n = i // m
+    of states[i % m], m = len(states).  rows builds the EnergyLevel view.
+    """
 
     potential: PotentialSpec
     mu0: float
     unit: UnitScale
-    rows: tuple[EnergyLevel, ...]
+    states: tuple[tuple[int, int, float], ...]
+    energies: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        m, size = len(self.states), len(self.energies)
+        if (size % m if m else size) != 0:
+            raise ValueError(f"{size} energies do not fill an n-grid over {m} states")
+
+    @property
+    def rows(self) -> tuple[EnergyLevel, ...]:
+        """The levels as EnergyLevel tuples, sorted by (n, q, k)."""
+        m = len(self.states)
+        return tuple(EnergyLevel(i // m, *self.states[i % m], e) for i, e in enumerate(self.energies))
 
 
 def spectrum_table(
@@ -157,9 +174,9 @@ def spectrum_table(
 ) -> SpectrumTable:
     """Closed-form levels for every (n, q, k) in the requested ranges.
 
-    Rows are emitted in lexicographic (n, q, k) order.  Each level is the
-    scalar closed_form_energy(potential, n, gamma) times the unit factor;
-    raises ValueError when a displayed level is not finite.
+    Each level is the scalar closed_form_energy(potential, n, gamma) times
+    the unit factor; raises ValueError when a displayed level would print
+    as inf, -0 or a subnormal.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
@@ -169,15 +186,11 @@ def spectrum_table(
     unit = unit or REDUCED
 
     factor = unit.factor
-    qk_gammas = [(q, k, effective_gamma(q, k, mu0)) for q in range(q_max + 1) for k in range(k_lo, k_hi + 1)]
-    rows = tuple(
-        EnergyLevel(n, q, k, g, closed_form_energy(potential, n, g) * factor)
-        for n in range(n_max + 1)
-        for q, k, g in qk_gammas
-    )
-    # |E| is monotone in n + slope * g, so the displayed levels peak at one of the grid's corners
-    gammas = [g for _, _, g in qk_gammas]
-    for r in (rows[gammas.index(min(gammas))], rows[n_max * len(gammas) + gammas.index(max(gammas))]):
-        if not math.isfinite(r.energy):
-            raise ValueError(f"level n={r.n}, gamma={r.gamma} is not finite: E = {r.energy}")
-    return SpectrumTable(potential, mu0, unit, rows)
+    states = tuple((q, k, effective_gamma(q, k, mu0)) for q in range(q_max + 1) for k in range(k_lo, k_hi + 1))
+    gammas = [g for _, _, g in states]
+    energies = tuple([closed_form_energy(potential, n, g) * factor for n in range(n_max + 1) for g in gammas])
+    # |E| is monotone in n + slope * g, so the displayed levels peak and bottom out at the grid's corners
+    lo, hi = gammas.index(min(gammas)), gammas.index(max(gammas))
+    _normal_level(energies[lo], 0, gammas[lo])
+    _normal_level(energies[n_max * len(gammas) + hi], n_max, gammas[hi])
+    return SpectrumTable(potential, mu0, unit, states, energies)

@@ -255,6 +255,16 @@ class TestTendency:
         assert out == ""
         assert "underflows" in err
 
+    def test_display_unit_pushing_a_level_subnormal_exits_2(self, capsys):
+        # the reduced level -3.34e-308 is normal; times the fig2b factor 0.356 it is -1.19e-308
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--nu", "-1.99", "--lambda", "-1", "--mu0", "0.26", "--n-max", "0", "--q-max", "3",
+            "--units", "fig2b",
+        )
+        assert (code, out) == (2, "")
+        assert "level n=0, gamma=3.26 underflows" in err
+
     def test_overflowing_level_is_named(self, capsys):
         # (factor x)**power overflows here, power -3998 on a base below 1
         code, out, err = run_cli(

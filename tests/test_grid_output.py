@@ -1,10 +1,11 @@
 """Grid output pinned to the bytes of the plain encoders, and the surface
 the benchmark harness under perfbench/ relies on.
 
-The CLI writes tables with one f-string per row.  The reference encoders
-below are the straightforward forms: json.dumps of the table's dict with
-indent=2, one fmt12 call per CSV field, and the tendency document built
-by json.loads of the table JSON and encoded again.
+The CLI writes tables with one f-string per row and draws one series per
+state.  The reference encoders below are the straightforward forms:
+json.dumps of the table's dict with indent=2, one fmt12 call per CSV
+field, the tendency document built by json.loads of the table JSON and
+encoded again, and the figure drawn from the rows grouped by state.
 """
 
 import json
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 from abwkb import InfiniteWell, PowerLaw, closed_form, unit_scale
-from abwkb import cli
+from abwkb import cli, svg
 from abwkb.cli import (
     CSV_HEADER,
     build_parser,
@@ -99,14 +100,18 @@ class TestEmittersMatchPlainEncoders:
 
 
 def test_json_without_rows():
-    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.5, unit_scale("reduced"), ())
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.5, unit_scale("reduced"), (), ())
     assert table_to_json(table) == dict_json(table)
+
+
+def test_csv_without_rows():
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.5, unit_scale("reduced"), (), ())
+    assert table_to_csv(table) == field_csv(table) == CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize("gamma, energy", [(0.3, float("nan")), (float("inf"), 1.0), (0.3, float("-inf"))])
 def test_json_rejects_non_finite_rows(gamma, energy):
-    rows = (closed_form.EnergyLevel(0, 0, 0, gamma, energy), closed_form.EnergyLevel(1, 0, 0, 0.3, 2.0))
-    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), rows)
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), ((0, 0, gamma),), (energy, 2.0))
     with pytest.raises(ValueError, match="must be finite"):
         table_to_json(table)
 
@@ -116,6 +121,64 @@ def test_json_rejects_non_finite_rows_read_back():
     text = dict_json(_table(PowerLaw(1.0, 2.0), 0.3, 1, 0, (0, 0))).replace('"energy": 3.6', '"energy": NaN')
     with pytest.raises(ValueError, match="must be finite"):
         table_to_json(table_from_json(text))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: rows.pop(),  # the last n is short of a state
+        lambda rows: rows.insert(0, rows.pop(1)),  # the n = 0 states out of (q, k) order
+        lambda rows: rows.__setitem__(3, {**rows[3], "k": 5}),  # an n = 1 row off the n = 0 states
+        lambda rows: rows.__setitem__(4, {**rows[4], "n": 2}),  # n skips a value
+        lambda rows: rows.__setitem__(0, {**rows[0], "n": 1}),  # no n = 0 row
+    ],
+    ids=["short-last-n", "states-unsorted", "state-off-grid", "n-skips", "no-n0"],
+)
+def test_json_rejects_rows_off_the_grid(edit):
+    obj = json.loads(table_to_json(_table(PowerLaw(1.0, 2.0), 0.3, 1, 0, (0, 2))))
+    edit(obj["rows"])
+    with pytest.raises(ValueError, match=r"table_from_json: .* grid"):
+        table_from_json(json.dumps(obj))
+
+
+def test_table_rejects_energies_off_the_grid():
+    with pytest.raises(ValueError, match="do not fill an n-grid"):
+        SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), ((0, 0, 0.3), (1, 0, 1.3)), (1.0, 2.0, 3.0))
+
+
+def grouped_svg(table, title, key, label):
+    """The figure drawn from table.rows: one series per group of rows
+    sharing key(row), named label.format(*key(row)), groups and points
+    in ascending order."""
+    groups = {}
+    for r in table.rows:
+        groups.setdefault(key(r), []).append(r)
+    panel = svg.Panel(title, "n", f"E [{table.unit.label}]")
+    for g, rows in sorted(groups.items()):
+        rows.sort(key=lambda r: r.n)
+        panel.series.append(svg.Series(label.format(*g), [float(r.n) for r in rows], [r.energy for r in rows]))
+    return svg.render_svg([panel])
+
+
+def test_spectrum_svg_matches_grouped_rows(tmp_path, capsys):
+    figure = tmp_path / "levels.svg"
+    argv = ["--nu", "1", "--lambda", "1.2", "--mu0", "0.3", "--n-max", "3", "--q-max", "2", "--k-range=-3..1"]
+    assert main(["spectrum", *argv, "--units", "fig2b", "--svg", str(figure)]) == 0
+    capsys.readouterr()
+    table = _table(PowerLaw(1.2, 1.0), 0.3, 3, 2, (-3, 1), "fig2b")
+    want = grouped_svg(table, "levels, mu0=0.3", lambda r: (r.q, r.k), "q={},k={}")
+    assert figure.read_text(encoding="utf-8") == want
+    assert "q=0,k=-3" in want
+
+
+def test_tendency_svg_matches_grouped_rows(tmp_path, capsys):
+    figure = tmp_path / "tendency.svg"
+    argv = ["--nu", "-1.5", "--lambda", "-0.8", "--mu0", "0.45", "--k=-2", "--n-max", "4", "--q-max", "3"]
+    assert main(["tendency", *argv, "--svg", str(figure)]) == 0
+    capsys.readouterr()
+    table = _table(PowerLaw(-0.8, -1.5), 0.45, 4, 3, (-2, -2))
+    want = grouped_svg(table, "E(n) by q, |k+mu0|=1.55", lambda r: (r.q,), "q={}")
+    assert figure.read_text(encoding="utf-8") == want
 
 
 TENDENCY_ARGV = [

@@ -233,7 +233,7 @@ class TestLogGridOracle:
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, 0)
         assert got == pytest.approx(level, rel=1e-7, abs=0)
 
-    @pytest.mark.parametrize("lam,nu,gamma,n,level", HIGH_LEVELS)
+    @pytest.mark.parametrize("lam,nu,gamma,n,level", HIGH_LEVELS, ids=["-1.5-g0.5-n10", "-1.2-g0-n20", "-0.5-g4-n30"])
     def test_high_levels_refine_their_grid(self, lam, nu, gamma, n, level):
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert got == pytest.approx(level, rel=1e-10, abs=0)
@@ -335,6 +335,7 @@ class TestLogGridOracle:
             (1.0, 2.0, 0.0, 0, 2399),
             (-1.0, -1.95, 0.0, 0, 10_371),
         ],
+        ids=["800-g0-n0", "-1.5-g0.5-n10", "2-g0-n0", "-1.95-g0-n0"],
     )
     def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, lam, nu, gamma, n, largest):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
