@@ -6,8 +6,9 @@ validate the semiclassical results from the outside.  The shooting solver
 takes only its starting level and slope from the closed form; its answer
 is the root of a Prufer miss-distance that counts the nodes itself, and
 is checked on a grid of twice the density, so a poor seed costs sweeps,
-never the level.  The two levels, whose O(h**4) errors differ by a factor
-of 16, are Richardson-extrapolated.
+never the level, and one search keeps its bracket across grid windows.
+The two levels, whose O(h**4) errors differ by a factor of 16, are
+Richardson-extrapolated.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _REFINE_REL_TOL = 1e-6  # levels on N and 2N - 1 points must agree to this
 _REL_TOL = 1e-10  # final step cap relative to |E|
 _MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
 _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
+_MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds floor grids out to it
 
 
 def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
@@ -78,7 +80,7 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
 
     def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
         if max(nu2, 2.0) * x > _MAX_EXPONENT:
-            raise ConvergenceError(f"the grid for E={E!r} would reach past r = {math.exp(x):.3g}")
+            raise ConvergenceError(f"the grid for E={E!r} would reach past ln r = {x:.4g}")
         return lam * math.exp(nu2 * x) - E * math.exp(2.0 * x) + c
 
     # -g is least at xs and rises monotonically on either side of it
@@ -136,15 +138,20 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of N
     points (_grid), outward from the r**(gamma+1/2) series and inward
     from a decaying seed.  One safeguarded secant search finds the root
-    of the increasing miss-distance F(E) - n pi (_miss), from the
-    closed-form level and its slope: on grids for windows E / r .. E r
-    (_SEARCH_RATIO), rebuilt whenever the iterate leaves the window, then
-    on a grid for E (1 -+ _POLISH_WIDTH), and last on the 2N - 1 point
-    refinement of that grid within _REFINE_REL_TOL of its N-point level.
-    Numerov's error is O(h**4), so the level returned is the Richardson
-    extrapolation E_2N + (E_2N - E_N) / 15 of the two (Andrew & Paine,
-    Numer. Math. 47, 289 (1985)), within 6.6e-11 relative of 32 exact
-    Coulomb and oscillator levels with n up to 20.
+    of the increasing miss-distance F(E) - n pi (_miss) over
+    |ln|E|| <= _MAX_Y from the log of the closed-form level and its slope,
+    on the grid for the window E / r .. E r (_SEARCH_RATIO) around an
+    iterate, rebuilt where one leaves it.  Its sign bracket and slope
+    carry over from window to window: at the nu = -2 floor, where the seed
+    is decades off, gamma in {0, 0.5, 1.5, 4} and n in {0, 1, 3, 10} solve
+    in 11-18 sweeps at nu = -1.99 and 9-17 at -1.97 and -1.95.  It then
+    polishes on a grid for E (1 -+ _POLISH_WIDTH), and last on the 2N - 1
+    point refinement of that grid within _REFINE_REL_TOL of its N-point
+    level.  Numerov's error is O(h**4), so the level returned is the
+    Richardson extrapolation E_2N + (E_2N - E_N) / 15 of the two (Andrew &
+    Paine, Numer. Math. 47, 289 (1985)), within 6.6e-11 relative of 32
+    exact Coulomb and oscillator levels with n up to 20; at nu <= -1.8,
+    searches by other paths, to other grids, differ by up to 5.7e-10.
 
     N starts at _START_POINTS and grows only where a check measures that
     it must: _grid gives any window the points that keep h**2 |g| / 12
@@ -161,9 +168,9 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     outside the normal double range raises ValueError, as the closed form
     does.
 
-    A grid that would pass _MAX_POINTS, a polish that leaves its window,
-    a matched solution without n nodes, or more than _MAX_SWEEPS sweeps
-    raise ConvergenceError.
+    A level beyond _MAX_Y, a grid that would pass _MAX_POINTS, a polish
+    that leaves its window, a matched solution without n nodes, or more
+    than _MAX_SWEEPS sweeps raise ConvergenceError.
     """
     if not isinstance(potential, PowerLaw):
         raise ValueError("shooting solver handles power-law potentials")
@@ -178,7 +185,8 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     # decades of E
     lam = sign = math.copysign(1.0, potential.lam)
 
-    sweeps, points = 0, _START_POINTS
+    sweeps, points, grid, center = 0, _START_POINTS, None, math.inf
+    width = min(1.0, abs(nu)) * math.log(_SEARCH_RATIO)
 
     def energy(y):
         return sign * math.exp(sign * y)
@@ -190,49 +198,43 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         points = grid[2]
         return grid
 
-    def miss(grid):
-        def residual(y):
-            nonlocal sweeps
-            if sweeps >= _MAX_SWEEPS:
-                raise ConvergenceError(f"shooting did not converge within {_MAX_SWEEPS} sweeps")
-            sweeps += 1
-            phase, nodes = _miss(energy(y), lam, nu, gamma, grid)
-            return phase - n * math.pi, nodes
+    def residual(y):  # F - n pi on the grid for center -+ width, moved to y if y leaves it
+        nonlocal sweeps, grid, center
+        if abs(y - center) > width:
+            center, grid = y, grid_for(y, width)
+        if sweeps >= _MAX_SWEEPS:
+            raise ConvergenceError(f"shooting did not converge within {_MAX_SWEEPS} sweeps")
+        sweeps += 1
+        phase, nodes = _miss(energy(y), lam, nu, gamma, grid)
+        return phase - n * math.pi, nodes
 
-        return residual
-
-    # the closed-form level E = scale (factor x)**power, x = n + slope g +
-    # offset, has phase pi x, so dF/dy ~ pi x / |power|
+    # the closed-form level |E| = (factor x)**power, x = n + slope g +
+    # offset, has phase pi x, so dF/dy ~ pi x / |power|; its logarithm
+    # neither under- nor overflows
     coefficients = closed_form.level_coefficients(PowerLaw(lam, nu))
-    try:
-        E, index = coefficients.energy(n, gamma), coefficients.level_index(n, gamma)
-    except ValueError:
-        E, index = coefficients.scale, n + 1.0
-    y, slope = sign * math.log(abs(E)), math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
+    index = coefficients.level_index(n, gamma)
+    y = min(max(sign * coefficients.power * math.log(coefficients.factor * index), -_MAX_Y), _MAX_Y)
+    slope = math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
 
-    # 1. search on grids for windows y -+ width; a step out of the window
-    # moves it at most one width on
-    width = min(1.0, abs(nu)) * math.log(_SEARCH_RATIO)
-    while True:
-        y_next, nodes, slope = _secant(miss(grid_for(y, width)), y, slope, y - width, y + width, 0.5 * _POLISH_WIDTH)
-        if nodes is not None:
-            y = y_next
-            break
-        y = min(max(y_next, y - 2.0 * width), y + 2.0 * width)
+    # 1. one search over |y| <= _MAX_Y, on window grids that follow the
+    # iterate, so that its sign bracket and measured slope carry over
+    y, nodes, slope = _secant(residual, y, slope, -_MAX_Y, _MAX_Y, 0.5 * _POLISH_WIDTH)
+    if nodes is None:
+        raise ConvergenceError(f"no level with |ln|E|| <= _MAX_Y = {_MAX_Y:g} at unit coupling")
 
     # 2. the N-point level on a grid built around it, then the same level
     # on the nested 2N - 1 point grid; where they differ, the 2N - 1 point
     # grid takes the polish over and its own refinement checks it
-    grid = grid_for(y, _POLISH_WIDTH)
+    grid, width = grid_for(y, _POLISH_WIDTH), math.inf  # no iterate moves these grids
     lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
     while True:
         x0, h, points, im, scale = grid
-        y, nodes, slope = _secant(miss(grid), y, slope, lo, hi, 0.125 * _REFINE_REL_TOL, probe=True)
+        y, nodes, slope = _secant(residual, y, slope, lo, hi, 0.125 * _REFINE_REL_TOL)
         if nodes is None:
             raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r})")
-        fine = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
+        grid = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
         tol = min(_ENERGY_TOL / abs(energy(y)), _REL_TOL)
-        y2, found, _ = _secant(miss(fine), y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, probe=True, measured=True)
+        y2, found, _ = _secant(residual, y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, measured=True)
         if found is not None:
             break
         if 4 * points - 3 > _MAX_POINTS:
@@ -240,7 +242,6 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
                 f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative "
                 f"(E={energy(y)!r}); the next check, on {4 * points - 3} points, passes the cap {_MAX_POINTS}"
             )
-        grid = fine
     if found != n:
         raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
     # E_2N - E_N is 15 times the h**4 error of E_2N
@@ -248,7 +249,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     return closed_form._normal_level(level_scale * (e_2n + (e_2n - e_n) / 15.0), n, gamma)
 
 
-def _secant(residual, y, slope, lo, hi, tol, probe=False, measured=False):
+def _secant(residual, y, slope, lo, hi, tol, measured=False):
     """Root of the increasing residual(y)[0] in [lo, hi] by secant steps
     from y, slope being an estimate of its derivative.
 
@@ -256,9 +257,8 @@ def _secant(residual, y, slope, lo, hi, tol, probe=False, measured=False):
     Returns (root, nodes at the last residual, slope) once the bracket,
     or a step taken with a slope measured on this residual (or passed in
     as measured), is below tol; until then each step is at least tol long.
-    A step past lo or hi returns (that step, None, slope), or with probe
-    set first goes to the edge and does so only if the residual keeps its
-    sign there.
+    A step past lo or hi goes to that edge, and one past it again, the
+    residual having kept its sign there, returns (the edge, None, slope).
     """
     tol = max(tol, 4.0 * math.ulp(max(abs(y), 1.0)))
     below = above = None
@@ -277,10 +277,9 @@ def _secant(residual, y, slope, lo, hi, tol, probe=False, measured=False):
             if not below < y_next < above:
                 y_next = 0.5 * (below + above)
         elif not lo <= y_next <= hi:
-            edge = lo if y_next < lo else hi
-            if not probe or y == edge:
-                return y_next, None, slope
-            y_next = edge
+            y_next = min(max(y_next, lo), hi)
+            if y_next == y:  # the residual kept its sign at this edge
+                return y, None, slope
         if (measured and abs(y_next - y) <= tol) or (bracketed and above - below <= tol):
             return y_next, nodes, slope
         f_next, nodes = residual(y_next)

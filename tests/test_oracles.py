@@ -201,13 +201,16 @@ HIGH_LEVELS = [
     (-1.0, -0.5, 4.0, 30, -0.038087370179024714),
 ]
 
-# (lam, nu, gamma, n, level): states at the nu floor, where the step bound
-# grows the search grids; the levels of solves with no sweep budget, whose
-# search windows were halved instead
+# (lam, nu, gamma, n, level, sweeps): states at the nu floor, where the
+# step bound grows the search grids, and the sweeps a solve takes there.
+# The first three levels are those of solves with no sweep budget, whose
+# search windows were halved instead; the last is the solver's own, which a
+# search along another path, to other grids, put at -3.5502141975e-265
 FLOOR_LEVELS = [
-    (-1.0, -1.95, 0.0, 0, -7937531770271523.0),
-    (-1.0, -1.95, 1.5, 3, -9.108731001290223e-34),
-    (-1.0, -1.99, 0.5, 0, -6.453300336280167e-10),
+    (-1.0, -1.95, 0.0, 0, -7937531770271523.0, 17),
+    (-1.0, -1.95, 1.5, 3, -9.108731001290223e-34, 11),
+    (-1.0, -1.99, 0.5, 0, -6.453300336280167e-10, 13),
+    (-1.0, -1.99, 4.0, 0, -3.5502141975513116e-265, 13),
 ]
 
 # (gamma, n, a / E_well, b / E_well): (E_well - E) nu = a ln nu + b, fitted
@@ -268,10 +271,15 @@ class TestLogGridOracle:
         assert got == pytest.approx(9.623231789735597, rel=1e-10, abs=0)
         assert got < math.pi**2
 
-    @pytest.mark.parametrize("lam,nu,gamma,n,level", FLOOR_LEVELS, ids=["-1.95-g0-n0", "-1.95-g1.5-n3", "-1.99-g0.5-n0"])
-    def test_floor_exponents_solve(self, lam, nu, gamma, n, level):
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,n,level,sweeps", FLOOR_LEVELS, ids=["-1.95-g0-n0", "-1.95-g1.5-n3", "-1.99-g0.5-n0", "-1.99-g4-n0"]
+    )
+    def test_floor_exponents_solve(self, kernel_sizes, lam, nu, gamma, n, level, sweeps):
+        # the seed is decades off here: the search crosses the decades in
+        # few sweeps only if its bracket and slope carry across windows
         got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert got == pytest.approx(level, rel=1e-7, abs=0)
+        assert len(kernel_sizes) == sweeps
 
     def test_overflowing_energy_scale_raises_value_error(self):
         # the closed-form record has no finite scale to carry the unit-coupling level over
@@ -308,12 +316,22 @@ class TestLogGridOracle:
             got = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
             assert got == pytest.approx(abs(lam) ** (2.0 / (nu + 2.0)) * unit, rel=1e-12, abs=0), (lam, nu, gamma, n)
 
-    @pytest.mark.parametrize("nu", [-1.99])
-    def test_out_of_reach_exponents_raise(self, nu):
-        # at gamma = 4 the closed-form seed is too far off: the sweep
-        # budget runs out
-        with pytest.raises(ConvergenceError, match="sweeps"):
-            shoot_eigenvalue(PowerLaw(-1.0, nu), 4.0, 0)
+    @pytest.mark.parametrize("nu,gamma", [(-1.99, 8.0)], ids=["-1.99-g8"])
+    def test_out_of_reach_exponents_raise(self, kernel_sizes, nu, gamma):
+        # the level lies beyond |E| = e**-650 at unit coupling: the search
+        # probes its edge, finds the residual's sign unchanged and names the
+        # bound, not the energy past it, which underflows
+        with pytest.raises(ConvergenceError, match=r"_MAX_Y = 650") as raised:
+            shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, 0)
+        assert "E=" not in str(raised.value)
+        assert len(kernel_sizes) <= 3
+
+    def test_grid_at_the_search_edge_raises_convergence_error(self):
+        # at nu = 0.5 the window at y = _MAX_Y reaches toward r = e**1300,
+        # past the double range, so the message gives ln r
+        E = math.exp(oracles._MAX_Y)
+        with pytest.raises(ConvergenceError, match=r"would reach past ln r = 1300"):
+            _grid(E, E / 2**0.5, E * 2**0.5, 1.0, 0.5, 0.0, 1200)
 
     @pytest.mark.parametrize(
         "lam,nu,n,points,message",
@@ -333,7 +351,7 @@ class TestLogGridOracle:
             (1.0, 800.0, 0.0, 0, 58_439),
             (-1.0, -1.5, 0.5, 10, 4861),
             (1.0, 2.0, 0.0, 0, 2399),
-            (-1.0, -1.95, 0.0, 0, 10_371),
+            (-1.0, -1.95, 0.0, 0, 10_169),
         ],
         ids=["800-g0-n0", "-1.5-g0.5-n10", "2-g0-n0", "-1.95-g0-n0"],
     )
@@ -347,7 +365,7 @@ class TestLogGridOracle:
         assert got == pytest.approx(-0.0041319455138, rel=1e-7, abs=0)
 
     def test_every_sweep_counts_against_the_budget(self, monkeypatch, kernel_sizes):
-        # the nu = -1.8 reference state needs 11 sweeps from its poor seed
+        # the nu = -1.8 reference state needs 9 sweeps from its poor seed
         monkeypatch.setattr(oracles, "_MAX_SWEEPS", 8)
         with pytest.raises(ConvergenceError, match="within 8 sweeps"):
             shoot_eigenvalue(PowerLaw(-1.0, -1.8), 0.5, 0)
