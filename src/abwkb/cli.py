@@ -79,8 +79,15 @@ def table_to_json(table: SpectrumTable) -> str:
     metadata goes through json.dumps, the q, k and gamma text once per
     state and each row through one f-string, since repr(round12(x)) is
     what json.dumps writes for a finite x.  A non-finite gamma or energy
-    has no JSON form and raises ValueError."""
-    if not all(math.isfinite(g) for _, _, g in table.states) or not all(map(math.isfinite, table.energies)):
+    has no JSON form and raises ValueError.
+
+    An energy's .12g text t is already its JSON text where the table's
+    energies are all normal and t has a "." without "e+", or has "e-": a
+    normal float(t) has no text shorter than t's at most 12 digits, and
+    repr writes them in t's notation.  Integer values, texts with "e+"
+    and tables holding a zero or subnormal energy take repr(float(t))."""
+    energies = table.energies
+    if not all(math.isfinite(g) for _, _, g in table.states) or not all(map(math.isfinite, energies)):
         raise ValueError("table_to_json: gamma and energy must be finite")
     head = _dump_json(
         {
@@ -90,8 +97,9 @@ def table_to_json(table: SpectrumTable) -> str:
             "rows": [],
         }
     )
-    if not table.energies:
+    if not energies:
         return head
+    normal = min(map(abs, energies)) >= sys.float_info.min
     mids = [
         f',\n      "q": {q},\n      "k": {k},\n      "gamma": {round12(g)!r},\n      "energy": '
         for q, k, g in table.states
@@ -99,7 +107,11 @@ def table_to_json(table: SpectrumTable) -> str:
     rows = []
     for n, levels in enumerate(_by_n(table)):
         prefix = f'    {{\n      "n": {n}'
-        rows += [f'{prefix}{mid}{float(f"{e:.12g}")!r}\n    }}' for mid, e in zip(mids, levels)]
+        texts = [f"{e:.12g}" for e in levels]
+        rows += [
+            f'{prefix}{mid}{t if normal and "e+" not in t and ("." in t or "e" in t) else repr(float(t))}\n    }}'
+            for mid, t in zip(mids, texts)
+        ]
     # head ends with '"rows": []\n}\n'; one join, so the output is copied once
     rows[0] = head[:-5] + "[\n" + rows[0]
     rows[-1] += "\n  ]\n}\n"

@@ -174,9 +174,14 @@ def spectrum_table(
 ) -> SpectrumTable:
     """Closed-form levels for every (n, q, k) in the requested ranges.
 
-    Each level is the scalar closed_form_energy(potential, n, gamma) times
-    the unit factor; raises ValueError when a displayed level would print
-    as inf, -0 or a subnormal.
+    |E| is monotone in n + slope * gamma, so the displayed levels peak and
+    bottom out at the grid's two corners: n = 0 at the smallest gamma and
+    n_max at the largest.  Those two come from the scalar
+    closed_form_energy(potential, n, gamma) times the unit factor, and
+    raise ValueError first when a displayed level would print as inf, -0
+    or a subnormal.  Every other level comes from the held
+    level_coefficients(potential) record with the association and ** of
+    LevelCoefficients.energy, so it is bit-identical to the scalar entry.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
@@ -188,9 +193,12 @@ def spectrum_table(
     factor = unit.factor
     states = tuple((q, k, effective_gamma(q, k, mu0)) for q in range(q_max + 1) for k in range(k_lo, k_hi + 1))
     gammas = [g for _, _, g in states]
-    energies = tuple([closed_form_energy(potential, n, g) * factor for n in range(n_max + 1) for g in gammas])
-    # |E| is monotone in n + slope * g, so the displayed levels peak and bottom out at the grid's corners
     lo, hi = gammas.index(min(gammas)), gammas.index(max(gammas))
-    _normal_level(energies[lo], 0, gammas[lo])
-    _normal_level(energies[n_max * len(gammas) + hi], n_max, gammas[hi])
-    return SpectrumTable(potential, mu0, unit, states, energies)
+    e_lo = _normal_level(closed_form_energy(potential, 0, gammas[lo]) * factor, 0, gammas[lo])
+    e_hi = _normal_level(closed_form_energy(potential, n_max, gammas[hi]) * factor, n_max, gammas[hi])
+    held = level_coefficients(potential)
+    scale, base, offset, power = held.scale, held.factor, held.offset, held.power
+    slope_g = [held.slope * g for g in gammas]
+    energies = [scale * (base * (n + a + offset)) ** power * factor for n in range(n_max + 1) for a in slope_g]
+    energies[lo], energies[n_max * len(gammas) + hi] = e_lo, e_hi
+    return SpectrumTable(potential, mu0, unit, states, tuple(energies))

@@ -265,6 +265,17 @@ class TestTendency:
         assert (code, out) == (2, "")
         assert "level n=0, gamma=3.26 underflows" in err
 
+    def test_out_of_range_grid_names_its_extreme_level(self, capsys):
+        # n = 0 underflows from gamma = 2.74 on, but the grid checks its two
+        # corners first, and the smallest |E| is n_max = 3 at the largest gamma
+        code, out, err = run_cli(
+            capsys,
+            "tendency", "--nu", "-1.991805", "--lambda", "-0.752466", "--mu0", "0.735763",
+            "--k", "1", "--n-max", "3", "--q-max", "4", "--units", "fig2a", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: level n=3, gamma=5.735763 underflows: |E| = 0\n"
+
     def test_overflowing_level_is_named(self, capsys):
         # (factor x)**power overflows here, power -3998 on a base below 1
         code, out, err = run_cli(

@@ -10,10 +10,14 @@ encoded again, and the figure drawn from the rows grouped by state.
 
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abwkb import InfiniteWell, PowerLaw, closed_form, unit_scale
 from abwkb import cli, svg
@@ -27,7 +31,7 @@ from abwkb.cli import (
     table_to_csv,
     table_to_json,
 )
-from abwkb.closed_form import SpectrumTable, spectrum_table
+from abwkb.closed_form import SpectrumTable, closed_form_energy, spectrum_table
 
 
 def dict_json(table):
@@ -146,6 +150,89 @@ def test_table_rejects_energies_off_the_grid():
         SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), ((0, 0, 0.3), (1, 0, 1.3)), (1.0, 2.0, 3.0))
 
 
+def json_energies(energies):
+    """The energy texts table_to_json writes for a one-state table holding
+    energies as its n-grid, after checking the whole output against
+    json.dumps."""
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.0, unit_scale("reduced"), ((0, 0, 0.0),), tuple(energies))
+    text = table_to_json(table)
+    assert text == dict_json(table)
+    return [line.split(": ")[1] for line in text.splitlines() if line.startswith('      "energy": ')]
+
+
+# integers, the band 1e12 <= |E| < 1e16 where %.12g and repr part ways, the
+# notation switch at 1e-4, and the ends of the normal and subnormal ranges
+ENERGY_EDGES = [
+    1.0, -1.0, 4.0, -37.0, 123456789012.0, -999999999999.0, 999999999999.5, -999999999999.5,
+    1e12, -1e12, 1.4e13, 1.23456789012345e13, 1e15, 1.5e15, -1.5e15, 1e16, -1e16, 1.25e16,
+    9.99999999999995e-5, -9.99999999999995e-5, 9.99999999999e-5, 1e-4, 1e-5, -1.5e-5,
+    sys.float_info.min, -sys.float_info.min, 5e-324, -5e-324, 1e-310, 0.0, -0.0,
+    sys.float_info.max, -sys.float_info.max, 0.1, -2.5, 3.14159265358979,
+]
+
+
+@pytest.mark.parametrize("x", ENERGY_EDGES, ids=repr)
+def test_json_energy_text_at_the_edges(x):
+    assert json_energies([x]) == [repr(round12(x))]
+
+
+def test_json_energy_text_of_the_edges_in_one_table():
+    # zero and subnormal levels share the table with normal ones
+    assert json_energies(ENERGY_EDGES) == [repr(round12(x)) for x in ENERGY_EDGES]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_json_energy_text_is_repr_of_round12(xs):
+    assert json_energies(xs) == [repr(round12(x)) for x in xs]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, min_value=1e-300, max_value=1e300))
+@settings(max_examples=500, deadline=None)
+def test_json_normal_energy_text_is_repr_of_round12(x):
+    assert json_energies([x, -x]) == [repr(round12(x)), repr(round12(-x))]
+
+
+def test_cli_json_levels_between_1e12_and_1e16(capsys):
+    # scale 1e12 and E = 1e12 (4n + 2g + 3): %.12g writes 4e+12, repr 4000000000000.0
+    argv = ["--nu", "2", "--lambda", "1e24", "--mu0", "0.5", "--n-max", "3", "--q-max", "1", "--k-range=-1..1"]
+    assert main(["spectrum", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    table = spectrum_table(PowerLaw(1e24, 2.0), 0.5, 3, 1, (-1, 1))
+    assert out == dict_json(table)
+    assert all(1e12 <= e < 1e16 for e in table.energies)
+    assert '"energy": 4000000000000.0\n' in out
+
+
+def _seeded_grids(rng):
+    """(potential, mu0, n_max, q_max, k_range, preset) per unit preset, with
+    k_range reaching below -1 so the smallest gamma lies past the first state."""
+    lam = 10.0 ** rng.uniform(-1.0, 1.0)
+    potentials = [
+        (PowerLaw(-lam, -1.0), "fig2a"),
+        (PowerLaw(-lam, -1.9), "fig2b"),
+        (PowerLaw(-lam, -0.5), "reduced"),
+        (PowerLaw(lam, 1.0), "fig2b"),
+        (PowerLaw(lam, 2.0), "fig2c"),
+        (PowerLaw(lam, 7.3), "reduced"),
+        (InfiniteWell(10.0 ** rng.uniform(-1.0, 1.0)), "fig1"),
+    ]
+    for pot, preset in potentials:
+        k_lo = rng.randint(-4, -2)
+        k_range = (k_lo, k_lo + rng.randint(2, 5))
+        yield pot, round(rng.uniform(0.05, 0.95), 6), rng.randint(0, 8), rng.randint(0, 3), k_range, preset
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_grid_levels_are_the_scalar_closed_form(seed):
+    for pot, mu0, n_max, q_max, k_range, preset in _seeded_grids(random.Random(seed)):
+        table = _table(pot, mu0, n_max, q_max, k_range, preset)
+        gammas = [g for _, _, g in table.states]
+        assert gammas.index(min(gammas)) > 0
+        want = [closed_form_energy(pot, n, g) * table.unit.factor for n in range(n_max + 1) for g in gammas]
+        assert list(table.energies) == want, (pot, mu0, n_max, q_max, k_range, preset)
+
+
 def grouped_svg(table, title, key, label):
     """The figure drawn from table.rows: one series per group of rows
     sharing key(row), named label.format(*key(row)), groups and points
@@ -206,13 +293,28 @@ class TestHarnessSurface:
     must reach the grid, rows carry n, q, k, gamma, energy, and the CLI
     gives the same output however many commands ran before."""
 
-    def test_patched_closed_form_reaches_the_grid(self, monkeypatch):
+    def test_patched_level_coefficients_reach_every_row(self, monkeypatch):
         pot = PowerLaw(-1.0, -1.0)
-        before = spectrum_table(pot, 0.5, 2, 1, (0, 1))
+        before = spectrum_table(pot, 0.3, 2, 1, (-2, 1))
+        real = closed_form.level_coefficients
+        monkeypatch.setattr(closed_form, "level_coefficients", lambda p: replace(real(p), scale=2.0 * real(p).scale))
+        after = spectrum_table(pot, 0.3, 2, 1, (-2, 1))
+        # doubling the scale is exact in binary, so every level doubles exactly
+        assert after.energies == tuple(2.0 * e for e in before.energies)
+
+    def test_patched_closed_form_reaches_the_grid(self, monkeypatch):
+        # the rows perfbench's planted wrong closed form is seen through: n = 0 at
+        # the smallest gamma (k = 0 here, not the first state) and n_max at the largest
+        pot = PowerLaw(-1.0, -1.0)
+        before = spectrum_table(pot, 0.3, 2, 1, (-2, 1))
         real = closed_form.closed_form_energy
         monkeypatch.setattr(closed_form, "closed_form_energy", lambda p, n, g: 1.01 * real(p, n, g))
-        after = spectrum_table(pot, 0.5, 2, 1, (0, 1))
-        assert [r.energy for r in after.rows] == [1.01 * r.energy for r in before.rows]
+        after = spectrum_table(pot, 0.3, 2, 1, (-2, 1))
+        lo, hi = 2, 2 * 8 + 4
+        assert (before.rows[lo].n, before.rows[lo].gamma) == (0, min(g for _, _, g in before.states))
+        assert (before.rows[hi].n, before.rows[hi].gamma) == (2, max(g for _, _, g in before.states))
+        for i in (lo, hi):
+            assert after.energies[i] == 1.01 * before.energies[i] != before.energies[i]
 
     def test_rows_from_json_and_row_count(self):
         pot = PowerLaw(1.0, 3.0)
