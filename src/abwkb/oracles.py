@@ -14,6 +14,7 @@ Richardson-extrapolated.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _kernels, closed_form
 from .errors import ConvergenceError
@@ -40,7 +41,6 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
 
 _START_POINTS = 1200  # every solve starts on grids of this many points
 _MAX_POINTS = 2**17  # no grid, the 2N - 1 point refinement included, grows past this
-_ENERGY_TOL = 1e-9  # last secant step on the 2N - 1 point grid (and at most _REL_TOL |E|)
 _MAX_SWEEPS = 260  # Numerov sweeps of one solve
 _INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
@@ -51,7 +51,7 @@ _MAX_STEP_PARAM = 0.5
 _SEARCH_RATIO = 2.0  # search windows span E / r .. E r, r = this ** min(1, |nu|)
 _POLISH_WIDTH = 1e-3  # the polish grid is built for E (1 -+ this)
 _REFINE_REL_TOL = 1e-6  # levels on N and 2N - 1 points must agree to this
-_REL_TOL = 1e-10  # final step cap relative to |E|
+_REL_TOL = 1e-10  # last secant step on the 2N - 1 point grid, relative to |E|
 _MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
 _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 _MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds floor grids out to it
@@ -144,7 +144,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     iterate, rebuilt where one leaves it.  Its sign bracket and slope
     carry over from window to window: at the nu = -2 floor, where the seed
     is decades off, gamma in {0, 0.5, 1.5, 4} and n in {0, 1, 3, 10} solve
-    in 11-18 sweeps at nu = -1.99 and 9-17 at -1.97 and -1.95.  It then
+    in 9-17 sweeps at nu = -1.99, 9-16 at -1.97 and 9-14 at -1.95.  It then
     polishes on a grid for E (1 -+ _POLISH_WIDTH), and last on the 2N - 1
     point refinement of that grid within _REFINE_REL_TOL of its N-point
     level.  Numerov's error is O(h**4), so the level returned is the
@@ -166,7 +166,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     closed form's LevelCoefficients.scale; the energies that a
     ConvergenceError names are those at unit coupling.  A scale or a level
     outside the normal double range raises ValueError, as the closed form
-    does.
+    does, and so does a gamma whose (gamma + 1/2)**2 overflows.
 
     A level beyond _MAX_Y, a grid that would pass _MAX_POINTS, a polish
     that leaves its window, a matched solution without n nodes, or more
@@ -178,7 +178,9 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    level_scale = abs(closed_form.level_coefficients(potential).scale)
+    if gamma + 0.5 > math.sqrt(sys.float_info.max):
+        raise ValueError(f"gamma={gamma} is out of range: (gamma + 1/2)**2 overflows")
+    coefficients = closed_form.level_coefficients(potential)
     nu = potential.nu
     # the search runs at unit coupling lam = sign, in y = sign(E) ln|E|,
     # which rises with E and in which F is close to linear even across
@@ -211,7 +213,6 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     # the closed-form level |E| = (factor x)**power, x = n + slope g +
     # offset, has phase pi x, so dF/dy ~ pi x / |power|; its logarithm
     # neither under- nor overflows
-    coefficients = closed_form.level_coefficients(PowerLaw(lam, nu))
     index = coefficients.level_index(n, gamma)
     y = min(max(sign * coefficients.power * math.log(coefficients.factor * index), -_MAX_Y), _MAX_Y)
     slope = math.pi * index * (nu + 2.0) / (2.0 * abs(nu))
@@ -233,8 +234,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         if nodes is None:
             raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r})")
         grid = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
-        tol = min(_ENERGY_TOL / abs(energy(y)), _REL_TOL)
-        y2, found, _ = _secant(residual, y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, tol, measured=True)
+        y2, found, _ = _secant(residual, y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, _REL_TOL, measured=True)
         if found is not None:
             break
         if 4 * points - 3 > _MAX_POINTS:
@@ -246,7 +246,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
         raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
     # E_2N - E_N is 15 times the h**4 error of E_2N
     e_n, e_2n = energy(y), energy(y2)
-    return closed_form._normal_level(level_scale * (e_2n + (e_2n - e_n) / 15.0), n, gamma)
+    return closed_form._normal_level(abs(coefficients.scale) * (e_2n + (e_2n - e_n) / 15.0), n, gamma)
 
 
 def _secant(residual, y, slope, lo, hi, tol, measured=False):
@@ -260,7 +260,6 @@ def _secant(residual, y, slope, lo, hi, tol, measured=False):
     A step past lo or hi goes to that edge, and one past it again, the
     residual having kept its sign there, returns (the edge, None, slope).
     """
-    tol = max(tol, 4.0 * math.ulp(max(abs(y), 1.0)))
     below = above = None
     f, nodes = residual(y)
     while True:

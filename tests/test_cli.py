@@ -409,8 +409,8 @@ class TestJsonCommands:
         assert list(json.loads(out)) == ["nu", "lambda", "gamma", "n", "energy"]
 
     def test_shoot_non_convergence_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracles, "_ENERGY_TOL", 1e-15)
-        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 10)
+        # the oscillator ground level takes 6 sweeps
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 5)
         code, _, err = run_cli(capsys, "shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 3
         assert "converge" in err
@@ -456,6 +456,10 @@ class TestJsonCommands:
              "energy scale |lam|**(2/(nu+2)) underflows at lam=-1e-10, nu=-1.99"),
             (("shoot", "--nu", "-1.5", "--lambda", "-1.4e-77", "--gamma", "0", "--n", "0"),
              "level n=0, gamma=0.0 underflows"),
+            (("shoot", "--nu", "2", "--lambda", "1", "--gamma", "1e160", "--n", "0"),
+             "gamma=1e+160 is out of range: (gamma + 1/2)**2 overflows"),
+            (("shoot", "--nu", "-1", "--lambda", "-1", "--gamma", "1e160", "--n", "0"),
+             "gamma=1e+160 is out of range: (gamma + 1/2)**2 overflows"),
             (("spectrum", "--nu", "-1.99", "--lambda", "-0.025", "--n-max", "0", "--q-max", "0"),
              "energy scale |lam|**(2/(nu+2)) underflows at lam=-0.025, nu=-1.99"),
             (("spectrum", "--nu", "inf", "--radius", "1e-170", "--n-max", "0", "--q-max", "0"),
@@ -489,7 +493,8 @@ class TestJsonCommands:
              "fig2b unit factor is not finite and positive for PowerLaw(lam=1.7e+308, nu=1.0)"),
         ],
         ids=[
-            "shoot-zero-scale", "shoot-subnormal-level", "spectrum-subnormal-scale",
+            "shoot-zero-scale", "shoot-subnormal-level", "shoot-huge-gamma", "shoot-huge-gamma-tail",
+            "spectrum-subnormal-scale",
             "spectrum-well-zero-a2", "quantize-well-zero-a2", "spectrum-well-inf-a2", "quantize-well-inf-a2",
             "verify-action-zero-rc", "verify-action-zero-ratio", "verify-action-zero-action",
             "tendency-fig2a", "spectrum-fig1", "tendency-fig2d", "spectrum-fig1-zero", "spectrum-fig2b-zero",

@@ -158,10 +158,16 @@ class TestShootingBehaviour:
             shoot_eigenvalue(PowerLaw(1.0, 2.0), gamma, 0)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_ENERGY_TOL", 1e-15)
-        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 10)
-        with pytest.raises(ConvergenceError):
+        # the oscillator ground level takes 6 sweeps
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 5)
+        with pytest.raises(ConvergenceError, match="within 5 sweeps"):
             shoot_eigenvalue(PowerLaw(1.0, 2.0), 0.0, 0)
+
+    @pytest.mark.parametrize("lam,nu", [(1.0, 2.0), (-1.0, -1.0)], ids=["oscillator", "coulomb"])
+    def test_overflowing_gamma_term_raises_value_error(self, lam, nu):
+        # (gamma + 1/2)**2 is the centrifugal term of every sweep
+        with pytest.raises(ValueError, match=r"gamma=1e\+160 is out of range: \(gamma \+ 1/2\)\*\*2 overflows"):
+            shoot_eigenvalue(PowerLaw(lam, nu), 1e160, 0)
 
 
 # (lam, nu, gamma, n, level): exact levels, and for the other states the
@@ -207,7 +213,7 @@ HIGH_LEVELS = [
 # search windows were halved instead; the last is the solver's own, which a
 # search along another path, to other grids, put at -3.5502141975e-265
 FLOOR_LEVELS = [
-    (-1.0, -1.95, 0.0, 0, -7937531770271523.0, 17),
+    (-1.0, -1.95, 0.0, 0, -7937531770271523.0, 11),
     (-1.0, -1.95, 1.5, 3, -9.108731001290223e-34, 11),
     (-1.0, -1.99, 0.5, 0, -6.453300336280167e-10, 13),
     (-1.0, -1.99, 4.0, 0, -3.5502141975513116e-265, 13),
@@ -471,6 +477,15 @@ class TestSweepCount:
     def test_benchmark_states_within_12_sweeps(self, kernel_sizes, name, lam, nu, gamma, n):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert len(kernel_sizes) <= 12
+
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,n,sweeps", [(1.0, 2.0, 0.0, 10, 10), (1.0, 100.0, 1.5, 10, 6)], ids=["2-g0-n10", "100-g1.5-n10"]
+    )
+    def test_last_step_stops_on_a_relative_width(self, kernel_sizes, lam, nu, gamma, n, sweeps):
+        # levels 43 and 1152 at unit coupling: a stop on an absolute
+        # energy width would ask one more sweep of each
+        shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert len(kernel_sizes) == sweeps
 
     def test_steep_wall_sizes_its_grid_once(self, kernel_sizes):
         # nu = 1000 searches on one grid of 35,305 points, then polishes on
