@@ -14,8 +14,11 @@ The states sit at the middle of each stratum of perfbench/inputs.py: six
 tail states (lam < 0: Coulomb, -1.45 <= nu <= -1.1 and -0.95 <= nu <= -0.8,
 each at two (n, q)) and six confined ones (oscillator, Airy, linear with
 gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), none of
-which grows its grid past the starting 1200 points.  For each state it
-records:
+which grows its grid past the starting 1200 points or refines it past
+2N - 1 points.  Four more states, at n = 10 and 20, outside perfbench's
+strata, have levels on N and 2N - 1 points that differ by more than the
+oracle's refinement tolerance, so their solves refine the polish grid
+to 4N - 3 points and beyond.  For each state it records:
 
 - seconds: the best of REPEAT solves;
 - sweeps and points: calls of the Numerov kernel numerov_match, the only
@@ -54,6 +57,10 @@ STATES = (
     ("confined_nu_0.55", 1.0, 0.55, 1.3, 1),
     ("confined_nu_2.6", 1.0, 2.6, 1.3, 1),
     ("confined_nu_8", 1.0, 8.0, 1.3, 1),
+    ("nested_coulomb_n20", -1.0, -1.0, 0.0, 20),
+    ("nested_oscillator_n20", 1.0, 2.0, 0.0, 20),
+    ("nested_nu3_n20", 1.0, 3.0, 0.0, 20),
+    ("nested_tail_n10", -1.0, -1.5, 0.5, 10),
 )
 REPEAT = 5
 # perfbench per-layer metrics copied by --perfbench-record

@@ -162,9 +162,10 @@ def _dump_json(obj: dict) -> str:
 
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    if not hi:
-        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}") from None
 
 
 def _potential_from_args(args) -> PowerLaw | InfiniteWell:

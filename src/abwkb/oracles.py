@@ -5,10 +5,10 @@ These share no formulas with the action module, which is the point: they
 validate the semiclassical results from the outside.  The shooting solver
 takes only its starting level and slope from the closed form; its answer
 is the root of a Prufer miss-distance that counts the nodes itself, and
-is checked on a grid of twice the density, so a poor seed costs sweeps,
-never the level, and one search keeps its bracket across grid windows.
-The two levels, whose O(h**4) errors differ by a factor of 16, are
-Richardson-extrapolated.
+is solved again on grids of twice the density until two levels agree, so
+a poor seed costs sweeps, never the level, and one search keeps its
+bracket across grid windows.  The two levels, whose O(h**4) errors
+differ by a factor of 16, are Richardson-extrapolated.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
 
 
 _START_POINTS = 1200  # every solve starts on grids of this many points
-_MAX_POINTS = 2**17  # no grid, the 2N - 1 point refinement included, grows past this
+_MAX_POINTS = 2**17  # no grid, its nested refinements included, grows past this
 _MAX_SWEEPS = 260  # Numerov sweeps of one solve
 _INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
@@ -50,8 +50,8 @@ _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
 _MAX_STEP_PARAM = 0.5
 _SEARCH_RATIO = 2.0  # search windows span E / r .. E r, r = this ** min(1, |nu|)
 _POLISH_WIDTH = 1e-3  # the polish grid is built for E (1 -+ this)
-_REFINE_REL_TOL = 1e-6  # levels on N and 2N - 1 points must agree to this
-_REL_TOL = 1e-10  # last secant step on the 2N - 1 point grid, relative to |E|
+_REFINE_REL_TOL = 1e-6  # two nested levels, on N and 2N - 1 points, must agree to this
+_REL_TOL = 1e-10  # last secant step on each refinement of the polish grid, relative to |E|
 _MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
 _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 _MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds floor grids out to it
@@ -144,21 +144,20 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     iterate, rebuilt where one leaves it.  Its sign bracket and slope
     carry over from window to window: at the nu = -2 floor, where the seed
     is decades off, gamma in {0, 0.5, 1.5, 4} and n in {0, 1, 3, 10} solve
-    in 9-17 sweeps at nu = -1.99, 9-16 at -1.97 and 9-14 at -1.95.  It then
-    polishes on a grid for E (1 -+ _POLISH_WIDTH), and last on the 2N - 1
-    point refinement of that grid within _REFINE_REL_TOL of its N-point
-    level.  Numerov's error is O(h**4), so the level returned is the
-    Richardson extrapolation E_2N + (E_2N - E_N) / 15 of the two (Andrew &
-    Paine, Numer. Math. 47, 289 (1985)), within 6.6e-11 relative of 32
-    exact Coulomb and oscillator levels with n up to 20; at nu <= -1.8,
-    searches by other paths, to other grids, differ by up to 5.7e-10.
+    in 9-17 sweeps at nu = -1.99, 9-15 at -1.97 and 9-13 at -1.95.  It then
+    solves once on a grid of N points for E (1 -+ _POLISH_WIDTH), and once
+    on each of its nested 2N - 1, 4N - 3, ... point refinements, from the
+    last level and slope, until two nested levels agree to _REFINE_REL_TOL.
+    Numerov's error is O(h**4), so the level returned is the Richardson
+    extrapolation E_2N + (E_2N - E_N) / 15 of those two (Andrew & Paine,
+    Numer. Math. 47, 289 (1985)), within 6.6e-11 relative of 40 exact
+    Coulomb and oscillator levels with n up to 20; at nu <= -1.8, searches
+    by other paths, to other grids, differ by up to 5.7e-10.
 
     N starts at _START_POINTS and grows only where a check measures that
     it must: _grid gives any window the points that keep h**2 |g| / 12
     within _MAX_STEP_PARAM, no window gets fewer than the one before it,
-    and an N-point level further than _REFINE_REL_TOL from its 2N - 1
-    point level moves the polish to the 2N - 1 point grid, which is then
-    checked against its own refinement.
+    and the polish grid is refined only while its nested levels differ.
 
     The levels of lam r**nu are |lam|**(2/(nu+2)) times those of
     sign(lam) r**nu (r scales by |lam|**(-1/(nu+2))), so the search runs at
@@ -223,29 +222,29 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     if nodes is None:
         raise ConvergenceError(f"no level with |ln|E|| <= _MAX_Y = {_MAX_Y:g} at unit coupling")
 
-    # 2. the N-point level on a grid built around it, then the same level
-    # on the nested 2N - 1 point grid; where they differ, the 2N - 1 point
-    # grid takes the polish over and its own refinement checks it
+    # 2. the level once on a grid of N points built around it, then once on
+    # each of its nested 2N - 1, 4N - 3, ... point refinements, each solve
+    # starting from the last level and slope, until two nested levels agree
     grid, width = grid_for(y, _POLISH_WIDTH), math.inf  # no iterate moves these grids
     lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
+    level, tol, measured = math.inf, 0.125 * _REFINE_REL_TOL, False
     while True:
         x0, h, points, im, scale = grid
-        y, nodes, slope = _secant(residual, y, slope, lo, hi, 0.125 * _REFINE_REL_TOL)
+        y, nodes, slope = _secant(residual, y, slope, lo, hi, tol, measured)
         if nodes is None:
             raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r})")
-        grid = x0, 0.5 * h, 2 * points - 1, 2 * im, scale
-        y2, found, _ = _secant(residual, y, slope, y - _REFINE_REL_TOL, y + _REFINE_REL_TOL, _REL_TOL, measured=True)
-        if found is not None:
+        if abs(y - level) <= _REFINE_REL_TOL:
             break
-        if 4 * points - 3 > _MAX_POINTS:
+        if 2 * points - 1 > _MAX_POINTS:
             raise ConvergenceError(
-                f"levels on {points} and {2 * points - 1} points differ by more than {_REFINE_REL_TOL:g} relative "
-                f"(E={energy(y)!r}); the next check, on {4 * points - 3} points, passes the cap {_MAX_POINTS}"
+                f"levels on {points // 2 + 1} and {points} points differ by more than {_REFINE_REL_TOL:g} relative "
+                f"(E={energy(y)!r}); the next check, on {2 * points - 1} points, passes the cap {_MAX_POINTS}"
             )
-    if found != n:
-        raise ConvergenceError(f"converged solution has {found} nodes, expected {n} (E={energy(y2)!r})")
+        level, grid, tol, measured = y, (x0, 0.5 * h, 2 * points - 1, 2 * im, scale), _REL_TOL, True
+    if nodes != n:
+        raise ConvergenceError(f"converged solution has {nodes} nodes, expected {n} (E={energy(y)!r})")
     # E_2N - E_N is 15 times the h**4 error of E_2N
-    e_n, e_2n = energy(y), energy(y2)
+    e_n, e_2n = energy(level), energy(y)
     return closed_form._normal_level(abs(coefficients.scale) * (e_2n + (e_2n - e_n) / 15.0), n, gamma)
 
 

@@ -155,6 +155,23 @@ class TestSpectrumCommand:
         assert out == ""
         assert "not allowed with argument" in err
 
+    @pytest.mark.parametrize("k_range", ["a..b", "..3", "1..2..3", "1.5..2"])
+    def test_malformed_k_range_is_a_usage_error(self, capsys, k_range):
+        # every malformed value gets the message a value without '..' gets
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--nu", "2", "--lambda", "1", "--n-max", "1", "--q-max", "0", f"--k-range={k_range}"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"expected LO..HI, got {k_range!r}" in err
+        assert "_parse_k_range" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "tendency", "quantize"])
+    def test_finite_exponent_needs_a_coupling(self, capsys, command):
+        flags = ("--gamma", "0", "--n", "0") if command == "quantize" else ("--n-max", "1", "--q-max", "0")
+        code, out, err = run_cli(capsys, command, "--nu", "2", *flags)
+        assert (code, out) == (2, "")
+        assert "--lambda is required" in err
+
     def test_k_alone_and_default(self, capsys):
         argv = ("spectrum", "--nu", "2", "--lambda", "1", "--n-max", "0", "--q-max", "0")
         _, out, _ = run_cli(capsys, *argv, "--k", "5")
@@ -193,6 +210,12 @@ class TestSerialization:
         twice = table_to_json(table_from_json(once))
         assert twice == once
 
+    def test_unknown_potential_kind_raises(self):
+        obj = json.loads(table_to_json(spectrum_table(PowerLaw(1.0, 2.0), 0.0, 1, 0, (0, 0))))
+        obj["potential"]["kind"] = "yukawa"
+        with pytest.raises(ValueError, match="unknown potential kind 'yukawa'"):
+            table_from_json(json.dumps(obj))
+
     def test_csv_schema(self):
         pot = InfiniteWell(2.0)
         table = spectrum_table(pot, 0.0, 1, 0, (0, 0), unit=unit_scale("fig2d", pot))
@@ -209,6 +232,12 @@ class TestCompareWell:
         assert lines[0] == "gamma,n,E_exact,E_semiclassical,diff"
         for line in lines[1:]:
             assert abs(float(line.split(",")[4])) < 1e-9
+
+    @pytest.mark.parametrize("flags", [("--gamma", "-1", "--n-max", "2"), ("--gamma", "0", "--n-max", "-1")])
+    def test_negative_gamma_or_n_max_exits_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "compare-well", *flags)
+        assert (code, out) == (2, "")
+        assert "gamma and n-max must be non-negative" in err
 
     def test_gamma_25_difference(self, capsys):
         code, out, _ = run_cli(

@@ -473,17 +473,31 @@ def _bench_shoot_states():
 
 
 class TestSweepCount:
-    @pytest.mark.parametrize("name,lam,nu,gamma,n", _bench_shoot_states())
+    # the benchmark's states in perfbench's strata; its nested_* states are
+    # pinned in test_each_nested_grid_solves_once
+    @pytest.mark.parametrize("name,lam,nu,gamma,n", [s for s in _bench_shoot_states() if not s[0].startswith("nested")])
     def test_benchmark_states_within_12_sweeps(self, kernel_sizes, name, lam, nu, gamma, n):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert len(kernel_sizes) <= 12
 
     @pytest.mark.parametrize(
-        "lam,nu,gamma,n,sweeps", [(1.0, 2.0, 0.0, 10, 10), (1.0, 100.0, 1.5, 10, 6)], ids=["2-g0-n10", "100-g1.5-n10"]
+        "lam,nu,gamma,n,sweeps", [(1.0, 2.0, 0.0, 10, 9), (1.0, 100.0, 1.5, 10, 6)], ids=["2-g0-n10", "100-g1.5-n10"]
     )
     def test_last_step_stops_on_a_relative_width(self, kernel_sizes, lam, nu, gamma, n, sweeps):
         # levels 43 and 1152 at unit coupling: a stop on an absolute
         # energy width would ask one more sweep of each
+        shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        assert len(kernel_sizes) == sweeps
+
+    @pytest.mark.parametrize(
+        "lam,nu,gamma,n,sweeps",
+        [(1.0, 2.0, 0.0, 20, 10), (-1.0, -1.0, 0.0, 20, 10), (1.0, 3.0, 0.0, 20, 13), (-1.0, -1.5, 0.5, 10, 10)],
+        ids=["oscillator-g0-n20", "coulomb-g0-n20", "3-g0-n20", "-1.5-g0.5-n10"],
+    )
+    def test_each_nested_grid_solves_once(self, kernel_sizes, lam, nu, gamma, n, sweeps):
+        # these levels on N and 2N - 1 points differ by more than
+        # _REFINE_REL_TOL, so the polish refines past 2N - 1 points; each
+        # nested grid takes one solve, from the last level and its slope
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert len(kernel_sizes) == sweeps
 
@@ -500,6 +514,23 @@ class TestSweepCount:
         monkeypatch.setattr(oracles, "_grid", lambda *a, grid=_grid: calls.append(a) or grid(*a))
         shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
         assert len(calls) == 2
+
+
+class TestSecant:
+    def test_step_past_the_sign_bracket_bisects_it(self):
+        # atan(10 y) saturates, so secant steps from its flat tails
+        # overshoot the bracket of the signs seen; bisecting it keeps every
+        # probe inside [-100, 100] and finds 0 in 13 of them
+        probes = []
+
+        def residual(y):
+            probes.append(y)
+            return math.atan(10.0 * y), 7
+
+        root, nodes, _ = oracles._secant(residual, -1.0, 0.05, -100.0, 100.0, 1e-12)
+        assert abs(root) <= 1e-12
+        assert nodes == 7
+        assert len(probes) == 13 and max(map(abs, probes)) <= 100.0
 
 
 def _step_parameter(grid, lam, nu, gamma, E, points=None):
