@@ -16,7 +16,6 @@ from .action import (
 from .analysis import (
     TendencyReport,
     build_tendency_report,
-    spectral_derivative,
 )
 from .closed_form import (
     EnergyLevel,
@@ -35,7 +34,7 @@ from .model import (
     unit_scale,
 )
 from .oracles import shoot_eigenvalue, well_exact_spectrum
-from .special_functions import bessel_j, bessel_j_zero, bessel_j_zeros
+from .special_functions import bessel_j, bessel_j_zeros
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,6 @@ __all__ = [
     "action_integral_closed",
     "action_integral_numeric",
     "bessel_j",
-    "bessel_j_zero",
     "bessel_j_zeros",
     "build_tendency_report",
     "closed_form_energy",
@@ -61,7 +59,6 @@ __all__ = [
     "effective_gamma",
     "quantize_energy",
     "shoot_eigenvalue",
-    "spectral_derivative",
     "spectrum_table",
     "turning_point",
     "unit_scale",

@@ -1,9 +1,6 @@
-"""Spectral tendency analysis: exact derivatives in (n, q, |k+mu0|) and the
-tendency report built from them.
+"""Spectral tendency report: the curvature, derivative signs, slope ratios
+and flux-slope sign of the levels in (n, q, kmu = |k + mu0|).
 
-Quantum numbers are promoted to continuous reals here (and only here) so
-the closed forms can be differentiated; |k + mu0| is treated as a single
-variable, which sidesteps the kink of the absolute value at k + mu0 = 0.
 Every closed form is E = s (K x)**p with x = n + a (q + kmu) + b, so
 all derivatives are exact, and the report reads its signs and ratios off
 that one record: the branch rules live in closed_form alone.
@@ -19,42 +16,8 @@ from .model import InfiniteWell, PotentialSpec, PowerLaw
 
 __all__ = [
     "TendencyReport",
-    "spectral_derivative",
     "build_tendency_report",
 ]
-
-_KMU_FLOOR = 1e-3
-
-
-def spectral_derivative(
-    potential: PotentialSpec,
-    mu0: float,
-    point: tuple[float, float, float],
-    which: str,
-    order: int = 1,
-) -> float:
-    """Exact first or second derivative of the closed-form energy (reduced
-    units) with respect to one of the continuous variables n, q or
-    kmu = |k+mu0|.
-
-    point is (n, q, k) with real components; differentiating in kmu
-    requires |k + mu0| >= 1e-3 to stay clear of the absolute-value kink.
-    """
-    n, q, k = point
-    kmu = abs(k + mu0)
-    if which not in ("n", "q", "kmu"):
-        raise ValueError(f"which must be 'n', 'q' or 'kmu', got {which!r}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if which == "kmu" and kmu < _KMU_FLOOR:
-        raise ValueError(f"|k + mu0| = {kmu} too close to the kink for a kmu derivative")
-    c = level_coefficients(potential)
-    kx = c.factor * c.level_index(n, q + kmu)
-    # d/dn of x is 1, d/dq and d/dkmu are the slope a
-    dx = 1.0 if which == "n" else c.slope
-    if order == 1:
-        return c.scale * c.power * c.factor * kx ** (c.power - 1.0) * dx
-    return c.scale * c.power * (c.power - 1.0) * (c.factor * dx) ** 2 * kx ** (c.power - 2.0)
 
 
 def _sign(x: float) -> int:

@@ -50,9 +50,6 @@ class PowerLaw:
         else:
             raise ValueError(f"exponent nu={self.nu} outside the validity range (-2, 0) u (0, inf)")
 
-    def __call__(self, r: float) -> float:
-        return self.lam * r**self.nu
-
 
 @dataclass(frozen=True)
 class InfiniteWell:
@@ -63,9 +60,6 @@ class InfiniteWell:
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"well radius must be positive and finite, got {self.a}")
-
-    def __call__(self, r: float) -> float:
-        return 0.0 if r < self.a else math.inf
 
 
 PotentialSpec = PowerLaw | InfiniteWell

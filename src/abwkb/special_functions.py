@@ -12,7 +12,7 @@ import math
 
 from .errors import ConvergenceError
 
-__all__ = ["gamma_ratio", "bessel_j", "bessel_j_zero", "bessel_j_zeros"]
+__all__ = ["gamma_ratio", "bessel_j", "bessel_j_zeros"]
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -128,7 +128,7 @@ def _bessel_j_prime(order: float, x: float, jv: float) -> float:
     return (order / x) * jv - bessel_j(order + 1.0, x)
 
 
-def _refine_zero(order: float, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def _refine_zero(order: float, lo: float, hi: float, f_lo: float) -> float:
     """Safeguarded Newton within a sign-change bracket."""
     x = 0.5 * (lo + hi)
     for _ in range(100):
@@ -138,7 +138,7 @@ def _refine_zero(order: float, lo: float, hi: float, f_lo: float, f_hi: float) -
         if (f < 0.0) == (f_lo < 0.0):
             lo, f_lo = x, f
         else:
-            hi, f_hi = x, f
+            hi = x
         df = _bessel_j_prime(order, x, f)
         step_ok = df != 0.0
         if step_ok:
@@ -183,15 +183,9 @@ def bessel_j_zeros(order: float, count: int) -> list[float]:
             x = x_next
             continue
         if (f_prev < 0.0) != (f_next < 0.0):
-            zeros.append(_refine_zero(order, x, x_next, f_prev, f_next))
+            zeros.append(_refine_zero(order, x, x_next, f_prev))
         x, f_prev = x_next, f_next
         if x > 1e6:
             raise ConvergenceError(f"zero scan ran away for order {order}")
     return zeros
 
-
-def bessel_j_zero(order: float, m: int) -> float:
-    """m-th positive zero j_{order,m} (m >= 1), absolute accuracy ~1e-12."""
-    if m < 1:
-        raise ValueError(f"zero index m must be >= 1, got {m}")
-    return bessel_j_zeros(order, m)[-1]

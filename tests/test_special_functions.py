@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abwkb import ConvergenceError, bessel_j, bessel_j_zero, bessel_j_zeros
+from abwkb import ConvergenceError, bessel_j, bessel_j_zeros
 from abwkb.special_functions import gamma_ratio
 
 
@@ -129,16 +129,16 @@ class TestBesselJ:
 
 class TestBesselZeros:
     def test_half_order_zeros_are_multiples_of_pi(self):
-        for m in range(1, 21):
-            assert abs(bessel_j_zero(0.5, m) - m * math.pi) <= 1e-10
+        for m, z in enumerate(bessel_j_zeros(0.5, 20), start=1):
+            assert abs(z - m * math.pi) <= 1e-10
 
     def test_first_zero_of_j3(self):
         # mpmath besseljzero(3, 1) = 6.380161895923983506
-        assert bessel_j_zero(3.0, 1) == pytest.approx(6.380161895923984, abs=1e-9)
+        assert bessel_j_zeros(3.0, 1)[0] == pytest.approx(6.380161895923984, abs=1e-9)
 
     def test_second_zero_of_j3(self):
         # mpmath besseljzero(3, 2) = 9.761023129981669679
-        assert bessel_j_zero(3.0, 2) == pytest.approx(9.761023129981670, abs=1e-9)
+        assert bessel_j_zeros(3.0, 2)[1] == pytest.approx(9.761023129981670, abs=1e-9)
 
     def test_strictly_increasing(self):
         zs = bessel_j_zeros(2.5, 15)
@@ -158,8 +158,8 @@ class TestBesselZeros:
                 assert abs(bessel_j(order, z)) <= 1e-8, (order, m)
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
-            bessel_j_zero(1.0, 0)
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            bessel_j_zeros(1.0, 0)
 
     def test_order_limit_leaves_room_for_the_derivative(self):
         # the Newton polish evaluates J_{order+1}, so zeros stop at order 99
@@ -173,5 +173,5 @@ class TestBesselZeros:
     )
     @settings(max_examples=40, deadline=None)
     def test_zero_residual_property(self, order, m):
-        z = bessel_j_zero(order, m)
+        z = bessel_j_zeros(order, m)[m - 1]
         assert abs(bessel_j(order, z)) <= 1e-8
