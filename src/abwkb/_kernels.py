@@ -1,6 +1,7 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
-One implementation per kernel: the action sum is vectorized with NumPy;
+One implementation per kernel: the action sum is vectorized with NumPy,
+its node table built once per mesh level and held in a bounded cache;
 both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
 x = ln r, its coefficients built with NumPy and its ratio recurrence a
 plain Python loop.  Sweeps return u on an arbitrary scale, shared by the
@@ -10,11 +11,29 @@ power-law potential is inlined in each body.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 BACKEND = "numpy"
+
+
+@functools.lru_cache(maxsize=16)
+def _node_table(h: float, kmax: int):
+    """action_sum's node table at mesh h: (w, log1p_e, w.sum()) over
+    t = h k, |k| <= kmax, u = (pi/2) sinh t, with the tanh-sinh weight
+    w = (pi/4) cosh(t)/cosh(u)**2 (Takahasi & Mori, Publ. RIMS 9, 721
+    (1974)) and log1p_e = log1p(exp(-2u)).  Neither depends on the
+    integrand, so each mesh level builds them once; the arrays are
+    read-only because every caller shares them."""
+    t = h * np.arange(-kmax, kmax + 1, dtype=np.float64)
+    u = 0.5 * np.pi * np.sinh(t)
+    w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    log1p_e = np.log1p(np.exp(-2.0 * u))
+    w.flags.writeable = False
+    log1p_e.flags.writeable = False
+    return w, log1p_e, float(w.sum())
 
 
 def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) -> float:
@@ -23,18 +42,18 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     With E = lam rc**nu, r = rc y**p turns it into rc sqrt|E| p times
     integral_0^1 sqrt(1 - y**q) dy, q = |nu| p, whose integrand is bounded:
     p = 2/(nu + 2) for nu < 0 absorbs the r**(nu/2) singularity at the
-    origin, p = 1 otherwise; lam = 0 (the well) integrates sqrt(E).  Nodes
-    y = 1/(1 + e), e = exp(-pi sinh(k h)), |k| <= kmax, keep y <= 1, and
-    1 - y**q = -expm1(-q log1p(e)) stays accurate and non-negative at both
-    ends; e and cosh(u)**2 stay finite for kmax h <= 6.1.
+    origin, p = 1 otherwise; lam = 0 (the well) integrates sqrt(E) and
+    reads the cached weight sum.  Nodes y = 1/(1 + e), e = exp(-pi sinh(k h)),
+    |k| <= kmax, keep y <= 1, and 1 - y**q = -expm1(-q log1p(e)) stays
+    accurate and non-negative at both ends; e and cosh(u)**2 stay finite
+    for kmax h <= 6.1.  The weights and log1p(e) come from _node_table,
+    built once per (h, kmax); only the factor in q is computed per call.
     """
-    t = h * np.arange(-kmax, kmax + 1, dtype=np.float64)
-    u = 0.5 * np.pi * np.sinh(t)
-    w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    w, log1p_e, w_sum = _node_table(h, kmax)
     p = 2.0 / (nu + 2.0) if nu < 0.0 else 1.0
     if lam != 0.0:
-        w *= np.sqrt(-np.expm1(-abs(nu) * p * np.log1p(np.exp(-2.0 * u))))
-    return rc * math.sqrt(abs(E)) * p * float(w.sum()) * h
+        w_sum = float((w * np.sqrt(-np.expm1(-abs(nu) * p * log1p_e))).sum())
+    return rc * math.sqrt(abs(E)) * p * w_sum * h
 
 
 def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):

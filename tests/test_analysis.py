@@ -232,6 +232,21 @@ class TestFluxSlope:
             assert SIGN_TEXT[measured_sign(high - low, noise_low + noise_high)] == expect
 
 
+class TestNearOscillator:
+    # nu = 2 is the only linear exponent: however close to it, the power
+    # 2 nu/(nu + 2) is above 1 beyond it and below 1 short of it
+    @pytest.mark.parametrize("d", [1e-6, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "side,curvature,sign",
+        [pytest.param(1.0, BENDS_UP, "+", id="above"), pytest.param(-1.0, BENDS_DOWN, "-", id="below")],
+    )
+    def test_report_either_side_of_two(self, d, side, curvature, sign):
+        rep = build_tendency_report(PowerLaw(1.0, 2.0 + side * d))
+        assert rep.curvature == curvature
+        assert rep.flux_slope_sign == sign
+        assert rep.ratios == (2.0, 1.0, 1.0)
+
+
 class TestTendencyReport:
     def test_oscillator_report(self):
         rep = build_tendency_report(OSC)

@@ -4,10 +4,11 @@ import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 
 import reference_numerov
-from abwkb import _kernels, closed_form, oracles
+from abwkb import _kernels, action, closed_form, oracles
 from abwkb.model import PowerLaw
 
 # (E, lam, nu, gamma, x0, h, n, im) -> (repr of numerov_count, repr of numerov_match),
@@ -133,6 +134,60 @@ class TestNumerovConvergence:
         r2 = (results[0.05] - results[0.025]) / (results[0.025] - results[0.0125])
         assert 12.0 < r1 < 20.0
         assert 12.0 < r2 < 20.0
+
+
+def _reference_action_sum(E, lam, nu, rc, h, kmax):
+    """action_sum as it was before its node table was cached: every call
+    builds the nodes and weights from scratch."""
+    t = h * np.arange(-kmax, kmax + 1, dtype=np.float64)
+    u = 0.5 * np.pi * np.sinh(t)
+    w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    p = 2.0 / (nu + 2.0) if nu < 0.0 else 1.0
+    if lam != 0.0:
+        w *= np.sqrt(-np.expm1(-abs(nu) * p * np.log1p(np.exp(-2.0 * u))))
+    return rc * math.sqrt(abs(E)) * p * float(w.sum()) * h
+
+
+def _mesh(level):
+    """(h, kmax) of action.action_integral_numeric's mesh level."""
+    h = 1.0 / 2**level
+    return h, int(math.ceil(action._T_MAX / h))
+
+
+class TestActionNodeTable:
+    @pytest.mark.parametrize("level", range(2, 12))
+    def test_bit_identical_to_uncached_sum(self, level):
+        # same elementwise values, same summation order: == floats
+        h, kmax = _mesh(level)
+        cases = [(-0.3, -1.0, nu) for nu in (-1.99, -1.5, -1.0, -0.5)]
+        cases += [(2.0, 1.0, nu) for nu in (0.5, 1.0, 2.0, 12.0, 100.0)]
+        for E, lam, nu in cases:
+            args = (E, lam, nu, (E / lam) ** (1.0 / nu), h, kmax)
+            assert _kernels.action_sum(*args) == _reference_action_sum(*args), nu
+        well = (5.0, 0.0, 1.0, 1.0, h, kmax)  # the well: lam = 0, rc the radius
+        assert _kernels.action_sum(*well) == _reference_action_sum(*well)
+
+    def test_cache_hit_equals_miss(self):
+        h, kmax = _mesh(4)
+        args = (-0.3, -1.0, -0.5, 0.3**-2.0, h, kmax)
+        _kernels._node_table.cache_clear()
+        miss = _kernels.action_sum(*args)
+        hits = _kernels._node_table.cache_info().hits
+        assert _kernels.action_sum(*args) == miss
+        assert _kernels._node_table.cache_info().hits == hits + 1
+
+    def test_cached_arrays_are_read_only(self):
+        w, log1p_e, _ = _kernels._node_table(*_mesh(3))
+        for array in (w, log1p_e):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cache_stays_bounded(self):
+        bound = _kernels._node_table.cache_parameters()["maxsize"]
+        for j in range(1, 3 * bound):  # kmax h <= 4, inside the range the kernel allows
+            _kernels.action_sum(2.0, 1.0, 2.0, 1.0, 0.5 / j, 8)
+        assert _kernels._node_table.cache_info().currsize == bound
+        _kernels._node_table.cache_clear()
 
 
 class TestTracedSignatures:
