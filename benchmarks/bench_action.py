@@ -18,30 +18,26 @@ the infinite well, which a round draws twice and which appears here at two
 levels.  Couplings are +-1.25 and the well radius 1.25, the middle of the
 stream's 0.5..2 draws, with gamma = 3 and n = 2.  For each state it records:
 
-- seconds: the best of REPEAT quantize_energy calls;
+- seconds: harness.best_of over REPEAT samples of quantize_energy;
 - action_sums and nodes: calls of the kernel _kernels.action_sum, one per
   mesh level the quadrature used, and the nodes they summed (2 kmax + 1,
   kmax its 6th positional argument, as perfbench's tracer counts it);
-- action_sum_seconds: the best of REPEAT action_sum calls at each of the
+- action_sum_seconds: one action_sum call, timed the same way, at each of the
   mesh levels 2..5, the only ones the wkb_roots states reach, on the
   state's own integrand.
 
---record merges the result into a JSON file under --label, so two
-checkouts measured in turn land side by side.
+--src, --label and --record are harness.main's.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
-import platform
 import statistics
 import sys
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # harness, also when loaded by path
+import harness  # noqa: E402
 
 _NEG_BINS = ((-1.8, -1.5), (-1.5, -1.2), (-1.2, -0.9), (-0.9, -0.6), (-0.6, -0.3), (-0.3, -0.02))
 _POS_BINS = ((0.05, 0.2), (0.2, 0.6), (0.6, 1.5), (1.5, 3.0), (3.0, 7.0), (7.0, 15.0), (15.0, 40.0), (40.0, 100.0))
@@ -57,43 +53,21 @@ STATES = (
     ("well_n2", 0.0, math.inf, N),
     ("well_n3", 0.0, math.inf, N + 1),
 )
-REPEAT = 25
+REPEAT = 3
 LEVELS = (2, 3, 4, 5)
 
 
-def _best(call) -> float:
-    best = math.inf
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def measure() -> dict:
-    import numpy
-
     from abwkb import _kernels, action, closed_form
     from abwkb.model import InfiniteWell, PowerLaw
 
-    original = _kernels.action_sum
     states = {}
     for name, lam, nu, n in STATES:
         pot = InfiniteWell(RADIUS) if lam == 0.0 else PowerLaw(lam, nu)
         setup = action.QuantizationSetup(pot, GAMMA)
-        work = [0, 0]
-
-        def counted(*args, work=work):
-            work[0] += 1
-            work[1] += 2 * args[5] + 1
-            return original(*args)
-
-        _kernels.action_sum = counted
-        try:
+        with harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work:
             energy = action.quantize_energy(setup, n)
-        finally:
-            _kernels.action_sum = original
-        seconds = _best(lambda: action.quantize_energy(setup, n))
+        seconds = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT)
         e0 = closed_form.closed_form_energy(pot, n, GAMMA)
         rc = action.turning_point(e0, pot)
         kernel_lam, kernel_nu = (0.0, 1.0) if lam == 0.0 else (lam, nu)
@@ -101,23 +75,17 @@ def measure() -> dict:
         for level in LEVELS:
             h = 1.0 / 2**level  # action_integral_numeric's mesh at this level
             args = (e0, kernel_lam, kernel_nu, rc, h, int(math.ceil(action._T_MAX / h)))
-            per_level[str(level)] = _best(lambda: _kernels.action_sum(*args))
+            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT)
         states[name] = {
             "lam": lam, "nu": nu, "gamma": GAMMA, "n": n,
             "energy": energy,
             "seconds": seconds,
-            "action_sums": work[0],
-            "nodes": work[1],
+            "action_sums": work.calls,
+            "nodes": work.size,
             "action_sum_seconds": per_level,
         }
     values = list(states.values())
     return {
-        "env": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-        },
         "repeat": REPEAT,
         "states": states,
         "quantize_seconds_median": statistics.median(s["seconds"] for s in values),
@@ -130,16 +98,7 @@ def measure() -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds the abwkb package")
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--record", help="JSON file to merge the result into, under --label")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    result = measure()
-    print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {REPEAT}")
+def report(result: dict) -> None:
     for name, s in result["states"].items():
         levels = " ".join(f"{1e6 * t:6.1f}" for t in s["action_sum_seconds"].values())
         print(f"  {name:16s} E={s['energy']:<23.16g} {1e6 * s['seconds']:7.1f} us  "
@@ -149,17 +108,7 @@ def main(argv: list[str] | None = None) -> int:
           f"total {1e3 * result['quantize_seconds_total']:.3f} ms; per quantize: "
           f"action_sums {result['action_sums_per_quantize']:.2f}, nodes {result['nodes_per_quantize']:.0f}; "
           f"action_sum median per level 2-5: {medians} us")
-    if args.record:
-        records = {}
-        if os.path.exists(args.record):
-            with open(args.record, encoding="utf-8") as fh:
-                records = json.load(fh)
-        records[args.label] = result
-        with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, measure, report))

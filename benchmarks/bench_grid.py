@@ -14,30 +14,26 @@ cli.table_to_json on the built table, and cli.main end to end with
 --format json and --format csv (stdout captured in memory); on the
 12-row command it also times cli.main with --svg to a temporary file
 (main_svg).  The grids are the fixed 1e5-row nu = 3 census grid of
-perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  Each figure is the best
-of REPEAT samples; a sample loops a call enough times to last about
-50 ms, so the 12-row figures are not timer noise.  The first cli.main
-call of the process is timed on its own, because it also pays for
-whatever the CLI sets up once.
+perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  Each
+figure is harness.best_of over REPEAT samples.  The first cli.main call
+of the process is timed on its own, because it also pays for whatever
+the CLI sets up once.
 
 Work counters go with the times: rows per grid and bytes per output.
---record merges the result into a JSON file under --label, so two
-checkouts measured in turn land side by side.
+--src, --label and --record are harness.main's.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import os
-import platform
 import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # harness, also when loaded by path
+import harness  # noqa: E402
 
 # (name, n_max, q_max, (k_lo, k_hi)) on V = r**3 with mu0 = 0.3
 GRIDS = (
@@ -48,7 +44,6 @@ GRIDS = (
 NU, LAM, MU0 = 3.0, 1.0, 0.3
 # the grid whose cli.main is also timed with --svg
 SVG_GRID = "command_12"
-SAMPLE_S = 0.05
 REPEAT = 7
 
 
@@ -69,24 +64,7 @@ def _run_main(cli, argv: list[str]) -> str:
     return out.getvalue()
 
 
-def best_of(fn) -> float:
-    """Seconds per call: the best of REPEAT samples of a loop of calls."""
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    number = max(1, int(SAMPLE_S / once)) if once > 0 else 1
-    best = once
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
-
-
 def measure() -> dict:
-    import numpy
-
     from abwkb import cli, closed_form
     from abwkb.model import PowerLaw
 
@@ -104,61 +82,37 @@ def measure() -> dict:
         if _run_main(cli, argv_json) != json_text or _run_main(cli, argv_csv) != csv_text:
             raise RuntimeError(f"{name}: cli.main output differs from the table emitters")
         grids[name] = {
-            "rows": len(table.rows),
+            "rows": len(table.energies),
             "csv_bytes": len(csv_text.encode()),
             "json_bytes": len(json_text.encode()),
             "seconds": {
-                "spectrum_table": best_of(lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range)),
-                "table_to_csv": best_of(lambda: cli.table_to_csv(table)),
-                "table_to_json": best_of(lambda: cli.table_to_json(table)),
-                "main_json": best_of(lambda: _run_main(cli, argv_json)),
-                "main_csv": best_of(lambda: _run_main(cli, argv_csv)),
+                "spectrum_table": harness.best_of(
+                    lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), REPEAT),
+                "table_to_csv": harness.best_of(lambda: cli.table_to_csv(table), REPEAT),
+                "table_to_json": harness.best_of(lambda: cli.table_to_json(table), REPEAT),
+                "main_json": harness.best_of(lambda: _run_main(cli, argv_json), REPEAT),
+                "main_csv": harness.best_of(lambda: _run_main(cli, argv_csv), REPEAT),
             },
         }
         if name == SVG_GRID:
             with tempfile.TemporaryDirectory() as tmp:
                 argv_svg = [*argv_csv, "--svg", os.path.join(tmp, "levels.svg")]
-                grids[name]["seconds"]["main_svg"] = best_of(lambda: _run_main(cli, argv_svg))
+                grids[name]["seconds"]["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
     return {
-        "env": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-        },
         "repeat": REPEAT,
         "first_main_call_s": first_call_s,
-        "build_parser_s": best_of(cli.build_parser),
+        "build_parser_s": harness.best_of(cli.build_parser, REPEAT),
         "grids": grids,
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds the abwkb package")
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--record", help="JSON file to merge the result into, under --label")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    result = measure()
-    print(f"{args.label}: python {result['env']['python']}, numpy {result['env']['numpy']}, best of {REPEAT}")
+def report(result: dict) -> None:
     print(f"  first cli.main call {1e3 * result['first_main_call_s']:.2f} ms, "
           f"build_parser {1e3 * result['build_parser_s']:.3f} ms")
     for name, grid in result["grids"].items():
         times = "  ".join(f"{k} {1e3 * v:.3f}" for k, v in grid["seconds"].items())
         print(f"  {name:10s} rows={grid['rows']:<6d} ms: {times}")
-    if args.record:
-        records = {}
-        if os.path.exists(args.record):
-            with open(args.record, encoding="utf-8") as fh:
-                records = json.load(fh)
-        records[args.label] = result
-        with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, measure, report))

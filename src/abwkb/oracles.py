@@ -79,8 +79,12 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     )
 
     def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
-        if max(nu2, 2.0) * x > _MAX_EXPONENT:
-            raise ConvergenceError(f"the grid for E={E!r} would reach past ln r = {x:.4g}")
+        exponent = max(nu2, 2.0) * x
+        if exponent > _MAX_EXPONENT:
+            raise ConvergenceError(
+                f"the grid for E={E!r} would reach past ln r = {x:.4g}, "
+                f"where max(nu + 2, 2) ln r = {exponent:.4g} > _MAX_EXPONENT = {_MAX_EXPONENT:g}"
+            )
         return lam * math.exp(nu2 * x) - E * math.exp(2.0 * x) + c
 
     # -g is least at xs and rises monotonically on either side of it

@@ -339,6 +339,15 @@ class TestLogGridOracle:
         with pytest.raises(ConvergenceError, match=r"would reach past ln r = 1300"):
             _grid(E, E / 2**0.5, E * 2**0.5, 1.0, 0.5, 0.0, 1200)
 
+    def test_grid_past_the_exponent_bound_names_the_exponent(self):
+        # at nu = 1e300 a tiny ln r passes the bound, which holds on
+        # (nu + 2) ln r, so the message gives that product too
+        with pytest.raises(
+            ConvergenceError,
+            match=r"would reach past ln r = 7\.001e-298, where max\(nu \+ 2, 2\) ln r = 700\.1 > _MAX_EXPONENT = 700$",
+        ):
+            shoot_eigenvalue(PowerLaw(1.0, 1e300), 0.0, 0)
+
     @pytest.mark.parametrize(
         "lam,nu,n,points,message",
         [(-1.0, -1.0, 0, 100, "too coarse"), (-1.0, -1.5, 10, 2000, "differ")],
