@@ -11,12 +11,13 @@ figures move from run to run on a shared machine; performance claims rest
 on perfbench (perfbench/run.py), not on this script.
 
 The states sit at the middle of each light stratum of perfbench/inputs.py
-(_wkb_round): the six tail bins _NEG_BINS at their midpoint exponent, the
-eight confined bins _POS_BINS at their geometric mean (the stream draws
-them log-uniformly), and Coulomb, the oscillator, the linear potential and
-the infinite well, which a round draws twice and which appears here at two
-levels.  Couplings are +-1.25 and the well radius 1.25, the middle of the
-stream's 0.5..2 draws, with gamma = 3 and n = 2.  For each state it records:
+(_wkb_round), whose bins this script reads from that file: the six tail
+bins _NEG_BINS at their midpoint exponent, the eight confined bins
+_POS_BINS at their geometric mean (the stream draws them log-uniformly),
+and Coulomb, the oscillator, the linear potential and the infinite well,
+which a round draws twice and which appears here at two levels.
+Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
+0.5..2 draws, with gamma = 3 and n = 2.  For each state it records:
 
 - seconds: harness.best_of over REPEAT samples of quantize_energy;
 - action_sums and nodes: calls of the kernel _kernels.action_sum, one per
@@ -33,14 +34,15 @@ from __future__ import annotations
 
 import math
 import os
+import runpy
 import statistics
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # harness, also when loaded by path
 import harness  # noqa: E402
 
-_NEG_BINS = ((-1.8, -1.5), (-1.5, -1.2), (-1.2, -0.9), (-0.9, -0.6), (-0.6, -0.3), (-0.3, -0.02))
-_POS_BINS = ((0.05, 0.2), (0.2, 0.6), (0.6, 1.5), (1.5, 3.0), (3.0, 7.0), (7.0, 15.0), (15.0, 40.0), (40.0, 100.0))
+_INPUTS = runpy.run_path(os.path.join(harness.ROOT, "perfbench", "inputs.py"))
+_NEG_BINS, _POS_BINS = _INPUTS["_NEG_BINS"], _INPUTS["_POS_BINS"]
 GAMMA, N, COUPLING, RADIUS = 3.0, 2, 1.25, 1.25
 
 # (name, lam, nu, n): lam = 0 is the well of radius RADIUS

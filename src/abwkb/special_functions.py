@@ -123,28 +123,19 @@ def bessel_j(order: float, x: float) -> float:
     return _bessel_miller(order, x)
 
 
-def _bessel_j_prime(order: float, x: float, jv: float) -> float:
-    # J'_v = (v/x) J_v - J_{v+1}; valid for all v >= 0, x > 0
-    return (order / x) * jv - bessel_j(order + 1.0, x)
-
-
-def _refine_zero(order: float, lo: float, hi: float, f_lo: float) -> float:
-    """Safeguarded Newton within a sign-change bracket."""
+def _refine_zero(order: float, lo: float, hi: float, lo_negative: bool) -> float:
+    """Safeguarded Newton within a sign-change bracket; lo_negative is J(lo) < 0."""
     x = 0.5 * (lo + hi)
     for _ in range(100):
         f = bessel_j(order, x)
         if f == 0.0:
             return x
-        if (f < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f
+        if (f < 0.0) == lo_negative:
+            lo = x
         else:
             hi = x
-        df = _bessel_j_prime(order, x, f)
-        step_ok = df != 0.0
-        if step_ok:
-            x_new = x - f / df
-            step_ok = lo < x_new < hi
-        if not step_ok:
+        df = (order / x) * f - bessel_j(order + 1.0, x)  # J'_v = (v/x) J_v - J_{v+1}
+        if not (df != 0.0 and lo < (x_new := x - f / df) < hi):
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-13 * (abs(x_new) + 1.0):
             return x_new
@@ -164,6 +155,8 @@ def bessel_j_zeros(order: float, count: int) -> list[float]:
 
     Zeros are enumerated by a sign-change scan starting below the first
     zero (j_{v,1} > sqrt(v(v+2))) and polished with safeguarded Newton.
+    The scan counts J = 0 as non-negative, so a zero that falls on a scan
+    point closes or opens exactly one bracket and is found once.
     Scanning keeps the index m honest for every order; the McMahon
     estimate alone can mislabel the first few zeros once the order grows.
     """
@@ -177,13 +170,8 @@ def bessel_j_zeros(order: float, count: int) -> list[float]:
     while len(zeros) < count:
         x_next = x + _SCAN_STEP
         f_next = bessel_j(order, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-            f_prev = f_next
-            x = x_next
-            continue
         if (f_prev < 0.0) != (f_next < 0.0):
-            zeros.append(_refine_zero(order, x, x_next, f_prev))
+            zeros.append(_refine_zero(order, x, x_next, f_prev < 0.0))
         x, f_prev = x_next, f_next
         if x > 1e6:
             raise ConvergenceError(f"zero scan ran away for order {order}")

@@ -34,8 +34,6 @@ class Panel:
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     span = hi - lo
-    if span <= 0.0:
-        return [lo]
     raw = span / target
     mag = 10.0 ** _floor_log10(raw)
     norm = raw / mag
@@ -65,9 +63,14 @@ def _ceil_div(x: float, step: float) -> float:
 
 
 def _bounds(vals: list[float]) -> tuple[float, float]:
+    """The data's range padded by 6%.  A range no wider than 2**-40 of its
+    magnitude is first widened by that much on each side, and by at least 1,
+    so that ticks and scale factors stay many ulps apart."""
     lo, hi = min(vals), max(vals)
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
+    widen = 2.0**-40 * max(abs(lo), abs(hi))
+    if hi - lo <= widen:
+        widen = max(widen, 1.0)
+        lo, hi = lo - widen, hi + widen
     pad = 0.06 * (hi - lo)
     return lo - pad, hi + pad
 

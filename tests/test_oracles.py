@@ -277,6 +277,20 @@ class TestLogGridOracle:
         assert got == pytest.approx(9.623231789735597, rel=1e-10, abs=0)
         assert got < math.pi**2
 
+    @pytest.mark.parametrize("nu", [250.0, 500.0, 1000.0])
+    def test_steep_walls_meet_the_well_of_effective_radius(self, nu):
+        # near r = 1, with s = nu ln r, the zero-energy solution of r**nu is
+        # K_0(2 e^{s/2}/nu), whose small-argument form vanishes at
+        # s = 2 (ln nu - gamma_E): the wall acts as a well of radius a_eff.
+        # The relative miss is negative, and over gamma, n it is
+        # 2.10..3.35 times (ln nu / nu)**2
+        a_eff = 1.0 + 2.0 * (math.log(nu) - 0.5772156649015329) / nu
+        for gamma in (0.0, 4.0):
+            for n in (0, 10):
+                well = math.pi**2 * well_exact_spectrum(gamma, 1.0, n + 1)[n] / a_eff**2
+                miss = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n) / well - 1.0
+                assert -4.0 < miss / (math.log(nu) / nu) ** 2 < -2.0, (gamma, n)
+
     @pytest.mark.parametrize(
         "lam,nu,gamma,n,level,sweeps", FLOOR_LEVELS, ids=["-1.95-g0-n0", "-1.95-g1.5-n3", "-1.99-g0.5-n0", "-1.99-g4-n0"]
     )
@@ -461,6 +475,27 @@ class TestDualOracle:
                 assert gamma_d == pytest.approx(gamma_p, abs=1e-15)
                 got = shoot_eigenvalue(PowerLaw(lam_d, nu_d), gamma_d, n)
                 assert got == pytest.approx(e_d, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("nu_p,bound", [(-1.9, 1.0e-9), (-1.95, 2.8e-9), (-1.99, 7e-10)])
+    def test_floor_matches_its_steep_wall_dual(self, nu_p, bound):
+        # the floor's duals are steep walls, nu = 38, 78 and 398, with gamma
+        # up to 899.5.  The tail state solves at lam' = -E (nu'/nu)**2 and
+        # must land on E' = -(nu'/nu)**2.  E' scales as |lam'|**(2/(nu' + 2)),
+        # so a relative miss eps of the steep wall's level shows here as
+        # 2 eps/(nu' + 2), beside the floor's own.  Worst misses over gamma'
+        # and n: 9.4e-10, 2.7e-9 (gamma' = 1.5, n = 10) and 6.8e-10
+        nu = -2.0 * nu_p / (nu_p + 2.0)
+        worst = 0.0
+        for gamma_p in (0.0, 0.5, 1.5, 4.0):
+            gamma = ((gamma_p + 0.5) * (nu + 2.0) - 1.0) / 2.0
+            for n in (0, 3, 10):
+                level = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n)
+                nu_d, e_d, lam_d, gamma_d = duality_map(nu, level, 1.0, gamma)
+                assert nu_d == pytest.approx(nu_p, rel=1e-15, abs=0)
+                assert gamma_d == pytest.approx(gamma_p, abs=1e-15)
+                got = shoot_eigenvalue(PowerLaw(lam_d, nu_d), gamma_d, n)
+                worst = max(worst, abs(got / e_d - 1.0))
+        assert worst <= bound
 
 
 @pytest.fixture

@@ -5,13 +5,14 @@ Frozen reference values were generated with mpmath at 25 digits
 digits in the literals below.
 """
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abwkb import ConvergenceError, bessel_j, bessel_j_zeros
+from abwkb import ConvergenceError, bessel_j, bessel_j_zeros, special_functions
 from abwkb.special_functions import gamma_ratio
 
 
@@ -175,3 +176,28 @@ class TestBesselZeros:
     def test_zero_residual_property(self, order, m):
         z = bessel_j_zeros(order, m)[m - 1]
         assert abs(bessel_j(order, z)) <= 1e-8
+
+
+class TestZeroOnAScanPoint:
+    """A J_0 stand-in with simple zeros exactly on two scan points.
+
+    g(x) = sign (x - a)(x - b), and J_1 = -g' since J_0' = -J_1.  With
+    sign = -1, g rises through a from below and falls through b from
+    above; sign = +1 swaps the two.  A zero approached from below must not
+    be found twice: once by refining the bracket it closes, and again as
+    the scan point where J is exactly 0.
+    """
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["a-from-below", "a-from-above"])
+    def test_each_zero_found_once(self, monkeypatch, sign):
+        # the order-0 scan's points, summed step by step as bessel_j_zeros sums them
+        points = list(itertools.accumulate([1e-3] + [special_functions._SCAN_STEP] * 6))
+        a, b = points[3], points[6]
+
+        def fake_bessel_j(order, x):
+            return sign * (x - a) * (x - b) if order == 0.0 else -sign * (2.0 * x - a - b)
+
+        monkeypatch.setattr(special_functions, "bessel_j", fake_bessel_j)
+        assert bessel_j_zeros(0.0, 2) == pytest.approx([a, b], rel=1e-12, abs=0)
+        with pytest.raises(ConvergenceError, match="ran away"):  # the stand-in has no third zero
+            bessel_j_zeros(0.0, 3)
