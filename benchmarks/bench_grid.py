@@ -11,11 +11,14 @@ perfbench (perfbench/run.py), not on this script.
 
 For each grid it times closed_form.spectrum_table, cli.table_to_csv and
 cli.table_to_json on the built table, and cli.main end to end with
---format json and --format csv (stdout captured in memory); on the
-12-row command it also times cli.main with --svg to a temporary file
-(main_svg).  The grids are the fixed 1e5-row nu = 3 census grid of
-perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  Each
-figure is harness.best_of over REPEAT samples.  The first cli.main call
+--format json and --format csv (stdout and stderr captured in memory);
+on the 12-row command it also times cli.main with --svg to a temporary
+file (main_svg).  The grids are the fixed 1e5-row nu = 3 census grid of
+perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  A
+500-row tendency --format csv --svg command on the same potential, the
+light grid_cli shape whose time goes mostly to the figure, is timed
+end to end only (main_svg, with its rows and SVG bytes).  Each figure is
+harness.best_of over REPEAT samples.  The first cli.main call
 of the process is timed on its own, because it also pays for whatever
 the CLI sets up once.
 
@@ -30,7 +33,7 @@ import os
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # harness, also when loaded by path
 import harness  # noqa: E402
@@ -44,6 +47,8 @@ GRIDS = (
 NU, LAM, MU0 = 3.0, 1.0, 0.3
 # the grid whose cli.main is also timed with --svg
 SVG_GRID = "command_12"
+# (name, n_max, q_max) of the tendency --svg command, at k = 0
+TENDENCY_SVG = ("tendency_500", 24, 19)
 REPEAT = 7
 
 
@@ -57,7 +62,7 @@ def _argv(n_max: int, q_max: int, k_range: tuple[int, int], fmt: str) -> list[st
 
 def _run_main(cli, argv: list[str]) -> str:
     out = io.StringIO()
-    with redirect_stdout(out):
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"abwkb {' '.join(argv)} exited {code}")
@@ -98,6 +103,19 @@ def measure() -> dict:
             with tempfile.TemporaryDirectory() as tmp:
                 argv_svg = [*argv_csv, "--svg", os.path.join(tmp, "levels.svg")]
                 grids[name]["seconds"]["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
+    name, n_max, q_max = TENDENCY_SVG
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tendency.svg")
+        argv_svg = [
+            "tendency", "--nu", repr(NU), "--lambda", repr(LAM), "--mu0", repr(MU0), "--k", "0",
+            "--n-max", str(n_max), "--q-max", str(q_max), "--format", "csv", "--svg", path,
+        ]
+        seconds = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
+        grids[name] = {
+            "rows": (n_max + 1) * (q_max + 1),
+            "svg_bytes": os.path.getsize(path),
+            "seconds": {"main_svg": seconds},
+        }
     return {
         "repeat": REPEAT,
         "first_main_call_s": first_call_s,
@@ -111,7 +129,7 @@ def report(result: dict) -> None:
           f"build_parser {1e3 * result['build_parser_s']:.3f} ms")
     for name, grid in result["grids"].items():
         times = "  ".join(f"{k} {1e3 * v:.3f}" for k, v in grid["seconds"].items())
-        print(f"  {name:10s} rows={grid['rows']:<6d} ms: {times}")
+        print(f"  {name:12s} rows={grid['rows']:<6d} ms: {times}")
 
 
 if __name__ == "__main__":

@@ -59,33 +59,34 @@ def _potential_from_json(obj: dict):
 
 
 def table_to_csv(table: SpectrumTable) -> str:
+    if not table.energies:
+        return CSV_HEADER + "\n"
     pot = table.potential
     if isinstance(pot, InfiniteWell):
         nu_s, lam_s = "inf", fmt12(0.0)
     else:
         nu_s, lam_s = fmt12(pot.nu), fmt12(pot.lam)
     head = f"{nu_s},{lam_s},{fmt12(table.mu0)},"
-    tail = f",{table.unit.label}"
+    tail = f",{table.unit.label}\n"
     mids = [f",{q},{k},{g:.12g}," for q, k, g in table.states]
-    lines = [CSV_HEADER]
-    for n, levels in enumerate(_by_n(table)):
-        prefix = f"{head}{n}"
-        lines += [f"{prefix}{mid}{e:.12g}{tail}" for mid, e in zip(mids, levels)]
-    return "\n".join(lines) + "\n"
+    prefixes = [f"{tail}{head}{n}" for n in range(len(table.energies) // len(mids))]
+    return _join_grid(f"{CSV_HEADER}\n{head}0", prefixes, mids, _fmt12_lines(table.energies).split("\n"), tail)
 
 
 def table_to_json(table: SpectrumTable) -> str:
     """The bytes json.dumps(indent=2) writes for the table's dict form: the
     metadata goes through json.dumps, the q, k and gamma text once per
-    state and each row through one f-string, since repr(round12(x)) is
-    what json.dumps writes for a finite x.  A non-finite gamma or energy
-    has no JSON form and raises ValueError.
+    state, each n once, and all energies through one % call, since
+    repr(round12(x)) is what json.dumps writes for a finite x.  A
+    non-finite gamma or energy has no JSON form and raises ValueError.
 
     An energy's .12g text t is already its JSON text where the table's
     energies are all normal and t has a "." without "e+", or has "e-": a
     normal float(t) has no text shorter than t's at most 12 digits, and
     repr writes them in t's notation.  Integer values, texts with "e+"
-    and tables holding a zero or subnormal energy take repr(float(t))."""
+    and tables holding a zero or subnormal energy take repr(float(t)).
+    Where every text has a "." and none has "e+", the texts stand as
+    they are without a look at each."""
     energies = table.energies
     if not all(math.isfinite(g) for _, _, g in table.states) or not all(map(math.isfinite, energies)):
         raise ValueError("table_to_json: gamma and energy must be finite")
@@ -100,29 +101,37 @@ def table_to_json(table: SpectrumTable) -> str:
     if not energies:
         return head
     normal = min(map(abs, energies)) >= sys.float_info.min
+    text = _fmt12_lines(energies)
+    texts = text.split("\n")
+    if not (normal and "e+" not in text and text.count(".") == len(texts)):
+        texts = [t if normal and "e+" not in t and ("." in t or "e" in t) else repr(float(t)) for t in texts]
     mids = [
         f',\n      "q": {q},\n      "k": {k},\n      "gamma": {round12(g)!r},\n      "energy": '
         for q, k, g in table.states
     ]
-    rows = []
-    for n, levels in enumerate(_by_n(table)):
-        prefix = f'    {{\n      "n": {n}'
-        texts = [f"{e:.12g}" for e in levels]
-        rows += [
-            f'{prefix}{mid}{t if normal and "e+" not in t and ("." in t or "e" in t) else repr(float(t))}\n    }}'
-            for mid, t in zip(mids, texts)
-        ]
-    # head ends with '"rows": []\n}\n'; one join, so the output is copied once
-    rows[0] = head[:-5] + "[\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+    prefixes = [f'\n    }},\n    {{\n      "n": {n}' for n in range(len(energies) // len(mids))]
+    # head ends with '"rows": []\n}\n'
+    return _join_grid(head[:-5] + '[\n    {\n      "n": 0', prefixes, mids, texts, "\n    }\n  ]\n}\n")
 
 
-def _by_n(table: SpectrumTable):
-    """The table's energies cut into one slice per n, in order; none for a
-    table without states, whose energies are empty."""
-    m = len(table.states)
-    return (table.energies[i : i + m] for i in range(0, len(table.energies), m or 1))
+def _fmt12_lines(xs) -> str:
+    """fmt12 of each float in xs, one per line, formatted in one % call."""
+    return "\n".join(["%.12g"] * len(xs)) % tuple(xs)
+
+
+def _join_grid(first: str, prefixes: list[str], mids: list[str], texts: list[str], end: str) -> str:
+    """The rows prefixes[n] + mids[j] + texts[i], i = n * m + j over the
+    (n, state) grid, then end, in one join; first stands for row 0's
+    prefix, and every other prefix also closes the row before it."""
+    m = len(mids)
+    parts = [None] * (3 * len(texts))
+    for n, prefix in enumerate(prefixes):
+        parts[3 * m * n : 3 * m * (n + 1) : 3] = [prefix] * m
+    parts[1::3] = mids * len(prefixes)
+    parts[2::3] = texts
+    parts[0] = first
+    parts.append(end)
+    return "".join(parts)
 
 
 def table_from_json(text: str) -> SpectrumTable:

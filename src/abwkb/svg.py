@@ -75,11 +75,18 @@ def _bounds(vals: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """The ticks' .6g texts, or where two of those coincide, the texts with
+    the fewest significant digits that tell every tick apart."""
+    digits = 6
+    while len({f"{t:.{digits}g}" for t in ticks}) < len(ticks) and digits < 17:
+        digits += 1
+    return [f"{t:.{digits}g}" for t in ticks]
 
 
 def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
+    """The panel's elements; every point's X and Y text is formatted once
+    and serves both its polyline vertex and its circle."""
     ml, mr, mt, mb = 62, 14, 34, 46  # margins inside the panel cell
     px, py = x0 + ml, y0 + mt
     pw, ph = w - ml - mr, h - mt - mb
@@ -89,13 +96,7 @@ def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
         return [f'<text x="{x0 + w // 2}" y="{y0 + h // 2}">no data</text>']
     xlo, xhi = _bounds(xs_all)
     ylo, yhi = _bounds(ys_all)
-
-    def sx(x: float) -> float:
-        return px + (x - xlo) / (xhi - xlo) * pw
-
-    def sy(y: float) -> float:
-        return py + ph - (y - ylo) / (yhi - ylo) * ph
-
+    xspan, yspan = xhi - xlo, yhi - ylo
     out = [
         f'<rect x="{px}" y="{py}" width="{pw}" height="{ph}" fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{x0 + w // 2}" y="{y0 + 20}" text-anchor="middle" font-size="15">{panel.title}</text>',
@@ -103,26 +104,25 @@ def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
         f'<text x="{x0 + 16}" y="{py + ph // 2}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 {x0 + 16} {py + ph // 2})">{panel.ylabel}</text>',
     ]
-    for t in _ticks(xlo, xhi):
-        X = sx(t)
-        out.append(f'<line x1="{_fmt(X)}" y1="{py + ph}" x2="{_fmt(X)}" y2="{py + ph + 5}" stroke="#333"/>')
-        out.append(
-            f'<text x="{_fmt(X)}" y="{py + ph + 18}" text-anchor="middle" font-size="11">{t:.6g}</text>'
-        )
-    for t in _ticks(ylo, yhi):
-        Y = sy(t)
-        out.append(f'<line x1="{px - 5}" y1="{_fmt(Y)}" x2="{px}" y2="{_fmt(Y)}" stroke="#333"/>')
-        out.append(
-            f'<text x="{px - 8}" y="{_fmt(Y + 4)}" text-anchor="end" font-size="11">{t:.6g}</text>'
-        )
+    xticks, yticks = _ticks(xlo, xhi), _ticks(ylo, yhi)
+    for t, label in zip(xticks, _tick_labels(xticks)):
+        X = px + (t - xlo) / xspan * pw
+        out.append(f'<line x1="{X:.2f}" y1="{py + ph}" x2="{X:.2f}" y2="{py + ph + 5}" stroke="#333"/>')
+        out.append(f'<text x="{X:.2f}" y="{py + ph + 18}" text-anchor="middle" font-size="11">{label}</text>')
+    for t, label in zip(yticks, _tick_labels(yticks)):
+        Y = py + ph - (t - ylo) / yspan * ph
+        out.append(f'<line x1="{px - 5}" y1="{Y:.2f}" x2="{px}" y2="{Y:.2f}" stroke="#333"/>')
+        out.append(f'<text x="{px - 8}" y="{Y + 4:.2f}" text-anchor="end" font-size="11">{label}</text>')
     for idx, s in enumerate(panel.series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = [(sx(x), sy(y)) for x, y in zip(s.xs, s.ys)]
+        pts = [
+            (f"{px + (x - xlo) / xspan * pw:.2f}", f"{py + ph - (y - ylo) / yspan * ph:.2f}")
+            for x, y in zip(s.xs, s.ys)
+        ]
         if len(pts) > 1:
-            path = " ".join(f"{_fmt(X)},{_fmt(Y)}" for X, Y in pts)
+            path = " ".join([f"{X},{Y}" for X, Y in pts])
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for X, Y in pts:
-            out.append(f'<circle cx="{_fmt(X)}" cy="{_fmt(Y)}" r="2.6" fill="{color}"/>')
+        out += [f'<circle cx="{X}" cy="{Y}" r="2.6" fill="{color}"/>' for X, Y in pts]
         if s.label:
             ly = py + 16 + 15 * idx
             out.append(f'<line x1="{px + pw - 120}" y1="{ly - 4}" x2="{px + pw - 100}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
@@ -135,13 +135,12 @@ def render_svg(panels: list[Panel]) -> str:
     if not panels:
         raise ValueError("need at least one panel")
     cell = WIDTH // len(panels)
-    body: list[str] = []
-    for i, panel in enumerate(panels):
-        body.extend(_panel_svg(panel, i * cell, 0, cell, HEIGHT))
-    content = "\n".join(body)
-    return (
+    body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
-        f'width="{WIDTH}" height="{HEIGHT}" font-family="Helvetica, Arial, sans-serif">\n'
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
-        f"{content}\n</svg>\n"
-    )
+        f'width="{WIDTH}" height="{HEIGHT}" font-family="Helvetica, Arial, sans-serif">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    for i, panel in enumerate(panels):
+        body += _panel_svg(panel, i * cell, 0, cell, HEIGHT)
+    body.append("</svg>\n")
+    return "\n".join(body)

@@ -1,8 +1,10 @@
 """Grid output pinned to the bytes of the plain encoders, and the surface
 the benchmark harness under perfbench/ relies on.
 
-The CLI writes tables with one f-string per row and draws one series per
-state.  The reference encoders below are the straightforward forms:
+The CLI writes tables from parts made once each, one prefix per n, one
+q, k and gamma text per state and all energies in one % call, joined
+once, and draws one series per state.  The reference encoders below are
+the straightforward forms:
 json.dumps of the table's dict with indent=2, one fmt12 call per CSV
 field, the tendency document built by json.loads of the table JSON and
 encoded again, and the figure drawn from the rows grouped by state.
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abwkb import InfiniteWell, PowerLaw, closed_form, unit_scale
+from abwkb import InfiniteWell, PowerLaw, UnitScale, closed_form, unit_scale
 from abwkb import cli, svg
 from abwkb.cli import (
     CSV_HEADER,
@@ -148,6 +150,46 @@ def test_json_rejects_rows_off_the_grid(edit):
 def test_table_rejects_energies_off_the_grid():
     with pytest.raises(ValueError, match="do not fill an n-grid"):
         SpectrumTable(PowerLaw(1.0, 2.0), 0.3, unit_scale("reduced"), ((0, 0, 0.3), (1, 0, 1.3)), (1.0, 2.0, 3.0))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# integer-valued levels (repr adds ".0"), |E| >= 1e12 (%.12g writes e+),
+# |E| < 1e-4 (e-) and any finite float, zero and subnormals among them
+GRID_ENERGY = st.one_of(
+    st.integers(-10**15, 10**15).map(float),
+    st.builds(lambda x, sign: sign * x, st.floats(1e12, 1e300), st.sampled_from((1.0, -1.0))),
+    st.builds(lambda x, sign: sign * x, st.floats(1e-300, 1e-4), st.sampled_from((1.0, -1.0))),
+    FINITE,
+)
+
+
+@st.composite
+def grid_tables(draw):
+    states = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(-40, 40), FINITE), min_size=1, max_size=5))
+    size = len(states) * draw(st.integers(1, 4))
+    energies = draw(st.lists(GRID_ENERGY, min_size=size, max_size=size))
+    return SpectrumTable(PowerLaw(1.0, 2.0), draw(FINITE), unit_scale("reduced"), tuple(states), tuple(energies))
+
+
+@given(grid_tables())
+@settings(max_examples=300, deadline=None)
+def test_multi_state_tables_match_plain_encoders(table):
+    assert table_to_json(table) == dict_json(table)
+    assert table_to_csv(table) == field_csv(table)
+
+
+@pytest.mark.parametrize("label", ["100%", "%s %d %.12g %%", "{} {0} {q} {n:.3}", "E/%(x)s{"])
+def test_unit_label_with_percent_and_braces(label):
+    # the label is table text: it goes into the output, never into a template
+    states = ((0, 0, 0.3), (1, -1, 1.7))
+    table = SpectrumTable(PowerLaw(1.0, 2.0), 0.3, UnitScale(label, 2.5), states, (1.0, 2.5e13, 3.25, 4e-7))
+    text = table_to_json(table)
+    assert text == dict_json(table)
+    assert table_to_csv(table) == field_csv(table)
+    back = table_from_json(text)
+    assert back.unit.label == label
+    assert table_to_json(back) == dict_json(back) == text
+    assert table_to_csv(back) == field_csv(back)
 
 
 def json_energies(energies):
