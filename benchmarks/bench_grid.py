@@ -22,6 +22,14 @@ harness.best_of over REPEAT samples.  The first cli.main call
 of the process is timed on its own, because it also pays for whatever
 the CLI sets up once.
 
+Start-up is timed in fresh processes: a `spectrum` command on the 10k
+grid with --format json, run as the installed `abwkb` script runs it
+(import abwkb.cli, call main, stdout to /dev/null), as a ratio to a bare
+`python -c pass` run just before it.  The figure is the median ratio over
+STARTUP_PAIRS such pairs, with the median wall times of both.  Its
+counters do not drift: how many modules the command imports beyond the
+bare interpreter's, and whether NumPy is among them.
+
 Work counters go with the times: rows per grid and bytes per output.
 --src, --label and --record are harness.main's.
 """
@@ -29,7 +37,10 @@ Work counters go with the times: rows per grid and bytes per output.
 from __future__ import annotations
 
 import io
+import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -50,6 +61,9 @@ SVG_GRID = "command_12"
 # (name, n_max, q_max) of the tendency --svg command, at k = 0
 TENDENCY_SVG = ("tendency_500", 24, 19)
 REPEAT = 7
+# the grid whose spectrum command is timed from process start
+STARTUP_GRID = "grid_10k"
+STARTUP_PAIRS = 15
 
 
 def _argv(n_max: int, q_max: int, k_range: tuple[int, int], fmt: str) -> list[str]:
@@ -69,9 +83,45 @@ def _run_main(cli, argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _process_s(code: str) -> float:
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def _startup(src: str) -> dict:
+    """A fresh spectrum process against a bare interpreter, and what it imports."""
+    _, n_max, q_max, k_range = next(grid for grid in GRIDS if grid[0] == STARTUP_GRID)
+    argv = _argv(n_max, q_max, k_range, "json")
+    command = f"import sys; sys.path.insert(0, {src!r}); from abwkb.cli import main; sys.exit(main({argv!r}))"
+    census = (
+        f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); from abwkb.cli import main; "
+        f"code = main({[*argv, '--out', os.devnull]!r}); new = set(sys.modules) - before; "
+        "import json; print(json.dumps([code, len(new), 'numpy' in new]))"
+    )
+    out = subprocess.run([sys.executable, "-c", census], capture_output=True, text=True, check=True).stdout
+    code, modules, numpy_loaded = json.loads(out)
+    if code != 0:
+        raise RuntimeError(f"abwkb {' '.join(argv)} exited {code}")
+    pairs = [(_process_s("pass"), _process_s(command)) for _ in range(STARTUP_PAIRS)]  # (bare, spectrum)
+    return {
+        "argv": argv,
+        "pairs": STARTUP_PAIRS,
+        "ratio_to_bare": statistics.median(run / bare for bare, run in pairs),
+        "spectrum_s": statistics.median(run for _, run in pairs),
+        "bare_s": statistics.median(bare for bare, _ in pairs),
+        "modules_imported": modules,
+        "numpy_imported": numpy_loaded,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+
 def measure() -> dict:
+    import abwkb
     from abwkb import cli, closed_form
     from abwkb.model import PowerLaw
+
+    startup = _startup(os.path.dirname(os.path.dirname(os.path.abspath(abwkb.__file__))))
 
     first_argv = _argv(3, 2, (0, 0), "csv")
     start = time.perf_counter()
@@ -118,6 +168,7 @@ def measure() -> dict:
         }
     return {
         "repeat": REPEAT,
+        "startup": startup,
         "first_main_call_s": first_call_s,
         "build_parser_s": harness.best_of(cli.build_parser, REPEAT),
         "grids": grids,
@@ -125,6 +176,10 @@ def measure() -> dict:
 
 
 def report(result: dict) -> None:
+    st = result["startup"]
+    print(f"  start-up ({STARTUP_GRID} spectrum json, median of {st['pairs']} pairs): "
+          f"{1e3 * st['spectrum_s']:.1f} ms, bare {1e3 * st['bare_s']:.1f} ms, ratio {st['ratio_to_bare']:.2f}; "
+          f"{st['modules_imported']} modules imported, numpy {'in' if st['numpy_imported'] else 'not in'} them")
     print(f"  first cli.main call {1e3 * result['first_main_call_s']:.2f} ms, "
           f"build_parser {1e3 * result['build_parser_s']:.3f} ms")
     for name, grid in result["grids"].items():

@@ -5,6 +5,10 @@ shoot, zeros.  Tables serialize to CSV/JSON with fixed 12-significant-
 digit formatting and optional SVG figures; repeated identical invocations
 produce byte-identical output.
 
+The solver modules, action and oracles, and with them NumPy, are
+imported inside the handlers that call them, so the closed-form
+commands start without NumPy.
+
 Exit codes: 0 success, 2 usage/domain error, 3 numeric non-convergence.
 """
 
@@ -17,9 +21,7 @@ import math
 import re
 import sys
 
-from . import __version__
-from . import action as action_mod
-from . import analysis, closed_form, oracles, special_functions, svg
+from . import __version__, analysis, closed_form, special_functions, svg
 from .closed_form import SpectrumTable, spectrum_table
 from .errors import ConvergenceError
 from .model import UNIT_PRESETS, InfiniteWell, PowerLaw, UnitScale, unit_scale
@@ -225,6 +227,8 @@ def _cmd_compare_well(args) -> tuple[str, str | None]:
     g, n_max = args.gamma, args.n_max
     if g < 0.0 or n_max < 0:
         raise ValueError("gamma and n-max must be non-negative")
+    from . import oracles
+
     exact = oracles.well_exact_spectrum(g, 1.0, n_max + 1)
     # the closed form in units hbar^2 pi^2/2ma^2: (n + g/2 + 1)**2
     well = closed_form.level_coefficients(InfiniteWell(1.0))
@@ -290,9 +294,11 @@ def _cmd_tendency(args) -> tuple[str, str | None]:
 
 
 def _cmd_verify_action(args) -> dict:
+    from . import action
+
     potential = PowerLaw(args.lam, args.nu)
-    numeric = action_mod.action_integral_numeric(args.energy, potential)
-    closed = action_mod.action_integral_closed(args.energy, potential)
+    numeric = action.action_integral_numeric(args.energy, potential)
+    closed = action.action_integral_closed(args.energy, potential)
     rel = abs(numeric - closed) / abs(closed)
     return {
         "nu": round12(args.nu),
@@ -305,9 +311,11 @@ def _cmd_verify_action(args) -> dict:
 
 
 def _cmd_quantize(args) -> dict:
+    from . import action
+
     potential = _potential_from_args(args)
-    setup = action_mod.QuantizationSetup(potential, args.gamma)
-    energy = action_mod.quantize_energy(setup, args.n)
+    setup = action.QuantizationSetup(potential, args.gamma)
+    energy = action.quantize_energy(setup, args.n)
     if isinstance(potential, InfiniteWell):
         shape = {"nu": "inf", "radius": round12(potential.a)}
     else:
@@ -322,6 +330,8 @@ def _cmd_quantize(args) -> dict:
 
 
 def _cmd_shoot(args) -> dict:
+    from . import oracles
+
     energy = oracles.shoot_eigenvalue(PowerLaw(args.lam, args.nu), args.gamma, args.n)
     return {
         "nu": round12(args.nu),

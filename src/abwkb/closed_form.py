@@ -61,13 +61,33 @@ class LevelCoefficients:
         return x
 
     def energy(self, n: float, gamma: float) -> float:
+        """scale * (factor * x) ** power at x = level_index(n, gamma),
+        formed as sign(scale) exp(ln|scale| + power ln(factor x)) where
+        the power alone is not a normal float; ValueError where the level
+        is not one either."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        try:
-            e = self.scale * (self.factor * self.level_index(n, gamma)) ** self.power
-        except OverflowError:  # float ** raises where * would give inf
-            e = math.copysign(math.inf, self.scale)
+        x = self.level_index(n, gamma)
+        p = self._raised(x)
+        if _MIN_NORMAL <= p < math.inf:
+            e = self.scale * p
+        else:  # scale * p can still be in range: form the level in logarithms
+            try:
+                e = math.exp(math.log(abs(self.scale)) + self.power * math.log(self.factor * x))
+            except OverflowError:  # exp raises where the level would be inf
+                e = math.inf
+            e = math.copysign(e, self.scale)
         return _normal_level(e, n, gamma)
+
+    def _raised(self, x: float) -> float:
+        """(factor * x) ** power, which is positive, or inf where float ** raises on overflow."""
+        try:
+            return (self.factor * x) ** self.power
+        except OverflowError:
+            return math.inf
+
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def _normal_level(e: float, n: float, gamma: float) -> float:
@@ -182,6 +202,10 @@ def spectrum_table(
     or a subnormal.  Every other level comes from the held
     level_coefficients(potential) record with the association and ** of
     LevelCoefficients.energy, so it is bit-identical to the scalar entry.
+    (factor * x) ** power is monotone in x too, so where it is a normal
+    float at both corners it is one on the whole grid; where it is not,
+    each level comes from LevelCoefficients.energy, which forms it in
+    logarithms where needed.
     """
     k_lo, k_hi = k_range
     if n_max < 0 or q_max < 0 or k_lo > k_hi:
@@ -197,8 +221,12 @@ def spectrum_table(
     e_lo = _normal_level(closed_form_energy(potential, 0, gammas[lo]) * factor, 0, gammas[lo])
     e_hi = _normal_level(closed_form_energy(potential, n_max, gammas[hi]) * factor, n_max, gammas[hi])
     held = level_coefficients(potential)
-    scale, base, offset, power = held.scale, held.factor, held.offset, held.power
-    slope_g = [held.slope * g for g in gammas]
-    energies = [scale * (base * (n + a + offset)) ** power * factor for n in range(n_max + 1) for a in slope_g]
+    corners = (held.level_index(0, gammas[lo]), held.level_index(n_max, gammas[hi]))
+    if all(_MIN_NORMAL <= held._raised(x) < math.inf for x in corners):
+        scale, base, offset, power = held.scale, held.factor, held.offset, held.power
+        slope_g = [held.slope * g for g in gammas]
+        energies = [scale * (base * (n + a + offset)) ** power * factor for n in range(n_max + 1) for a in slope_g]
+    else:  # the power leaves the double range somewhere on the grid
+        energies = [held.energy(n, g) * factor for n in range(n_max + 1) for g in gammas]
     energies[lo], energies[n_max * len(gammas) + hi] = e_lo, e_hi
     return SpectrumTable(potential, mu0, unit, states, tuple(energies))

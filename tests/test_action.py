@@ -217,6 +217,15 @@ class TestQuantizeEnergy:
                 got = quantize_energy(setup, n)
                 assert abs(got - expected) <= 1e-8 * abs(expected), (nu, gamma, n)
 
+    @pytest.mark.parametrize("lam,gamma", [(-30.0, 4.0), (-10.0, 3.5)])
+    def test_level_whose_closed_form_power_leaves_the_range(self, lam, gamma):
+        # (factor x)**power is 0 or subnormal here; the closed-form seed is
+        # formed in logarithms, and the quantized level meets it
+        pot = PowerLaw(lam, -1.99)
+        expected = closed_form_energy(pot, 0, gamma)
+        got = quantize_energy(QuantizationSetup(pot, gamma), 0)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
     def test_well_levels_exact(self):
         for a in (1.0, 2.0):
             for gamma in (0.0, 2.5):

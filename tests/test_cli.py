@@ -1,6 +1,7 @@
 """CLI contract tests: schemas, exit codes, round trips, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -188,6 +189,38 @@ class TestSpectrumCommand:
         assert code == 0
         energies = [float(line.split(",")[7]) for line in out.strip().split("\n")[1:]]
         assert energies == pytest.approx([1.0, 4.0, 9.0], rel=1e-11, abs=0)
+
+    def test_level_under_an_underflowing_power_prints(self, capsys):
+        # (factor x)**power is 0 here, but the level, formed in logarithms, is -8.548090369602633e-44
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--nu", "-1.99", "--lambda", "-30", "--mu0", "4", "--k", "0",
+            "--n-max", "0", "--q-max", "0",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"{CSV_HEADER}\n-1.99,-30,4,0,0,0,4,-8.5480903696e-44,reduced\n"
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("--nu", "-1.5", "--lambda", "-2", "--mu0", "0.3", "--n-max", "20", "--q-max", "5",
+              "--k-range=-3..3", "--format", "json"),
+             "c7e314ad736ce3b362f8c6789e61e5ca4f93d7e3d4bfeb9cd01e9302f49ba46b"),
+            (("--nu", "3", "--lambda", "0.7", "--mu0", "0.3", "--n-max", "20", "--q-max", "5",
+              "--k-range=-3..3", "--format", "csv"),
+             "bd183789b288a3a13dc7c75db661f713265c99bfa02018199ab153043ea8fcad"),
+            # |E| down to 1.1e-285 at nu = -1.99, each power still a normal float
+            (("--nu", "-1.99", "--lambda", "-1", "--mu0", "0.25", "--n-max", "5", "--q-max", "2",
+              "--k-range=-1..0"),
+             "52ec60480abe01587feb25bcff29c6738d99f5a2e1049a5ffc88fdc27dbea44e"),
+        ],
+        ids=["nu-1.5-json", "nu3-csv", "nu-1.99-csv"],
+    )
+    def test_normal_range_tables_keep_their_bytes(self, capsys, argv, digest):
+        # sha256 of the output written before levels could be formed in logarithms
+        code, out, _ = run_cli(capsys, "spectrum", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSerialization:

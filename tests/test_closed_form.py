@@ -6,6 +6,7 @@ branches, and flux periodicity.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -297,3 +298,72 @@ class TestSpectrumTable:
         pot = InfiniteWell(1.0)
         table = spectrum_table(pot, 0.0, 2, 0, (0, 0), unit=unit_scale("fig2d", pot))
         assert [r.energy for r in table.rows] == pytest.approx([1.0, 4.0, 9.0], rel=1e-12, abs=0)
+
+
+class TestLevelsPastThePower:
+    """(factor x)**power can leave the double range while the level, the
+    scale times it, is a normal float; that level is formed in logarithms."""
+
+    # n = 0, gamma = 4 at nu = -1.99, lam = -30: the power -398 underflows to 0
+    POT = PowerLaw(-30.0, -1.99)
+
+    def test_underflowing_power_gives_the_level(self):
+        c = level_coefficients(self.POT)
+        x = c.level_index(0, 4.0)
+        assert (c.factor * x) ** c.power == 0.0
+        logs = -math.exp(math.log(abs(c.scale)) + c.power * math.log(c.factor * x))
+        assert closed_form_energy(self.POT, 0, 4.0) == logs == -8.548090369602633e-44
+        # 40-digit evaluation of the formula at the same double nu and lam; the
+        # record's Gamma ratio is 1.8e-14 off, and the power -398 takes that to 7e-12
+        assert logs == pytest.approx(-8.5480903695413258684e-44, rel=1e-11, abs=0)
+
+    def test_subnormal_power_keeps_its_digits(self):
+        # the power is 6.96e-319, a subnormal with 6 digits; the product used
+        # to carry that 1e-6 error into a level of -6.96e-119
+        e = closed_form_energy(PowerLaw(-10.0, -1.99), 0, 3.5)
+        assert e == pytest.approx(-6.9557436675124518496e-119, rel=1e-11, abs=0)
+
+    def test_overflowing_power_gives_the_level(self):
+        # the scale is 1e-50 and (factor x)**power about 1e317: the level is 1.09e267
+        pot = PowerLaw(1e-300, 10.0)
+        c = level_coefficients(pot)
+        x = c.level_index(0, 1e190)
+        with pytest.raises(OverflowError):
+            (c.factor * x) ** c.power
+        e = closed_form_energy(pot, 0, 1e190)
+        assert e == math.exp(math.log(c.scale) + c.power * math.log(c.factor * x))
+        assert sys.float_info.min <= e < math.inf
+
+    def test_table_across_both_forms_matches_the_scalar_entry(self):
+        # gamma = 0.5 .. 3.5: the n = 0, gamma = 3.5 corner's power is subnormal
+        table = spectrum_table(self.POT, 0.5, 3, 3, (0, 0))
+        c = level_coefficients(self.POT)
+        for r in table.rows:
+            assert r.energy == closed_form_energy(self.POT, r.n, r.gamma)
+            p = (c.factor * c.level_index(r.n, r.gamma)) ** c.power
+            if p >= sys.float_info.min:
+                assert r.energy == c.scale * p
+
+    def test_ordinary_levels_keep_the_direct_form(self):
+        # wherever the power is a normal float, the level is scale * power, bit for bit
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                pot = PowerLaw(-(10.0 ** rng.uniform(-3, 3)), rng.uniform(-1.999, -0.01))
+            else:
+                pot = PowerLaw(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 3))
+            try:
+                c = level_coefficients(pot)
+            except ValueError:  # the scale itself leaves the range
+                continue
+            n, gamma = rng.randrange(200), rng.uniform(0.0, 50.0)
+            try:
+                p = (c.factor * c.level_index(n, gamma)) ** c.power
+            except OverflowError:
+                continue
+            e = c.scale * p
+            if sys.float_info.min <= p and sys.float_info.min <= abs(e) < math.inf:
+                assert closed_form_energy(pot, n, gamma) == e
+                checked += 1
+        assert checked > 1500
