@@ -69,7 +69,7 @@ def measure() -> dict:
         setup = action.QuantizationSetup(pot, GAMMA)
         with harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work:
             energy = action.quantize_energy(setup, n)
-        seconds = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT)
+        seconds = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT).seconds
         e0 = closed_form.closed_form_energy(pot, n, GAMMA)
         rc = action.turning_point(e0, pot)
         kernel_lam, kernel_nu = (0.0, 1.0) if lam == 0.0 else (lam, nu)
@@ -77,7 +77,7 @@ def measure() -> dict:
         for level in LEVELS:
             h = 1.0 / 2**level  # action_integral_numeric's mesh at this level
             args = (e0, kernel_lam, kernel_nu, rc, h, int(math.ceil(action._T_MAX / h)))
-            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT)
+            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT).seconds
         states[name] = {
             "lam": lam, "nu": nu, "gamma": GAMMA, "n": n,
             "energy": energy,

@@ -142,17 +142,17 @@ def measure() -> dict:
             "json_bytes": len(json_text.encode()),
             "seconds": {
                 "spectrum_table": harness.best_of(
-                    lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), REPEAT),
-                "table_to_csv": harness.best_of(lambda: cli.table_to_csv(table), REPEAT),
-                "table_to_json": harness.best_of(lambda: cli.table_to_json(table), REPEAT),
-                "main_json": harness.best_of(lambda: _run_main(cli, argv_json), REPEAT),
-                "main_csv": harness.best_of(lambda: _run_main(cli, argv_csv), REPEAT),
+                    lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), REPEAT).seconds,
+                "table_to_csv": harness.best_of(lambda: cli.table_to_csv(table), REPEAT).seconds,
+                "table_to_json": harness.best_of(lambda: cli.table_to_json(table), REPEAT).seconds,
+                "main_json": harness.best_of(lambda: _run_main(cli, argv_json), REPEAT).seconds,
+                "main_csv": harness.best_of(lambda: _run_main(cli, argv_csv), REPEAT).seconds,
             },
         }
         if name == SVG_GRID:
             with tempfile.TemporaryDirectory() as tmp:
                 argv_svg = [*argv_csv, "--svg", os.path.join(tmp, "levels.svg")]
-                grids[name]["seconds"]["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
+                grids[name]["seconds"]["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT).seconds
     name, n_max, q_max = TENDENCY_SVG
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tendency.svg")
@@ -160,7 +160,7 @@ def measure() -> dict:
             "tendency", "--nu", repr(NU), "--lambda", repr(LAM), "--mu0", repr(MU0), "--k", "0",
             "--n-max", str(n_max), "--q-max", str(q_max), "--format", "csv", "--svg", path,
         ]
-        seconds = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
+        seconds = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT).seconds
         grids[name] = {
             "rows": (n_max + 1) * (q_max + 1),
             "svg_bytes": os.path.getsize(path),
@@ -170,7 +170,7 @@ def measure() -> dict:
         "repeat": REPEAT,
         "startup": startup,
         "first_main_call_s": first_call_s,
-        "build_parser_s": harness.best_of(cli.build_parser, REPEAT),
+        "build_parser_s": harness.best_of(cli.build_parser, REPEAT).seconds,
         "grids": grids,
     }
 

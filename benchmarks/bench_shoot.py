@@ -3,8 +3,8 @@
 per stratum of perfbench's shoot_oracle workload.
 
     python3 benchmarks/bench_shoot.py
-    python3 benchmarks/bench_shoot.py --label change --record BENCH_20.json
-    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_20.json
+    python3 benchmarks/bench_shoot.py --label change --record BENCH_32.json
+    python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_32.json
 
 A diagnostic: it shows where a solve spends its time.  Its figures move
 from run to run on a shared machine; performance claims rest on perfbench
@@ -21,9 +21,14 @@ oracle's refinement tolerance, so their solves refine the polish grid
 to 4N - 3 points and beyond.  For each state it records:
 
 - seconds: harness.best_of over REPEAT samples of the solve;
+- seconds_ref: seconds over the median yardstick pass timed next to
+  them (harness.best_of), which drifts less with the machine's speed;
 - sweeps and points: calls of the Numerov kernel numerov_match, the only
   one a solve uses, and the grid points they swept (its 7th positional
   argument, as perfbench's tracer counts it);
+- tables: the grid tables the solve built (misses of
+  _kernels._grid_table, from an empty cache), null for a checkout
+  without that cache;
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
 
 --src, --label and --record are harness.main's.
@@ -63,19 +68,25 @@ def measure() -> dict:
     from abwkb import _kernels, oracles
     from abwkb.model import PowerLaw
 
+    table = getattr(_kernels, "_grid_table", None)
     states = {}
     for name, lam, nu, gamma, n in STATES:
         pot = PowerLaw(lam, nu)
+        if table is not None:
+            table.cache_clear()
         with harness.counting(_kernels, "numerov_match", lambda args: args[6]) as work:
             energy = oracles.shoot_eigenvalue(pot, gamma, n)
+        tables = None if table is None else table.cache_info().misses
         best = harness.best_of(lambda: oracles.shoot_eigenvalue(pot, gamma, n), REPEAT)
         states[name] = {
             "lam": lam, "nu": nu, "gamma": gamma, "n": n,
             "energy": energy,
-            "seconds": best,
+            "seconds": best.seconds,
+            "seconds_ref": best.ref,
             "sweeps": work.calls,
             "points": work.size,
-            "ns_per_point": 1e9 * best / work.size,
+            "tables": tables,
+            "ns_per_point": 1e9 * best.seconds / work.size,
         }
     tails = [s for name, s in states.items() if name.startswith("tail")]
     confined = [s for name, s in states.items() if name.startswith("confined")]
@@ -86,16 +97,20 @@ def measure() -> dict:
         "confined_seconds_total": sum(s["seconds"] for s in confined),
         "sweeps_per_solve": sum(s["sweeps"] for s in states.values()) / len(states),
         "points_per_solve": sum(s["points"] for s in states.values()) / len(states),
+        "tables_per_solve": None if table is None else sum(s["tables"] for s in states.values()) / len(states),
+        "seconds_ref_total": sum(s["seconds_ref"] for s in states.values()),
         "ns_per_point": 1e9 * sum(s["seconds"] for s in states.values()) / sum(s["points"] for s in states.values()),
     }
 
 
 def report(result: dict) -> None:
     for name, s in result["states"].items():
-        print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms  "
-              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} {s['ns_per_point']:6.1f} ns/point")
+        print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms {s['seconds_ref']:6.3f} ref  "
+              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} tables={s['tables']!s:<4s} "
+              f"{s['ns_per_point']:6.1f} ns/point")
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
-          f"{result['ns_per_point']:.1f} ns/point; "
+          f"tables {result['tables_per_solve']}, {result['ns_per_point']:.1f} ns/point; "
+          f"total {result['seconds_ref_total']:.3f} ref; "
           f"tail total {result['tail_seconds_total']:.3f} s, confined total {result['confined_seconds_total']:.3f} s")
 
 

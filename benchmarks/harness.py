@@ -10,19 +10,27 @@ another checkout can be measured), --label and --record, runs measure()
 on the package under --src, prefixes the result with the env block and
 merges it into --record under --label, so two checkouts measured in turn
 land side by side.  best_of() is the one timer and counting() the one
-kernel-call counter.
+kernel-call counter.  best_of() also times perfbench/yardstick.py's pass,
+a fixed piece of work that imports nothing from abwkb, next to its
+samples, so that a figure divided by that pass (a "ref" figure, as
+perfbench gives its ops) drifts less with the machine's speed than its
+seconds do.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
+import runpy
+import statistics
 import sys
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_S = 0.05
@@ -39,23 +47,44 @@ def env() -> dict:
     }
 
 
-def best_of(fn, repeat: int) -> float:
-    """Seconds per call: the best of repeat samples of a loop of calls.
+class Best(NamedTuple):
+    seconds: float  # per call, the best sample
+    pass_s: float  # the median yardstick pass timed next to the samples
+
+    @property
+    def ref(self) -> float:
+        """Seconds per call in yardstick passes."""
+        return self.seconds / self.pass_s
+
+
+@functools.cache
+def _yardstick_pass():
+    return runpy.run_path(os.path.join(ROOT, "perfbench", "yardstick.py"))["one_pass"]
+
+
+def best_of(fn, repeat: int) -> Best:
+    """Seconds per call, the best of repeat samples of a loop of calls,
+    and the median of the yardstick passes timed before each sample and
+    after the last.
 
     A sample loops the call enough times to last about SAMPLE_S, so
     calls of a few microseconds are not timer noise.
     """
+    one_pass = _yardstick_pass()
     start = time.perf_counter()
     fn()
     once = time.perf_counter() - start
     number = max(1, int(SAMPLE_S / once)) if once > 0 else 1
     best = once
+    passes = []
     for _ in range(repeat):
+        passes.append(one_pass())
         start = time.perf_counter()
         for _ in range(number):
             fn()
         best = min(best, (time.perf_counter() - start) / number)
-    return best
+    passes.append(one_pass())
+    return Best(best, statistics.median(passes))
 
 
 @contextmanager

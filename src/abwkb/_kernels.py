@@ -3,10 +3,14 @@
 One implementation per kernel: the action sum is vectorized with NumPy,
 its node table built once per mesh level and held in a bounded cache;
 both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
-x = ln r, its coefficients built with NumPy and its ratio recurrence a
-plain Python loop.  Sweeps return u on an arbitrary scale, shared by the
-values of one sweep; the oracle reads only their Prufer angle.  The
-power-law potential is inlined in each body.
+x = ln r, its ratio recurrence a plain Python loop.  The coefficients'
+energy-free parts, e^{2x} and the power-law term lam e^{(nu+2)x}, come
+from _grid_table, built once per grid and held in a one-entry cache;
+each sweep builds its coefficients from them with NumPy, once over the
+whole grid, and walks a forward or reversed view of them.  Sweeps return
+u on an arbitrary scale, shared by the values of one sweep; the oracle
+reads only their Prufer angle.  The power law is written out in
+_grid_table, and in _series_ratio's start of the outward walk.
 """
 
 from __future__ import annotations
@@ -56,28 +60,51 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     return rc * math.sqrt(abs(E)) * p * w_sum * h
 
 
-def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
-    """Numerov walk of u'' + g u = 0, g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2,
-    over x_j = x0 + j h from u[i] > 0 and u[i + step] = ratio u[i] to u[stop + step].
+@functools.lru_cache(maxsize=1)
+def _grid_table(lam: float, nu: float, gamma: float, x0: float, h: float, n: int):
+    """The Numerov coefficients' energy-free parts on x_j = x0 + j h,
+    j = 0..n: (1 - h**2 (gamma + 1/2)**2 / 12, e^{2x}, h**2 lam e^{(nu+2)x} / 12).
+
+    A solve sweeps one grid back to back at many energies (search window,
+    polish grid, each refinement), so one entry holds the grid in use;
+    the arrays are read-only because every sweep on it shares them.
+    """
+    x = x0 + h * np.arange(n + 1, dtype=np.float64)
+    h12 = h * h / 12.0
+    e2x = np.exp(2.0 * x)
+    pot = h12 * lam * np.exp((nu + 2.0) * x)
+    e2x.flags.writeable = False
+    pot.flags.writeable = False
+    return 1.0 - h12 * (gamma + 0.5) ** 2, e2x, pot
+
+
+def _coefficients(E, lam, nu, gamma, x0, h, n):
+    """f = 1 + h**2 g / 12 and a = 12 / f - 10 over the whole grid j = 0..n,
+    g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2."""
+    base, e2x, pot = _grid_table(lam, nu, gamma, x0, h, n)
+    h12 = h * h / 12.0
+    f = base + h12 * E * e2x - pot
+    return f, 12.0 / f - 10.0
+
+
+def _sweep(f, a, h, ratio):
+    """Numerov walk of u'' + g u = 0 over the coefficients f, a of one walk,
+    in walk order, from u[0] > 0 and u[1] = ratio u[0] to u[m + 1], m = len(f) - 2.
 
     This is the radial equation under r = e^x, u_radial = e^{x/2} u (Langer's
     change of variables), so u has the radial function's nodes.  With
-    f = 1 + h**2 g / 12, built for the whole walk at once, w = f u obeys
-    w_next = (12 / f - 10) w - w_prev, and the walk carries only the ratio
-    R = w_next / w = 12 / f - 10 - 1 / R_prev (Johnson's renormalized
-    Numerov), which never overflows.  f > 0 on the walk (h**2 |g| / 12 < 1
-    where g < 0), so a negative R is a sign change of u.  ratio=None starts
-    a decaying solution, ratio = exp(kappa h) with kappa = sqrt(-g(x_i)).  Returns
-    (crossings, u[stop - step], u[stop], u[stop + step]), crossings being
-    the sign changes from u[i + step] through u[stop], and the three
-    values scaled by one positive factor so that |w[stop]| = 1.
+    f = 1 + h**2 g / 12, w = f u obeys w_next = a w - w_prev, a = 12 / f - 10,
+    and the walk carries only the ratio R = w_next / w = a - 1 / R_prev
+    (Johnson's renormalized Numerov), which never overflows.  f > 0 on the
+    walk (h**2 |g| / 12 < 1 where g < 0), so a negative R is a sign change
+    of u.  ratio=None starts a decaying solution, ratio = exp(kappa h)
+    with kappa = sqrt(-g) at u[0].  Returns (crossings, u[m - 1], u[m],
+    u[m + 1]), crossings being the sign changes from u[1] through u[m],
+    and the three values scaled by one positive factor so that |w[m]| = 1.
     """
-    x = x0 + h * np.arange(i, stop + 2 * step, step, dtype=np.float64)
-    h12 = h * h / 12.0
-    f = 1.0 - h12 * (gamma + 0.5) ** 2 + h12 * E * np.exp(2.0 * x) - h12 * lam * np.exp((nu + 2.0) * x)
-    a = 12.0 / f - 10.0
-    m = len(x) - 2  # the walk's index of stop
+    m = len(f) - 2  # the walk's index of its stop
     if ratio is None:
+        h12 = h * h / 12.0
         ratio = math.exp(min(math.sqrt(max((1.0 - f[0]) / h12, 1e-12)) * h, 600.0))
     R = ratio * float(f[1] / f[0])
     sign = math.copysign(1.0, R)
@@ -91,20 +118,20 @@ def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
     if crossings % 2:
         sign = -sign
     f_back, f_stop, f_ahead = f[m - 1 : m + 2].tolist()
-    # w[stop - step] = w[stop] / R and w[stop + step] = w[stop] (a[m] - 1 / R)
+    # w[m - 1] = w[m] / R and w[m + 1] = w[m] (a[m] - 1 / R)
     return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
 
 
-def _outward(E, lam, nu, gamma, x0, h, stop):
-    """_sweep from x0 upward, started on the regular series
-    r**(gamma+1/2) (1 + sa r**2 + sb r**(nu+2)), whose ratio between x0
-    and x0 + h has no underflow however far in x0 lies."""
+def _series_ratio(E, lam, nu, gamma, x0, h):
+    """u(x0 + h) / u(x0) on the regular series r**(gamma+1/2)
+    (1 + sa r**2 + sb r**(nu+2)), which has no underflow however far in
+    x0 lies: the outward walk's start."""
     sa = -E / (2.0 * (2.0 * gamma + 3.0))
     sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
     r0, r1 = math.exp(x0), math.exp(x0 + h)
     u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
     u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
-    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u1 / u0)
+    return u1 / u0
 
 
 def numerov_count(
@@ -113,20 +140,25 @@ def numerov_count(
     """Outward Numerov sweep of the radial equation over x_i = x0 + i h,
     i = 0..n-1 (r = e^x); returns the interior node count.
     The sweep also steps to x_n, whose value is not used."""
-    return _outward(E, lam, nu, gamma, x0, h, n - 1)[0]
+    f, a = _coefficients(E, lam, nu, gamma, x0, h, n)
+    return _sweep(f, a, h, _series_ratio(E, lam, nu, gamma, x0, h))[0]
 
 
 def numerov_match(
     E: float, lam: float, nu: float, gamma: float, x0: float, h: float, n: int, im: int
 ):
-    """Two-sided Numerov sweep over x_i = x0 + i h to the matching index im.
+    """Two-sided Numerov sweep over x_i = x0 + i h to the matching index im,
+    1 <= im <= n - 2.
 
     Returns (nodes_out, u_out, du_out, nodes_in, u_in, du_in): for the
     outward solution (regular series at x0) and the inward one (decaying
     seed at x_{n-1}), the sign changes through u[im], and u and its
     central-difference derivative du/dx at im.  Each pair is on its own
     arbitrary scale, shared by u and du, and carries the sign of u.
+    The outward walk reads a forward view of the grid's coefficients,
+    x_0..x_{im+1}, and the inward walk a reversed view, x_{n-1}..x_{im-1}.
     """
-    nodes_out, uo_m1, uo_0, uo_p1 = _outward(E, lam, nu, gamma, x0, h, im)
-    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, None)
+    f, a = _coefficients(E, lam, nu, gamma, x0, h, n)
+    nodes_out, uo_m1, uo_0, uo_p1 = _sweep(f[: im + 2], a[: im + 2], h, _series_ratio(E, lam, nu, gamma, x0, h))
+    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(f[im - 1 : n][::-1], a[im - 1 : n][::-1], h, None)
     return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h

@@ -63,3 +63,12 @@ class TestCounting:
                 module.kernel(0)
         assert module.kernel is kernel
         assert work.calls == 1
+
+
+class TestBestOf:
+    def test_times_the_yardstick_next_to_the_samples(self):
+        calls = []
+        best = harness.best_of(lambda: calls.append(1), 1)
+        assert 0.0 < best.seconds and 0.0 < best.pass_s
+        assert best.ref == best.seconds / best.pass_s
+        assert len(calls) >= 2  # the timed first call and one sample

@@ -190,6 +190,88 @@ class TestActionNodeTable:
         _kernels._node_table.cache_clear()
 
 
+def _uncached_sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
+    """_kernels._sweep as it was before its coefficients came from the
+    grid table: every walk builds x, e^{2x} and lam e^{(nu+2)x} itself."""
+    x = x0 + h * np.arange(i, stop + 2 * step, step, dtype=np.float64)
+    h12 = h * h / 12.0
+    f = 1.0 - h12 * (gamma + 0.5) ** 2 + h12 * E * np.exp(2.0 * x) - h12 * lam * np.exp((nu + 2.0) * x)
+    a = 12.0 / f - 10.0
+    m = len(x) - 2
+    if ratio is None:
+        ratio = math.exp(min(math.sqrt(max((1.0 - f[0]) / h12, 1e-12)) * h, 600.0))
+    R = ratio * float(f[1] / f[0])
+    sign = math.copysign(1.0, R)
+    crossings = 0
+    for a_j in a[1:m].tolist():
+        R = a_j - 1.0 / R
+        if R <= 0.0:
+            crossings += 1
+            if R == 0.0:
+                R = -1e-300
+    if crossings % 2:
+        sign = -sign
+    f_back, f_stop, f_ahead = f[m - 1 : m + 2].tolist()
+    return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
+
+
+def _uncached_outward(E, lam, nu, gamma, x0, h, stop):
+    sa = -E / (2.0 * (2.0 * gamma + 3.0))
+    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
+    r0, r1 = math.exp(x0), math.exp(x0 + h)
+    u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
+    u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
+    return _uncached_sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u1 / u0)
+
+
+def _uncached_count(E, lam, nu, gamma, x0, h, n):
+    return _uncached_outward(E, lam, nu, gamma, x0, h, n - 1)[0]
+
+
+def _uncached_match(E, lam, nu, gamma, x0, h, n, im):
+    nodes_out, uo_m1, uo_0, uo_p1 = _uncached_outward(E, lam, nu, gamma, x0, h, im)
+    nodes_in, ui_p1, ui_0, ui_m1 = _uncached_sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, None)
+    return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h
+
+
+class TestNumerovGridTable:
+    # same elementwise coefficients, same walk: == in every field
+    @staticmethod
+    def check(E, lam, nu, gamma, x0, h, n, im):
+        assert _kernels.numerov_count(E, lam, nu, gamma, x0, h, n) == _uncached_count(E, lam, nu, gamma, x0, h, n)
+        assert _kernels.numerov_match(E, lam, nu, gamma, x0, h, n, im) == _uncached_match(E, lam, nu, gamma, x0, h, n, im)
+
+    @pytest.mark.parametrize("args,count,match", PINNED_SWEEPS)
+    def test_pinned_sweeps_bit_identical(self, args, count, match):
+        self.check(*args)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_seeded_states_bit_identical(self, seed):
+        # the second energy sweeps the same grid, read from the cache
+        E, lam, nu, gamma, x0, h, n, im, _ = _seeded_state(seed)
+        for energy in (E, 1.01 * E):
+            self.check(energy, lam, nu, gamma, x0, h, n, im)
+
+    def test_cache_hit_equals_miss(self):
+        args = PINNED_SWEEPS[0].values[0]
+        _kernels._grid_table.cache_clear()
+        miss = _kernels.numerov_match(*args)
+        hits = _kernels._grid_table.cache_info().hits
+        assert _kernels.numerov_match(*args) == miss
+        assert _kernels._grid_table.cache_info().hits == hits + 1
+
+    def test_cached_arrays_are_read_only(self):
+        _, e2x, pot = _kernels._grid_table(-1.0, -1.0, 0.0, -15.0, 0.01, 2100)
+        for array in (e2x, pot):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cache_holds_one_grid(self):
+        for param in PINNED_SWEEPS[:3]:  # two grids: the oscillator cases share one
+            _kernels.numerov_count(*param.values[0][:7])
+        assert _kernels._grid_table.cache_info().currsize == 1
+
+
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments
     @pytest.mark.parametrize(

@@ -560,6 +560,37 @@ class TestSweepCount:
         assert len(calls) == 2
 
 
+# (lam, nu, gamma, n, repr of the level): the states of
+# benchmarks/bench_shoot.py, one per stratum of perfbench's shoot_oracle
+# workload plus four whose polish refines past 2N - 1 points
+PINNED_LEVELS = [
+    pytest.param(-1.0, -1.0, 0.5, 0, "-0.11111111111172549", id="tail_coulomb_n0_q0"),
+    pytest.param(-1.0, -1.0, 1.5, 1, "-0.020408163265308372", id="tail_coulomb_n1_q1"),
+    pytest.param(-1.0, -1.275, 1.5, 0, "-0.007302456020349395", id="tail_strong_n0_q1"),
+    pytest.param(-1.0, -1.275, 0.5, 1, "-0.009684848491986362", id="tail_strong_n1_q0"),
+    pytest.param(-1.0, -0.875, 0.5, 0, "-0.15230804113661006", id="tail_weak_n0_q0"),
+    pytest.param(-1.0, -0.875, 1.5, 1, "-0.04029268085039071", id="tail_weak_n1_q1"),
+    pytest.param(1.75, 2.0, 1.3, 2, "17.991108915272516", id="confined_oscillator"),
+    pytest.param(1.0, 1.0, 0.0, 2, "5.520559828093463", id="confined_airy"),
+    pytest.param(1.0, 1.0, 1.3, 2, "6.408777483155773", id="confined_linear"),
+    pytest.param(1.0, 0.55, 1.3, 1, "3.146307001240021", id="confined_nu_0.55"),
+    pytest.param(1.0, 2.6, 1.3, 1, "12.147429573422336", id="confined_nu_2.6"),
+    pytest.param(1.0, 8.0, 1.3, 1, "27.678650643168666", id="confined_nu_8"),
+    pytest.param(-1.0, -1.0, 0.0, 20, "-0.0005668934240348697", id="nested_coulomb_n20"),
+    pytest.param(1.0, 2.0, 0.0, 20, "83.00000000548536", id="nested_oscillator_n20"),
+    pytest.param(1.0, 3.0, 0.0, 20, "184.95175961225686", id="nested_nu3_n20"),
+    pytest.param(-1.0, -1.5, 0.5, 10, "-6.504812949190039e-07", id="nested_tail_n10"),
+]
+
+
+class TestPinnedLevels:
+    @pytest.mark.parametrize("lam,nu,gamma,n,level", PINNED_LEVELS)
+    def test_level_bits(self, lam, nu, gamma, n, level):
+        # bit-level levels of the whole solve; a refactor of the sweep,
+        # the grid or the search must keep them
+        assert repr(shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)) == level
+
+
 class TestSecant:
     def test_step_past_the_sign_bracket_bisects_it(self):
         # atan(10 y) saturates, so secant steps from its flat tails
