@@ -20,12 +20,14 @@ Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
 0.5..2 draws, with gamma = 3 and n = 2.  For each state it records:
 
 - seconds: harness.best_of over REPEAT samples of quantize_energy;
+- seconds_ref: seconds over the median yardstick pass timed next to
+  them (harness.best_of), which drifts less with the machine's speed;
 - action_sums and nodes: calls of the kernel _kernels.action_sum, one per
   mesh level the quadrature used, and the nodes they summed (2 kmax + 1,
   kmax its 6th positional argument, as perfbench's tracer counts it);
 - action_sum_seconds: one action_sum call, timed the same way, at each of the
   mesh levels 2..5, the only ones the wkb_roots states reach, on the
-  state's own integrand.
+  state's own integrand, and action_sum_ref, the same in yardstick passes.
 
 --src, --label and --record are harness.main's.
 """
@@ -69,7 +71,7 @@ def measure() -> dict:
         setup = action.QuantizationSetup(pot, GAMMA)
         with harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work:
             energy = action.quantize_energy(setup, n)
-        seconds = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT).seconds
+        best = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT)
         e0 = closed_form.closed_form_energy(pot, n, GAMMA)
         rc = action.turning_point(e0, pot)
         kernel_lam, kernel_nu = (0.0, 1.0) if lam == 0.0 else (lam, nu)
@@ -77,14 +79,16 @@ def measure() -> dict:
         for level in LEVELS:
             h = 1.0 / 2**level  # action_integral_numeric's mesh at this level
             args = (e0, kernel_lam, kernel_nu, rc, h, int(math.ceil(action._T_MAX / h)))
-            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT).seconds
+            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT)
         states[name] = {
             "lam": lam, "nu": nu, "gamma": GAMMA, "n": n,
             "energy": energy,
-            "seconds": seconds,
+            "seconds": best.seconds,
+            "seconds_ref": best.ref,
             "action_sums": work.calls,
             "nodes": work.size,
-            "action_sum_seconds": per_level,
+            "action_sum_seconds": {level: b.seconds for level, b in per_level.items()},
+            "action_sum_ref": {level: b.ref for level, b in per_level.items()},
         }
     values = list(states.values())
     return {
@@ -92,6 +96,7 @@ def measure() -> dict:
         "states": states,
         "quantize_seconds_median": statistics.median(s["seconds"] for s in values),
         "quantize_seconds_total": sum(s["seconds"] for s in values),
+        "quantize_ref_total": sum(s["seconds_ref"] for s in values),
         "action_sums_per_quantize": sum(s["action_sums"] for s in values) / len(values),
         "nodes_per_quantize": sum(s["nodes"] for s in values) / len(values),
         "action_sum_seconds_median": {
@@ -103,11 +108,11 @@ def measure() -> dict:
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         levels = " ".join(f"{1e6 * t:6.1f}" for t in s["action_sum_seconds"].values())
-        print(f"  {name:16s} E={s['energy']:<23.16g} {1e6 * s['seconds']:7.1f} us  "
+        print(f"  {name:16s} E={s['energy']:<23.16g} {1e6 * s['seconds']:7.1f} us {s['seconds_ref']:7.4f} ref  "
               f"action_sums={s['action_sums']} nodes={s['nodes']:<4d} per level 2-5 (us): {levels}")
     medians = " ".join(f"{1e6 * t:.1f}" for t in result["action_sum_seconds_median"].values())
     print(f"  quantize median {1e6 * result['quantize_seconds_median']:.1f} us, "
-          f"total {1e3 * result['quantize_seconds_total']:.3f} ms; per quantize: "
+          f"total {1e3 * result['quantize_seconds_total']:.3f} ms, {result['quantize_ref_total']:.3f} ref; per quantize: "
           f"action_sums {result['action_sums_per_quantize']:.2f}, nodes {result['nodes_per_quantize']:.0f}; "
           f"action_sum median per level 2-5: {medians} us")
 

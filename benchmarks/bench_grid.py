@@ -18,9 +18,10 @@ perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  A
 500-row tendency --format csv --svg command on the same potential, the
 light grid_cli shape whose time goes mostly to the figure, is timed
 end to end only (main_svg, with its rows and SVG bytes).  Each figure is
-harness.best_of over REPEAT samples.  The first cli.main call
-of the process is timed on its own, because it also pays for whatever
-the CLI sets up once.
+harness.best_of over REPEAT samples, recorded in seconds and, under
+"ref", in the yardstick passes timed next to them, which drift less with
+the machine's speed.  The first cli.main call of the process is timed on
+its own, because it also pays for whatever the CLI sets up once.
 
 Start-up is timed in fresh processes: a `spectrum` command on the 10k
 grid with --format json, run as the installed `abwkb` script runs it
@@ -136,23 +137,25 @@ def measure() -> dict:
         argv_json, argv_csv = _argv(n_max, q_max, k_range, "json"), _argv(n_max, q_max, k_range, "csv")
         if _run_main(cli, argv_json) != json_text or _run_main(cli, argv_csv) != csv_text:
             raise RuntimeError(f"{name}: cli.main output differs from the table emitters")
-        grids[name] = {
-            "rows": len(table.energies),
-            "csv_bytes": len(csv_text.encode()),
-            "json_bytes": len(json_text.encode()),
-            "seconds": {
-                "spectrum_table": harness.best_of(
-                    lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), REPEAT).seconds,
-                "table_to_csv": harness.best_of(lambda: cli.table_to_csv(table), REPEAT).seconds,
-                "table_to_json": harness.best_of(lambda: cli.table_to_json(table), REPEAT).seconds,
-                "main_json": harness.best_of(lambda: _run_main(cli, argv_json), REPEAT).seconds,
-                "main_csv": harness.best_of(lambda: _run_main(cli, argv_csv), REPEAT).seconds,
-            },
+        best = {
+            "spectrum_table": harness.best_of(
+                lambda: closed_form.spectrum_table(pot, MU0, n_max, q_max, k_range), REPEAT),
+            "table_to_csv": harness.best_of(lambda: cli.table_to_csv(table), REPEAT),
+            "table_to_json": harness.best_of(lambda: cli.table_to_json(table), REPEAT),
+            "main_json": harness.best_of(lambda: _run_main(cli, argv_json), REPEAT),
+            "main_csv": harness.best_of(lambda: _run_main(cli, argv_csv), REPEAT),
         }
         if name == SVG_GRID:
             with tempfile.TemporaryDirectory() as tmp:
                 argv_svg = [*argv_csv, "--svg", os.path.join(tmp, "levels.svg")]
-                grids[name]["seconds"]["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT).seconds
+                best["main_svg"] = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
+        grids[name] = {
+            "rows": len(table.energies),
+            "csv_bytes": len(csv_text.encode()),
+            "json_bytes": len(json_text.encode()),
+            "seconds": {k: b.seconds for k, b in best.items()},
+            "ref": {k: b.ref for k, b in best.items()},
+        }
     name, n_max, q_max = TENDENCY_SVG
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tendency.svg")
@@ -160,17 +163,20 @@ def measure() -> dict:
             "tendency", "--nu", repr(NU), "--lambda", repr(LAM), "--mu0", repr(MU0), "--k", "0",
             "--n-max", str(n_max), "--q-max", str(q_max), "--format", "csv", "--svg", path,
         ]
-        seconds = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT).seconds
+        best = harness.best_of(lambda: _run_main(cli, argv_svg), REPEAT)
         grids[name] = {
             "rows": (n_max + 1) * (q_max + 1),
             "svg_bytes": os.path.getsize(path),
-            "seconds": {"main_svg": seconds},
+            "seconds": {"main_svg": best.seconds},
+            "ref": {"main_svg": best.ref},
         }
+    build_parser = harness.best_of(cli.build_parser, REPEAT)
     return {
         "repeat": REPEAT,
         "startup": startup,
         "first_main_call_s": first_call_s,
-        "build_parser_s": harness.best_of(cli.build_parser, REPEAT).seconds,
+        "build_parser_s": build_parser.seconds,
+        "build_parser_ref": build_parser.ref,
         "grids": grids,
     }
 
@@ -181,10 +187,12 @@ def report(result: dict) -> None:
           f"{1e3 * st['spectrum_s']:.1f} ms, bare {1e3 * st['bare_s']:.1f} ms, ratio {st['ratio_to_bare']:.2f}; "
           f"{st['modules_imported']} modules imported, numpy {'in' if st['numpy_imported'] else 'not in'} them")
     print(f"  first cli.main call {1e3 * result['first_main_call_s']:.2f} ms, "
-          f"build_parser {1e3 * result['build_parser_s']:.3f} ms")
+          f"build_parser {1e3 * result['build_parser_s']:.3f} ms, {result['build_parser_ref']:.4g} ref")
     for name, grid in result["grids"].items():
         times = "  ".join(f"{k} {1e3 * v:.3f}" for k, v in grid["seconds"].items())
+        refs = "  ".join(f"{k} {v:.4g}" for k, v in grid["ref"].items())
         print(f"  {name:12s} rows={grid['rows']:<6d} ms: {times}")
+        print(f"  {'':24s} ref: {refs}")
 
 
 if __name__ == "__main__":

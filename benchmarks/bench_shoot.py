@@ -110,8 +110,8 @@ def report(result: dict) -> None:
               f"{s['ns_per_point']:6.1f} ns/point")
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
           f"tables {result['tables_per_solve']}, {result['ns_per_point']:.1f} ns/point; "
-          f"total {result['seconds_ref_total']:.3f} ref; "
-          f"tail total {result['tail_seconds_total']:.3f} s, confined total {result['confined_seconds_total']:.3f} s")
+          f"total {result['seconds_ref_total']:.3f} ref, "
+          f"tail {1e3 * result['tail_seconds_total']:.2f} ms, confined {1e3 * result['confined_seconds_total']:.2f} ms")
 
 
 if __name__ == "__main__":

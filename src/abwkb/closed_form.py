@@ -100,14 +100,13 @@ def _normal_level(e: float, n: float, gamma: float) -> float:
     return e
 
 
-def _power_law_coefficients(lam: float, nu: float, scale: float) -> LevelCoefficients:
-    if lam < 0.0 and -2.0 < nu < 0.0:
+def _power_law_coefficients(nu: float, scale: float) -> LevelCoefficients:
+    """PowerLaw admits only lam < 0 with -2 < nu < 0, and lam, nu > 0, so nu's sign picks the formula."""
+    if nu < 0.0:
         factor = 2.0 * abs(nu) * math.sqrt(math.pi) * gamma_ratio(1.0 - 1.0 / nu, -1.0 / nu - 0.5)
         return LevelCoefficients(scale, factor, 1.0 / (nu + 2.0), (nu + 3.0) / (2.0 * nu + 4.0), 2.0 * nu / (nu + 2.0))
-    if lam > 0.0 and nu > 0.0:
-        factor = 2.0 * nu * math.sqrt(math.pi) * gamma_ratio(1.0 / nu + 1.5, 1.0 / nu)
-        return LevelCoefficients(scale, factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
-    raise ValueError(f"need lam < 0, -2 < nu < 0 or lam, nu > 0; got {lam}, {nu}")
+    factor = 2.0 * nu * math.sqrt(math.pi) * gamma_ratio(1.0 / nu + 1.5, 1.0 / nu)
+    return LevelCoefficients(scale, factor, 0.5, 0.75, 2.0 * nu / (nu + 2.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -135,7 +134,7 @@ def level_coefficients(potential: PotentialSpec) -> LevelCoefficients:
         raise ValueError(f"energy scale {formula} {'overflows' if grows else 'underflows'} at {at}")
     if well:
         return LevelCoefficients(scale, 1.0, 0.5, 1.0, 2.0)
-    return _power_law_coefficients(potential.lam, potential.nu, scale)
+    return _power_law_coefficients(potential.nu, scale)
 
 
 def closed_form_energy(potential: PotentialSpec, n: int, gamma: float) -> float:

@@ -52,7 +52,6 @@ _SEARCH_RATIO = 2.0  # search windows span E / r .. E r, r = this ** min(1, |nu|
 _POLISH_WIDTH = 1e-3  # the polish grid is built for E (1 -+ this)
 _REFINE_REL_TOL = 1e-6  # two nested levels, on N and 2N - 1 points, must agree to this
 _REL_TOL = 1e-10  # last secant step on each refinement of the polish grid, relative to |E|
-_MAX_EDGE_STEPS = 100_000  # walk to the outer edge; a longer one raises
 _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 _MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds floor grids out to it
 
@@ -92,7 +91,9 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     dx = 0.2 / max(nu2, 2.0)  # about a tenth of an e-fold of kappa
     x, k2, decay, xt = xs, kappa2(hi, xs), 0.0, None
     g_allowed = -k2
-    for _ in range(_MAX_EDGE_STEPS):
+    # the walk ends: from ln((nu + 2) / 2) / nu past xs on, kappa**2 >= (gamma + 1/2)**2,
+    # so decay grows by dx / 2 or more a step, and kappa2 raises past _MAX_EXPONENT
+    while decay < _DECAY_TARGET:
         if k2 >= 0.0 and xt is None:
             xt = x
         x_next = x + dx
@@ -100,10 +101,6 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
         if xt is not None:
             decay += 0.5 * dx * (math.sqrt(k2) + math.sqrt(k2_next))
         x, k2 = x_next, k2_next
-        if decay >= _DECAY_TARGET:
-            break
-    else:
-        raise ConvergenceError(f"no outer grid edge within {_MAX_EDGE_STEPS} steps of E={hi!r}")
     g_max = max(c, g_allowed, kappa2(lo, x))
     points = max(points, 1 + math.ceil((x - x0) * math.sqrt(g_max / (12.0 * _MAX_STEP_PARAM))))
     if 2 * points - 1 > _MAX_POINTS:

@@ -26,15 +26,6 @@ def gamma_ratio(a: float, b: float) -> float:
 _MAX_ORDER = 100.0  # Miller's largest intermediate, 4e139 at this order just above x = 12, grows with it
 
 
-def _check_order_x(order: float, x: float) -> None:
-    if not order >= 0.0:
-        raise ValueError(f"Bessel order must be >= 0, got {order}")
-    if order > _MAX_ORDER:
-        raise ValueError(f"Bessel order {order} exceeds supported maximum {_MAX_ORDER}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"bessel_j requires a finite x >= 0, got x = {x}")
-
-
 def _bessel_series(order: float, x: float) -> float:
     """Ascending power series; safe for x <= 12."""
     half = 0.5 * x
@@ -113,7 +104,12 @@ def bessel_j(order: float, x: float) -> float:
     absolute error stays below 6e-13, set by the series' cancellation near
     x = 12, and below 6e-14 for x > 12.
     """
-    _check_order_x(order, x)
+    if not order >= 0.0:
+        raise ValueError(f"Bessel order must be >= 0, got {order}")
+    if order > _MAX_ORDER:
+        raise ValueError(f"Bessel order {order} exceeds supported maximum {_MAX_ORDER}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"bessel_j requires a finite x >= 0, got x = {x}")
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
     if x <= 12.0:

@@ -32,10 +32,10 @@ class Panel:
     series: list[Series] = field(default_factory=list)
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / target
-    mag = 10.0 ** _floor_log10(raw)
+    raw = span / 5  # about five ticks an axis
+    mag = 10.0 ** math.floor(math.log10(abs(raw)))
     norm = raw / mag
     if norm < 1.5:
         step = mag
@@ -45,21 +45,13 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         step = 5.0 * mag
     else:
         step = 10.0 * mag
-    first = _ceil_div(lo, step) * step
+    first = math.ceil(lo / step - 1e-12) * step
     out = []
     t = first
     while t <= hi + 1e-9 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return out
-
-
-def _floor_log10(x: float) -> int:
-    return int(math.floor(math.log10(abs(x))))
-
-
-def _ceil_div(x: float, step: float) -> float:
-    return math.ceil(x / step - 1e-12)
 
 
 def _bounds(vals: list[float]) -> tuple[float, float]:

@@ -83,6 +83,8 @@ class TestPositivePower:
             closed_form_energy(PowerLaw(-1.0, 2.0), 0, 0.0)
         with pytest.raises(ValueError):
             closed_form_energy(PowerLaw(1.0, -2.5), 0, 0.0)
+        with pytest.raises(ValueError, match="non-positive level index"):
+            closed_form_energy(PowerLaw(1.0, 2.0), 0, -2.0)
 
 
 class TestSpecialCases:

@@ -33,7 +33,10 @@ def run(*argv):
     assert code == 0, (argv, code, err.getvalue())
     return out.getvalue()
 
-seen = {{"import": loaded(), "dir_lists_all": set(abwkb.__all__) <= set(dir(abwkb))}}
+seen = {{"import": loaded()}}
+names = set(dir(abwkb))
+seen["dir_lists_all"] = set(abwkb.__all__) <= names and set(abwkb._LAZY) <= names
+seen["after_dir"] = loaded()
 grid = ("--nu", "3", "--lambda", "1", "--mu0", "0.3", "--n-max", "5", "--q-max", "2")
 run("spectrum", *grid, "--k-range=-1..1")
 run("spectrum", *grid, "--k-range=-1..1", "--format", "json")
@@ -67,6 +70,7 @@ def test_closed_form_commands_leave_numpy_unloaded():
     seen = _fresh(SCRIPT.format(src=str(SRC), modules=NUMPY_SIDE))
     assert seen["import"] == []
     assert seen["dir_lists_all"] is True
+    assert seen["after_dir"] == []
     assert seen["closed_form_commands"] == []
     # BACKEND loads _kernels and NumPy; quantize_energy then loads action
     assert seen["backend"] == "numpy"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from abwkb import (
     InfiniteWell,
     PowerLaw,
+    UnitScale,
     duality_map,
     effective_gamma,
     unit_scale,
@@ -152,6 +153,11 @@ class TestUnitScale:
             unit_scale("fig2d", PowerLaw(1.0, 2.0))
         with pytest.raises(ValueError):
             unit_scale("fig2a", None)
+
+    @pytest.mark.parametrize("factor", [0.0, math.inf, math.nan])
+    def test_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(ValueError, match="unit factor must be positive and finite"):
+            UnitScale("x", factor)
 
     def test_overflowing_factor_is_rejected(self):
         # 4/lam**2 rounds to inf for lam = 1e-154 without raising

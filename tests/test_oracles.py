@@ -353,6 +353,28 @@ class TestLogGridOracle:
         with pytest.raises(ConvergenceError, match=r"would reach past ln r = 1300"):
             _grid(E, E / 2**0.5, E * 2**0.5, 1.0, 0.5, 0.0, 1200)
 
+    @pytest.mark.parametrize("gamma", [0.0, 4.0, 1e4])
+    @pytest.mark.parametrize("nu", [-1.9999, -1.99, -1.0, -0.05, 0.05, 1.0, 2.0, 100.0, 1000.0, 2000.0])
+    def test_edge_walk_ends(self, nu, gamma):
+        # the search's windows at y = -_MAX_Y, 0 and _MAX_Y: each gives a
+        # grid or raises ConvergenceError.  The walk to the outer edge has
+        # no step cap; from ln((nu + 2) / 2) / nu past its start on,
+        # kappa >= gamma + 1/2, so it ends within the steps that take the
+        # decay integral to _DECAY_TARGET at that rate
+        sign = math.copysign(1.0, nu)
+        width = min(1.0, abs(nu)) * math.log(oracles._SEARCH_RATIO)
+        dx = 0.2 / max(nu + 2.0, 2.0)
+        for y in (-oracles._MAX_Y, 0.0, oracles._MAX_Y):
+            E = sign * math.exp(sign * y)
+            lo, hi = sorted(sign * math.exp(sign * (y + d)) for d in (-width, width))
+            try:
+                x0, h, points, _, _ = _grid(E, lo, hi, sign, nu, gamma, oracles._START_POINTS)
+            except ConvergenceError:
+                continue
+            xs = math.log(2.0 * hi / ((nu + 2.0) * sign)) / nu
+            steps = round((x0 + (points - 1) * h - xs) / dx)
+            assert steps <= (math.log((nu + 2.0) / 2.0) / nu + oracles._DECAY_TARGET / (gamma + 0.5)) / dx + 2, y
+
     def test_grid_past_the_exponent_bound_names_the_exponent(self):
         # at nu = 1e300 a tiny ln r passes the bound, which holds on
         # (nu + 2) ln r, so the message gives that product too

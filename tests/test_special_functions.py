@@ -121,6 +121,8 @@ class TestBesselJ:
             bessel_j(0.0, -1.0)
         with pytest.raises(ValueError):
             bessel_j(-0.5, 1.0)
+        with pytest.raises(ValueError, match=r"order 100\.5 exceeds supported maximum 100\.0"):
+            bessel_j(100.5, 1.0)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_x_is_named(self, x):

@@ -239,3 +239,8 @@ class TestPanelMatchesPlainWriter:
         capsys.readouterr()
         assert figures[0] == figures[1]
         assert figures[0].count("<circle") >= 7
+
+
+def test_a_figure_without_panels_is_rejected():
+    with pytest.raises(ValueError, match="need at least one panel"):
+        svg.render_svg([])
