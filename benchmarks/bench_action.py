@@ -29,7 +29,10 @@ Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
   mesh levels 2..5, the only ones the wkb_roots states reach, on the
   state's own integrand, and action_sum_ref, the same in yardstick passes.
 
---src, --label and --record are harness.main's.
+In pair mode (--parent-src) the headline figures are quantize_ref_total
+and quantize_seconds_median, and the counters every state's action_sums,
+nodes and energy.  --src, --label, --record, --parent-src and --pairs
+are harness.main's.
 """
 
 from __future__ import annotations
@@ -105,6 +108,14 @@ def measure() -> dict:
     }
 
 
+def figures(result: dict) -> dict:
+    return {"quantize_ref_total": result["quantize_ref_total"], "quantize_seconds_median": result["quantize_seconds_median"]}
+
+
+def counters(result: dict) -> dict:
+    return {name: {k: s[k] for k in ("action_sums", "nodes", "energy")} for name, s in result["states"].items()}
+
+
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         levels = " ".join(f"{1e6 * t:6.1f}" for t in s["action_sum_seconds"].values())
@@ -118,4 +129,4 @@ def report(result: dict) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(harness.main(__doc__, measure, report))
+    sys.exit(harness.main(__doc__, measure, report, figures=figures, counters=counters))

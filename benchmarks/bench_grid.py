@@ -32,7 +32,10 @@ counters do not drift: how many modules the command imports beyond the
 bare interpreter's, and whether NumPy is among them.
 
 Work counters go with the times: rows per grid and bytes per output.
---src, --label and --record are harness.main's.
+In pair mode (--parent-src) the headline figures are the census grid's
+main_json and main_csv ref figures and the start-up ratio, and the
+counters every grid's rows and bytes and the start-up's imports.
+--src, --label, --record, --parent-src and --pairs are harness.main's.
 """
 
 from __future__ import annotations
@@ -181,6 +184,18 @@ def measure() -> dict:
     }
 
 
+def figures(result: dict) -> dict:
+    census = result["grids"]["census_1e5"]["ref"]
+    return {"census_main_json_ref": census["main_json"], "census_main_csv_ref": census["main_csv"],
+            "startup_ratio_to_bare": result["startup"]["ratio_to_bare"]}
+
+
+def counters(result: dict) -> dict:
+    grids = {name: {k: v for k, v in grid.items() if k not in ("seconds", "ref")} for name, grid in result["grids"].items()}
+    startup = result["startup"]
+    return {"grids": grids, "modules_imported": startup["modules_imported"], "numpy_imported": startup["numpy_imported"]}
+
+
 def report(result: dict) -> None:
     st = result["startup"]
     print(f"  start-up ({STARTUP_GRID} spectrum json, median of {st['pairs']} pairs): "
@@ -196,4 +211,4 @@ def report(result: dict) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(harness.main(__doc__, measure, report))
+    sys.exit(harness.main(__doc__, measure, report, figures=figures, counters=counters))

@@ -5,6 +5,7 @@ per stratum of perfbench's shoot_oracle workload.
     python3 benchmarks/bench_shoot.py
     python3 benchmarks/bench_shoot.py --label change --record BENCH_32.json
     python3 benchmarks/bench_shoot.py --src OTHER_CHECKOUT/src --label parent --record BENCH_32.json
+    python3 benchmarks/bench_shoot.py --parent-src OTHER_CHECKOUT/src --pairs 5 --label pairs --record BENCH_34.json
 
 A diagnostic: it shows where a solve spends its time.  Its figures move
 from run to run on a shared machine; performance claims rest on perfbench
@@ -31,7 +32,10 @@ to 4N - 3 points and beyond.  For each state it records:
   without that cache;
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
 
---src, --label and --record are harness.main's.
+In pair mode (--parent-src) the headline figures are seconds_ref_total
+and ns_per_point, and the counters every state's sweeps, points, tables
+and energy.  --src, --label, --record, --parent-src and --pairs are
+harness.main's.
 """
 
 from __future__ import annotations
@@ -103,6 +107,14 @@ def measure() -> dict:
     }
 
 
+def figures(result: dict) -> dict:
+    return {"seconds_ref_total": result["seconds_ref_total"], "ns_per_point": result["ns_per_point"]}
+
+
+def counters(result: dict) -> dict:
+    return {name: {k: s[k] for k in ("sweeps", "points", "tables", "energy")} for name, s in result["states"].items()}
+
+
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms {s['seconds_ref']:6.3f} ref  "
@@ -115,4 +127,4 @@ def report(result: dict) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(harness.main(__doc__, measure, report))
+    sys.exit(harness.main(__doc__, measure, report, figures=figures, counters=counters))

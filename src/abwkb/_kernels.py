@@ -3,7 +3,8 @@
 One implementation per kernel: the action sum is vectorized with NumPy,
 its node table built once per mesh level and held in a bounded cache;
 both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
-x = ln r, its ratio recurrence a plain Python loop.  The coefficients'
+x = ln r, its ratio recurrence a Python loop that reads the coefficients
+through a memoryview, in place.  The coefficients'
 energy-free parts, e^{2x} and the power-law term lam e^{(nu+2)x}, come
 from _grid_table, built once per grid and held in a one-entry cache;
 each sweep builds its coefficients from them with NumPy, once over the
@@ -101,6 +102,9 @@ def _sweep(f, a, h, ratio):
     with kappa = sqrt(-g) at u[0].  Returns (crossings, u[m - 1], u[m],
     u[m + 1]), crossings being the sign changes from u[1] through u[m],
     and the three values scaled by one positive factor so that |w[m]| = 1.
+    The loop iterates a memoryview of a[1:m], which yields the same
+    Python floats as a list of them without building one; a may be any
+    1-D float64 view, reversed (negative stride) or read-only.
     """
     m = len(f) - 2  # the walk's index of its stop
     if ratio is None:
@@ -109,7 +113,7 @@ def _sweep(f, a, h, ratio):
     R = ratio * float(f[1] / f[0])
     sign = math.copysign(1.0, R)
     crossings = 0
-    for a_j in a[1:m].tolist():
+    for a_j in memoryview(a[1:m]):
         R = a_j - 1.0 / R
         if R <= 0.0:
             crossings += 1

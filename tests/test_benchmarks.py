@@ -28,6 +28,18 @@ def test_script_loads_by_path(name):
     assert callable(module.report)
 
 
+def test_shoot_pair_figures_read_a_committed_record():
+    shoot = _load("bench_shoot")
+    with open(BENCHMARKS.parent / "BENCH_32.json", encoding="utf-8") as fh:
+        result = json.load(fh)["change"]
+    assert shoot.figures(result) == {"seconds_ref_total": result["seconds_ref_total"], "ns_per_point": result["ns_per_point"]}
+    counters = shoot.counters(result)
+    assert list(counters) == list(result["states"])
+    assert counters["confined_airy"] == {
+        k: result["states"]["confined_airy"][k] for k in ("sweeps", "points", "tables", "energy")
+    }
+
+
 class TestMergeRecord:
     def test_keeps_other_labels_and_replaces_its_own(self, tmp_path):
         path = str(tmp_path / "record.json")
@@ -72,3 +84,62 @@ class TestBestOf:
         assert 0.0 < best.seconds and 0.0 < best.pass_s
         assert best.ref == best.seconds / best.pass_s
         assert len(calls) >= 2  # the timed first call and one sample
+
+
+STUB_SCRIPT = """
+import sys
+sys.path.insert(0, {benchmarks!r})
+import harness
+
+def measure():
+    import abwkb
+    return {{"repeat": 1, "seconds": abwkb.SECONDS, "calls": 3}}
+
+def report(result):
+    print(result["seconds"])
+
+def figures(result):
+    return {{"seconds": result["seconds"]}}
+
+def counters(result):
+    return {{"calls": result["calls"]}}
+
+if __name__ == "__main__":
+    sys.exit(harness.main(__doc__, measure, report, figures=figures, counters=counters))
+"""
+
+
+class TestPairMode:
+    def test_record_of_alternating_pairs(self, tmp_path):
+        # a stub script, and two stub packages that differ in the figure it reports
+        script = tmp_path / "bench_stub.py"
+        script.write_text(STUB_SCRIPT.format(benchmarks=str(BENCHMARKS)), encoding="utf-8")
+        for side, seconds in (("parent", 2.0), ("change", 1.0)):
+            package = tmp_path / side / "abwkb"
+            package.mkdir(parents=True)
+            (package / "__init__.py").write_text(f"SECONDS = {seconds!r}\n", encoding="utf-8")
+        spec = importlib.util.spec_from_file_location("bench_stub", script)
+        stub = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(stub)
+        record_path = tmp_path / "record.json"
+        argv = ["--src", str(tmp_path / "change"), "--parent-src", str(tmp_path / "parent"),
+                "--pairs", "3", "--label", "pairs", "--record", str(record_path)]
+        assert harness.main(None, stub.measure, stub.report, argv, figures=stub.figures, counters=stub.counters) == 0
+        with open(record_path, encoding="utf-8") as fh:
+            record = json.load(fh)["pairs"]
+        assert list(record)[:3] == ["env", "counters", "counters_equal"]
+        assert record["counters"] == {"parent": {"calls": 3}, "change": {"calls": 3}}
+        assert record["counters_equal"] is True
+        assert record["pairs"] == 3
+        assert record["first"] == ["parent", "change", "parent"]
+        assert record["figures"] == {
+            "seconds": {
+                "parent": [2.0, 2.0, 2.0], "change": [1.0, 1.0, 1.0],
+                "parent_median": 2.0, "change_median": 1.0, "change_wins": 3,
+            }
+        }
+
+    @pytest.mark.parametrize("argv", [["--pairs", "0"], ["--parent-src", "elsewhere", "--pairs", "-1"]])
+    def test_pair_count_must_be_positive(self, argv):
+        with pytest.raises(SystemExit):
+            harness.main(None, None, None, argv, figures=None, counters=None)

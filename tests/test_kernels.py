@@ -272,6 +272,56 @@ class TestNumerovGridTable:
         assert _kernels._grid_table.cache_info().currsize == 1
 
 
+def _list_sweep(f, a, h, ratio):
+    """_kernels._sweep's walk over a list of a[1:m], as it ran before it read a memoryview."""
+    m = len(f) - 2
+    R = ratio * float(f[1] / f[0])
+    sign = math.copysign(1.0, R)
+    crossings = 0
+    for a_j in a[1:m].tolist():
+        R = a_j - 1.0 / R
+        if R <= 0.0:
+            crossings += 1
+            if R == 0.0:
+                R = -1e-300
+    if crossings % 2:
+        sign = -sign
+    f_back, f_stop, f_ahead = f[m - 1 : m + 2].tolist()
+    return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
+
+
+class TestNodeOnGridPoint:
+    # constant f, ratio 2 gives R = 2.0; then a_1 = 0.5 gives R = 0.5 - 1/2.0 == 0.0
+    # exactly, a node on the grid point, which the walk passes as R = -1e-300
+    F = 0.8
+    A = [3.0, 0.5, 2.5, 2.5, 2.5, 2.5, 3.0]  # m = 5: the walk reads a[1:5], then a[5]
+
+    @classmethod
+    def views(cls):
+        f, a = np.full(len(cls.A), cls.F), np.array(cls.A)
+        padded_f = np.full(len(cls.A) + 2, cls.F)
+        padded_a, rev_a = np.array([9.0, *cls.A, 9.0]), np.array([9.0, *cls.A[::-1], 9.0])
+        ro_f, ro_a = f.copy(), a.copy()
+        ro_f.flags.writeable = ro_a.flags.writeable = False
+        return {
+            "array": (f, a),
+            "forward_view": (padded_f[1:-1], padded_a[1:-1]),
+            "reversed_view": (padded_f[1:-1][::-1], rev_a[1:-1][::-1]),
+            "read_only": (ro_f, ro_a),
+        }
+
+    @pytest.mark.parametrize("shape", ["array", "forward_view", "reversed_view", "read_only"])
+    def test_node_on_grid_point_is_counted(self, shape):
+        f, a = self.views()[shape]
+        assert a.tolist() == self.A
+        out = _kernels._sweep(f, a, 0.01, 2.0)
+        assert out == _list_sweep(f, a, 0.01, 2.0)
+        # R: 2 -> 0 (passed as -1e-300) -> 2.5 + 1e300 -> 2.5 -> 2.5 - 1/2.5 = 2.1, one sign change
+        assert out[0] == 1
+        assert all(math.isfinite(v) for v in out[1:])
+        assert out[1:] == pytest.approx((-1.0 / (2.1 * self.F), -1.0 / self.F, -(2.5 - 1.0 / 2.1) / self.F))
+
+
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments
     @pytest.mark.parametrize(
