@@ -5,6 +5,7 @@ state per light stratum of perfbench's wkb_roots workload.
     python3 benchmarks/bench_action.py
     python3 benchmarks/bench_action.py --label change --record BENCH_27.json
     python3 benchmarks/bench_action.py --src OTHER_CHECKOUT/src --label parent --record BENCH_27.json
+    python3 benchmarks/bench_action.py --parent-src OTHER_CHECKOUT/src --pairs 10 --label pairs --record BENCH_35.json
 
 A diagnostic: it shows where a quantize_energy call spends its time.  Its
 figures move from run to run on a shared machine; performance claims rest
@@ -22,17 +23,24 @@ Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
 - seconds: harness.best_of over REPEAT samples of quantize_energy;
 - seconds_ref: seconds over the median yardstick pass timed next to
   them (harness.best_of), which drifts less with the machine's speed;
-- action_sums and nodes: calls of the kernel _kernels.action_sum, one per
-  mesh level the quadrature used, and the nodes they summed (2 kmax + 1,
-  kmax its 6th positional argument, as perfbench's tracer counts it);
+- action_sums and nodes: calls of the kernel _kernels.action_sum, and the
+  nodes they summed (2 kmax + 1, kmax its 6th positional argument, as
+  perfbench's tracer counts it): one call per mesh level used past the
+  nested ones (per mesh level used, at a checkout without nesting);
+- integrand_evaluations and integrand_nodes: evaluations of the integrand
+  over a whole node table, and the nodes evaluated, counted on the kernel
+  that every evaluation goes through (_kernels.nested_action_sums, which
+  action_sum calls, or action_sum at a checkout without it); the well's
+  integrand is the constant sqrt(E), whose sums read cached weight sums
+  and count as none;
 - action_sum_seconds: one action_sum call, timed the same way, at each of the
   mesh levels 2..5, the only ones the wkb_roots states reach, on the
   state's own integrand, and action_sum_ref, the same in yardstick passes.
 
 In pair mode (--parent-src) the headline figures are quantize_ref_total
 and quantize_seconds_median, and the counters every state's action_sums,
-nodes and energy.  --src, --label, --record, --parent-src and --pairs
-are harness.main's.
+nodes, integrand_evaluations, integrand_nodes and energy.  --src,
+--label, --record, --parent-src and --pairs are harness.main's.
 """
 
 from __future__ import annotations
@@ -68,11 +76,15 @@ def measure() -> dict:
     from abwkb import _kernels, action, closed_form
     from abwkb.model import InfiniteWell, PowerLaw
 
+    evaluator = "nested_action_sums" if hasattr(_kernels, "nested_action_sums") else "action_sum"
     states = {}
     for name, lam, nu, n in STATES:
         pot = InfiniteWell(RADIUS) if lam == 0.0 else PowerLaw(lam, nu)
         setup = action.QuantizationSetup(pot, GAMMA)
-        with harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work:
+        with (
+            harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work,
+            harness.counting(_kernels, evaluator, lambda args: 2 * args[5] + 1 if args[1] != 0.0 else 0) as evaluated,
+        ):
             energy = action.quantize_energy(setup, n)
         best = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT)
         e0 = closed_form.closed_form_energy(pot, n, GAMMA)
@@ -90,6 +102,8 @@ def measure() -> dict:
             "seconds_ref": best.ref,
             "action_sums": work.calls,
             "nodes": work.size,
+            "integrand_evaluations": evaluated.calls if lam != 0.0 else 0,
+            "integrand_nodes": evaluated.size,
             "action_sum_seconds": {level: b.seconds for level, b in per_level.items()},
             "action_sum_ref": {level: b.ref for level, b in per_level.items()},
         }
@@ -102,6 +116,8 @@ def measure() -> dict:
         "quantize_ref_total": sum(s["seconds_ref"] for s in values),
         "action_sums_per_quantize": sum(s["action_sums"] for s in values) / len(values),
         "nodes_per_quantize": sum(s["nodes"] for s in values) / len(values),
+        "integrand_evaluations_per_quantize": sum(s["integrand_evaluations"] for s in values) / len(values),
+        "integrand_nodes_per_quantize": sum(s["integrand_nodes"] for s in values) / len(values),
         "action_sum_seconds_median": {
             str(level): statistics.median(s["action_sum_seconds"][str(level)] for s in values) for level in LEVELS
         },
@@ -113,18 +129,22 @@ def figures(result: dict) -> dict:
 
 
 def counters(result: dict) -> dict:
-    return {name: {k: s[k] for k in ("action_sums", "nodes", "energy")} for name, s in result["states"].items()}
+    keys = ("action_sums", "nodes", "integrand_evaluations", "integrand_nodes", "energy")
+    return {name: {k: s[k] for k in keys} for name, s in result["states"].items()}
 
 
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         levels = " ".join(f"{1e6 * t:6.1f}" for t in s["action_sum_seconds"].values())
         print(f"  {name:16s} E={s['energy']:<23.16g} {1e6 * s['seconds']:7.1f} us {s['seconds_ref']:7.4f} ref  "
-              f"action_sums={s['action_sums']} nodes={s['nodes']:<4d} per level 2-5 (us): {levels}")
+              f"action_sums={s['action_sums']} nodes={s['nodes']:<4d} evaluations={s['integrand_evaluations']} "
+              f"evaluated={s['integrand_nodes']:<4d} per level 2-5 (us): {levels}")
     medians = " ".join(f"{1e6 * t:.1f}" for t in result["action_sum_seconds_median"].values())
     print(f"  quantize median {1e6 * result['quantize_seconds_median']:.1f} us, "
           f"total {1e3 * result['quantize_seconds_total']:.3f} ms, {result['quantize_ref_total']:.3f} ref; per quantize: "
-          f"action_sums {result['action_sums_per_quantize']:.2f}, nodes {result['nodes_per_quantize']:.0f}; "
+          f"action_sums {result['action_sums_per_quantize']:.2f}, nodes {result['nodes_per_quantize']:.0f}, "
+          f"integrand evaluations {result['integrand_evaluations_per_quantize']:.2f}, "
+          f"nodes evaluated {result['integrand_nodes_per_quantize']:.0f}; "
           f"action_sum median per level 2-5: {medians} us")
 
 

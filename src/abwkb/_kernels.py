@@ -1,7 +1,9 @@
 """Hot numeric kernels: tanh-sinh action sums and Numerov sweeps.
 
 One implementation per kernel: the action sum is vectorized with NumPy,
-its node table built once per mesh level and held in a bounded cache;
+its node table built once per mesh level and held in a bounded cache,
+and one evaluation of its integrand on a fine mesh serves every coarser
+mesh it nests, each a strided view of the one array;
 both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
 x = ln r, its ratio recurrence a Python loop that reads the coefficients
 through a memoryview, in place.  The coefficients'
@@ -25,20 +27,23 @@ BACKEND = "numpy"
 
 
 @functools.lru_cache(maxsize=16)
-def _node_table(h: float, kmax: int):
-    """action_sum's node table at mesh h: (w, log1p_e, w.sum()) over
-    t = h k, |k| <= kmax, u = (pi/2) sinh t, with the tanh-sinh weight
+def _node_table(h: float, kmax: int, levels: int = 1):
+    """Mesh h's node table and the meshes it nests: (w, log1p_e, meshes)
+    over t = h k, |k| <= kmax, u = (pi/2) sinh t, with the tanh-sinh weight
     w = (pi/4) cosh(t)/cosh(u)**2 (Takahasi & Mori, Publ. RIMS 9, 721
-    (1974)) and log1p_e = log1p(exp(-2u)).  Neither depends on the
-    integrand, so each mesh level builds them once; the arrays are
-    read-only because every caller shares them."""
+    (1974)) and log1p_e = log1p(exp(-2u)); meshes holds (s, w[::s].sum(),
+    s h) for each mesh s h, s = 2**j, j = levels - 1 down to 0, whose nodes
+    are every s-th node of mesh h.  None of it depends on the integrand,
+    so each mesh builds it once; the arrays are read-only because every
+    caller shares them."""
     t = h * np.arange(-kmax, kmax + 1, dtype=np.float64)
     u = 0.5 * np.pi * np.sinh(t)
     w = 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     log1p_e = np.log1p(np.exp(-2.0 * u))
     w.flags.writeable = False
     log1p_e.flags.writeable = False
-    return w, log1p_e, float(w.sum())
+    strides = [2**j for j in range(levels - 1, -1, -1)]
+    return w, log1p_e, tuple((s, float(w[::s].sum()), s * h) for s in strides)
 
 
 def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) -> float:
@@ -54,11 +59,31 @@ def action_sum(E: float, lam: float, nu: float, rc: float, h: float, kmax: int) 
     for kmax h <= 6.1.  The weights and log1p(e) come from _node_table,
     built once per (h, kmax); only the factor in q is computed per call.
     """
-    w, log1p_e, w_sum = _node_table(h, kmax)
+    return next(nested_action_sums(E, lam, nu, rc, h, kmax, 1))
+
+
+def nested_action_sums(E: float, lam: float, nu: float, rc: float, h: float, kmax: int, levels: int):
+    """Yield action_sum at the meshes 2**j h, j = levels - 1 down to 0
+    (coarsest first), each when asked, from one evaluation of the integrand
+    on mesh h.
+
+    Halving a tanh-sinh step keeps every node (Bailey, Jeyabalan & Li,
+    Exp. Math. 14, 317 (2005)), so mesh s h sums the strided view vals[::s]
+    of the one array (kmax a multiple of 2**(levels - 1)).  t = h k is exact
+    on every mesh, and NumPy sums a strided view pairwise as it sums a
+    contiguous array, so each sum has action_sum's bits at that mesh.  The
+    well (lam = 0) reads each mesh's cached weight sum.
+    """
+    w, log1p_e, meshes = _node_table(h, kmax, levels)
     p = 2.0 / (nu + 2.0) if nu < 0.0 else 1.0
-    if lam != 0.0:
-        w_sum = float((w * np.sqrt(-np.expm1(-abs(nu) * p * log1p_e))).sum())
-    return rc * math.sqrt(abs(E)) * p * w_sum * h
+    scale = rc * math.sqrt(abs(E)) * p
+    if lam == 0.0:
+        for _, w_sum, h_s in meshes:
+            yield scale * w_sum * h_s
+    else:
+        vals = w * np.sqrt(-np.expm1(-abs(nu) * p * log1p_e))
+        for s, _, h_s in meshes:
+            yield scale * float(vals[::s].sum()) * h_s
 
 
 @functools.lru_cache(maxsize=1)

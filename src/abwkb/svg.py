@@ -78,7 +78,8 @@ def _tick_labels(ticks: list[float]) -> list[str]:
 
 def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
     """The panel's elements; every point's X and Y text is formatted once
-    and serves both its polyline vertex and its circle."""
+    and serves both its polyline vertex and its circle, and an xs list
+    that several series share is formatted once for all of them."""
     ml, mr, mt, mb = 62, 14, 34, 46  # margins inside the panel cell
     px, py = x0 + ml, y0 + mt
     pw, ph = w - ml - mr, h - mt - mb
@@ -105,12 +106,12 @@ def _panel_svg(panel: Panel, x0: int, y0: int, w: int, h: int) -> list[str]:
         Y = py + ph - (t - ylo) / yspan * ph
         out.append(f'<line x1="{px - 5}" y1="{Y:.2f}" x2="{px}" y2="{Y:.2f}" stroke="#333"/>')
         out.append(f'<text x="{px - 8}" y="{Y + 4:.2f}" text-anchor="end" font-size="11">{label}</text>')
+    x_texts = {}  # id(xs) -> its X texts: series that share one xs list format it once
     for idx, s in enumerate(panel.series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = [
-            (f"{px + (x - xlo) / xspan * pw:.2f}", f"{py + ph - (y - ylo) / yspan * ph:.2f}")
-            for x, y in zip(s.xs, s.ys)
-        ]
+        if id(s.xs) not in x_texts:
+            x_texts[id(s.xs)] = [f"{px + (x - xlo) / xspan * pw:.2f}" for x in s.xs]
+        pts = [(X, f"{py + ph - (y - ylo) / yspan * ph:.2f}") for X, y in zip(x_texts[id(s.xs)], s.ys)]
         if len(pts) > 1:
             path = " ".join([f"{X},{Y}" for X, Y in pts])
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')

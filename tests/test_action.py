@@ -6,6 +6,7 @@ The analytic spot values come from elementary integrals:
   integral_0^E sqrt(E - r) dr = (2/3) E^(3/2)   (linear potential)
 """
 
+import dataclasses
 import math
 import re
 
@@ -109,8 +110,12 @@ class TestNumericAction:
             action_integral_numeric(e, pot)
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
-        # successive levels differ by h/2 relative, at every mesh
-        monkeypatch.setattr(_kernels, "action_sum", lambda E, lam, nu, rc, h, kmax: 1.0 + h)
+        # mesh h sums to 1 + h, so successive levels differ by h/2 relative at
+        # every mesh, nested or not: action_sum sums through this kernel too
+        monkeypatch.setattr(
+            _kernels, "nested_action_sums",
+            lambda E, lam, nu, rc, h, kmax, levels: (1.0 + h * 2**j for j in range(levels - 1, -1, -1)),
+        )
         with pytest.raises(ConvergenceError, match="mesh levels"):
             action_integral_numeric(-0.25, PowerLaw(-1.0, -1.0))
 
@@ -256,6 +261,20 @@ class TestQuantizeEnergy:
         seed = closed_form_mod.closed_form_energy
         monkeypatch.setattr(
             closed_form_mod, "closed_form_energy", lambda p, n, g: factor * seed(p, n, g)
+        )
+        for n, level in zip((0, 3), levels):
+            assert abs(quantize_energy(setup, n) - level) <= 1e-12 * abs(level), (n, factor)
+
+    @pytest.mark.parametrize("pot", [PowerLaw(-1.0, -1.95), PowerLaw(-1.0, -0.5), PowerLaw(1.0, 1.0), InfiniteWell(1.0)])
+    @pytest.mark.parametrize("factor", [0.6, 1.3])
+    def test_record_scale_sets_only_the_seed(self, pot, factor, monkeypatch):
+        # quantize_energy takes its seed E0 from the record's energy, so a
+        # record whose scale is off moves E0 and must leave the level alone
+        setup = QuantizationSetup(pot, 1.5)
+        levels = [quantize_energy(setup, n) for n in (0, 3)]
+        record = closed_form_mod.level_coefficients(pot)
+        monkeypatch.setattr(
+            closed_form_mod, "level_coefficients", lambda p: dataclasses.replace(record, scale=factor * record.scale)
         )
         for n, level in zip((0, 3), levels):
             assert abs(quantize_energy(setup, n) - level) <= 1e-12 * abs(level), (n, factor)

@@ -40,6 +40,28 @@ def test_shoot_pair_figures_read_a_committed_record():
     }
 
 
+def test_action_pair_figures_read_a_committed_record():
+    bench = _load("bench_action")
+    with open(BENCHMARKS.parent / "BENCH_35.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    result = record["change"]
+    assert bench.figures(result) == {
+        "quantize_ref_total": result["quantize_ref_total"], "quantize_seconds_median": result["quantize_seconds_median"]
+    }
+    counters = bench.counters(result)
+    assert list(counters) == list(result["states"])
+    assert counters["coulomb"] == {
+        k: result["states"]["coulomb"][k]
+        for k in ("action_sums", "nodes", "integrand_evaluations", "integrand_nodes", "energy")
+    }
+    # the counters do not drift: a single run's are the pair runs' change side,
+    # and both sides quantize every state to the same level
+    pairs = record["pairs"]
+    assert list(pairs["figures"]) == list(bench.figures(result))
+    assert pairs["counters"]["change"] == counters
+    assert all(pairs["counters"]["parent"][name]["energy"] == c["energy"] for name, c in counters.items())
+
+
 class TestMergeRecord:
     def test_keeps_other_labels_and_replaces_its_own(self, tmp_path):
         path = str(tmp_path / "record.json")

@@ -417,7 +417,10 @@ class TestJsonCommands:
         assert json.loads(out)["rel_err"] < 1e-12
 
     def test_verify_action_non_convergence_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(_kernels, "action_sum", lambda E, lam, nu, rc, h, kmax: 1.0 + h)
+        monkeypatch.setattr(
+            _kernels, "nested_action_sums",
+            lambda E, lam, nu, rc, h, kmax, levels: (1.0 + h * 2**j for j in range(levels - 1, -1, -1)),
+        )
         code, out, err = run_cli(
             capsys, "verify-action", "--nu", "-1", "--lambda", "-1", "--energy", "-0.25"
         )

@@ -2,14 +2,17 @@
 
 import inspect
 import math
+import pathlib
 import random
+import runpy
 
 import numpy as np
 import pytest
 
 import reference_numerov
 from abwkb import _kernels, action, closed_form, oracles
-from abwkb.model import PowerLaw
+from abwkb.errors import ConvergenceError
+from abwkb.model import InfiniteWell, PowerLaw
 
 # (E, lam, nu, gamma, x0, h, n, im) -> (repr of numerov_count, repr of numerov_match),
 # on the grid x_i = x0 + i h, r = e^x
@@ -188,6 +191,124 @@ class TestActionNodeTable:
             _kernels.action_sum(2.0, 1.0, 2.0, 1.0, 0.5 / j, 8)
         assert _kernels._node_table.cache_info().currsize == bound
         _kernels._node_table.cache_clear()
+
+
+def _reference_action_integral(E, potential):
+    """action.action_integral_numeric as it was before its mesh levels
+    nested: every level evaluates the integrand afresh."""
+    rc = action.turning_point(E, potential)
+    if isinstance(potential, InfiniteWell):
+        lam, nu = 0.0, 1.0
+    else:
+        lam, nu = potential.lam, potential.nu
+    prev = math.nan
+    for level in range(2, action._MAX_LEVEL + 1):
+        cur = action._normal_action(_reference_action_sum(E, lam, nu, rc, *_mesh(level)), E, potential)
+        delta = abs(cur - prev)
+        if delta <= action._REL_TOL * abs(cur):
+            return cur
+        prev = cur
+    raise ConvergenceError(f"action quadrature at E={E}: the two finest mesh levels differ by {delta:.3g}")
+
+
+def _reference_quantize(setup, n):
+    """action.quantize_energy as it was before: three record lookups and
+    the per-level quadrature above."""
+    if n < 0:
+        raise ValueError(f"radial quantum number must be >= 0, got {n}")
+    pot = setup.potential
+    target = (n + setup.constant) * math.pi
+    e0 = closed_form.closed_form_energy(pot, n, setup.gamma)
+    s0 = _reference_action_integral(e0, pot)
+    return e0 * (target / s0) ** closed_form.level_coefficients(pot).power
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+_WKB_INPUTS = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+# exponent strata: perfbench's wkb_roots light bins (tail uniform, confined
+# log-uniform), the census edge toward nu = -2, and steep walls up to 1e4
+NESTED_STRATA = (
+    *(("uniform", lo, hi) for lo, hi in _WKB_INPUTS["_NEG_BINS"]),
+    *(("log", lo, hi) for lo, hi in _WKB_INPUTS["_POS_BINS"]),
+    ("uniform", -1.999, -1.87),
+    ("log", 100.0, 1e4),
+    ("fixed", -1.0, -1.0),
+    ("fixed", 1.0, 1.0),
+    ("fixed", 2.0, 2.0),
+    ("well", None, None),
+)
+
+
+def _nested_state(stratum, seed):
+    """(potential, gamma, n) drawn from a stratum: coupling or radius in
+    0.5..2, gamma 0 or up to 20, n up to 40."""
+    kind, lo, hi = stratum
+    rng = random.Random(seed)
+    size = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+    gamma = rng.choice([0.0, rng.uniform(0.0, 20.0)])
+    n = rng.randrange(41)
+    if kind == "well":
+        return InfiniteWell(size), gamma, n
+    if kind == "uniform":
+        nu = round(rng.uniform(lo, hi), 6)
+    elif kind == "log":
+        nu = round(math.exp(rng.uniform(math.log(lo), math.log(hi))), 6)
+    else:
+        nu = lo
+    return PowerLaw(size if nu > 0.0 else -size, nu), gamma, n
+
+
+class TestNestedLevels:
+    @pytest.mark.parametrize("finest", range(2, action._MAX_LEVEL + 1))
+    def test_each_strided_sum_is_its_levels_sum(self, finest):
+        # every level 2..finest from one evaluation at the finest mesh
+        cases = [(-0.3, -1.0, nu) for nu in (-1.999, -1.99, -1.5, -1.0, -0.5, -0.02)]
+        cases += [(2.0, 1.0, nu) for nu in (0.05, 0.5, 1.0, 2.0, 12.0, 100.0, 1e4)]
+        for E, lam, nu in cases:
+            rc = (E / lam) ** (1.0 / nu)
+            got = list(_kernels.nested_action_sums(E, lam, nu, rc, *_mesh(finest), finest - 1))
+            assert got == [_reference_action_sum(E, lam, nu, rc, *_mesh(level)) for level in range(2, finest + 1)], nu
+        well = list(_kernels.nested_action_sums(5.0, 0.0, 1.0, 1.0, *_mesh(finest), finest - 1))
+        assert well == [_reference_action_sum(5.0, 0.0, 1.0, 1.0, *_mesh(level)) for level in range(2, finest + 1)]
+
+    def test_one_level_is_action_sum(self):
+        args = (-0.3, -1.0, -0.5, 0.3**-2.0, *_mesh(6))
+        assert list(_kernels.nested_action_sums(*args, 1)) == [_kernels.action_sum(*args)]
+
+    @pytest.mark.parametrize(
+        "E, potential", [(-0.25, PowerLaw(-1.0, -1.0)), (100.0, PowerLaw(1.0, 60.0)), (5.0, InfiniteWell(1.0))]
+    )
+    def test_no_coarser_table_is_read(self, monkeypatch, E, potential):
+        # levels 2.._NESTED_LEVEL read one table, the nested level's, which
+        # also holds the coarser meshes' weight sums for the well; nu = 60
+        # stops at level 5, whose table is action_sum's own
+        seen = []
+        table = _kernels._node_table
+        monkeypatch.setattr(_kernels, "_node_table", lambda h, kmax, levels=1: seen.append((h, levels)) or table(h, kmax, levels))
+        action.action_integral_numeric(E, potential)
+        assert seen[0] == (_mesh(action._NESTED_LEVEL)[0], action._NESTED_LEVEL - 1)
+        assert seen[1:] == [(_mesh(level)[0], 1) for level in range(action._NESTED_LEVEL + 1, action._NESTED_LEVEL + len(seen))]
+
+    @pytest.mark.parametrize("stratum", NESTED_STRATA, ids=lambda s: f"{s[0]}_{s[1]}_{s[2]}")
+    @pytest.mark.parametrize("seed", range(12))
+    def test_quantized_levels_match_the_per_level_loop(self, stratum, seed):
+        pot, gamma, n = _nested_state(stratum, seed)
+        setup = action.QuantizationSetup(pot, gamma)
+        assert _outcome(action.quantize_energy, setup, n) == _outcome(_reference_quantize, setup, n)
+        try:
+            e0 = closed_form.closed_form_energy(pot, n, gamma)
+        except ValueError:
+            return
+        for factor in (0.5, 1.0, 3.0):
+            E = factor * e0
+            assert _outcome(action.action_integral_numeric, E, pot) == _outcome(_reference_action_integral, E, pot)
 
 
 def _uncached_sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
