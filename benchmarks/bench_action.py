@@ -33,9 +33,12 @@ Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
   action_sum calls, or action_sum at a checkout without it); the well's
   integrand is the constant sqrt(E), whose sums read cached weight sums
   and count as none;
-- action_sum_seconds: one action_sum call, timed the same way, at each of the
-  mesh levels 2..5, the only ones the wkb_roots states reach, on the
-  state's own integrand, and action_sum_ref, the same in yardstick passes.
+- nested_sums_seconds: the call action_integral_numeric makes first,
+  _kernels.nested_action_sums at mesh level action._NESTED_LEVEL (4),
+  drained: one evaluation of the state's own integrand and the sums of
+  levels 2..4 from it, timed the same way; a quantized level calls
+  action_sum only from level 5 on.  nested_sums_ref is the same in
+  yardstick passes.
 
 In pair mode (--parent-src) the headline figures are quantize_ref_total
 and quantize_seconds_median, and the counters every state's action_sums,
@@ -69,7 +72,6 @@ STATES = (
     ("well_n3", 0.0, math.inf, N + 1),
 )
 REPEAT = 3
-LEVELS = (2, 3, 4, 5)
 
 
 def measure() -> dict:
@@ -90,11 +92,8 @@ def measure() -> dict:
         e0 = closed_form.closed_form_energy(pot, n, GAMMA)
         rc = action.turning_point(e0, pot)
         kernel_lam, kernel_nu = (0.0, 1.0) if lam == 0.0 else (lam, nu)
-        per_level = {}
-        for level in LEVELS:
-            h = 1.0 / 2**level  # action_integral_numeric's mesh at this level
-            args = (e0, kernel_lam, kernel_nu, rc, h, int(math.ceil(action._T_MAX / h)))
-            per_level[str(level)] = harness.best_of(lambda: _kernels.action_sum(*args), REPEAT)
+        args = (e0, kernel_lam, kernel_nu, rc, *action._NESTED_MESH, action._NESTED_LEVEL - 1)
+        nested = harness.best_of(lambda: list(_kernels.nested_action_sums(*args)), REPEAT)
         states[name] = {
             "lam": lam, "nu": nu, "gamma": GAMMA, "n": n,
             "energy": energy,
@@ -104,12 +103,13 @@ def measure() -> dict:
             "nodes": work.size,
             "integrand_evaluations": evaluated.calls if lam != 0.0 else 0,
             "integrand_nodes": evaluated.size,
-            "action_sum_seconds": {level: b.seconds for level, b in per_level.items()},
-            "action_sum_ref": {level: b.ref for level, b in per_level.items()},
+            "nested_sums_seconds": nested.seconds,
+            "nested_sums_ref": nested.ref,
         }
     values = list(states.values())
     return {
         "repeat": REPEAT,
+        "nested_level": action._NESTED_LEVEL,
         "states": states,
         "quantize_seconds_median": statistics.median(s["seconds"] for s in values),
         "quantize_seconds_total": sum(s["seconds"] for s in values),
@@ -118,9 +118,7 @@ def measure() -> dict:
         "nodes_per_quantize": sum(s["nodes"] for s in values) / len(values),
         "integrand_evaluations_per_quantize": sum(s["integrand_evaluations"] for s in values) / len(values),
         "integrand_nodes_per_quantize": sum(s["integrand_nodes"] for s in values) / len(values),
-        "action_sum_seconds_median": {
-            str(level): statistics.median(s["action_sum_seconds"][str(level)] for s in values) for level in LEVELS
-        },
+        "nested_sums_seconds_median": statistics.median(s["nested_sums_seconds"] for s in values),
     }
 
 
@@ -135,17 +133,15 @@ def counters(result: dict) -> dict:
 
 def report(result: dict) -> None:
     for name, s in result["states"].items():
-        levels = " ".join(f"{1e6 * t:6.1f}" for t in s["action_sum_seconds"].values())
         print(f"  {name:16s} E={s['energy']:<23.16g} {1e6 * s['seconds']:7.1f} us {s['seconds_ref']:7.4f} ref  "
               f"action_sums={s['action_sums']} nodes={s['nodes']:<4d} evaluations={s['integrand_evaluations']} "
-              f"evaluated={s['integrand_nodes']:<4d} per level 2-5 (us): {levels}")
-    medians = " ".join(f"{1e6 * t:.1f}" for t in result["action_sum_seconds_median"].values())
+              f"evaluated={s['integrand_nodes']:<4d} levels 2-{result['nested_level']} {1e6 * s['nested_sums_seconds']:6.1f} us")
     print(f"  quantize median {1e6 * result['quantize_seconds_median']:.1f} us, "
           f"total {1e3 * result['quantize_seconds_total']:.3f} ms, {result['quantize_ref_total']:.3f} ref; per quantize: "
           f"action_sums {result['action_sums_per_quantize']:.2f}, nodes {result['nodes_per_quantize']:.0f}, "
           f"integrand evaluations {result['integrand_evaluations_per_quantize']:.2f}, "
           f"nodes evaluated {result['integrand_nodes_per_quantize']:.0f}; "
-          f"action_sum median per level 2-5: {medians} us")
+          f"levels 2-{result['nested_level']} median {1e6 * result['nested_sums_seconds_median']:.1f} us")
 
 
 if __name__ == "__main__":

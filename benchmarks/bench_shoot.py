@@ -19,14 +19,17 @@ which grows its grid past the starting 1200 points or refines it past
 2N - 1 points.  Four more states, at n = 10 and 20, outside perfbench's
 strata, have levels on N and 2N - 1 points that differ by more than the
 oracle's refinement tolerance, so their solves refine the polish grid
-to 4N - 3 points and beyond.  For each state it records:
+to 4N - 3 points and beyond.  Two more sit near the nu = -2 floor, at
+nu = -1.95 and -1.99, where the grid's inner edge lies farthest in and
+the outward walk starts farthest out from it.  For each state it records:
 
 - seconds: harness.best_of over REPEAT samples of the solve;
 - seconds_ref: seconds over the median yardstick pass timed next to
   them (harness.best_of), which drifts less with the machine's speed;
 - sweeps and points: calls of the Numerov kernel numerov_match, the only
-  one a solve uses, and the grid points they swept (its 7th positional
-  argument, as perfbench's tracer counts it);
+  one a solve uses, and the grid points they walked (its 7th positional
+  argument, as perfbench's tracer counts it, which on a tail counts from
+  the walk start, not from the grid's inner edge);
 - tables: the grid tables the solve built (misses of
   _kernels._grid_table, from an empty cache), null for a checkout
   without that cache;
@@ -64,6 +67,8 @@ STATES = (
     ("nested_oscillator_n20", 1.0, 2.0, 0.0, 20),
     ("nested_nu3_n20", 1.0, 3.0, 0.0, 20),
     ("nested_tail_n10", -1.0, -1.5, 0.5, 10),
+    ("floor_nu_-1.95", -1.0, -1.95, 1.5, 3),
+    ("floor_nu_-1.99", -1.0, -1.99, 1.5, 3),
 )
 REPEAT = 5
 

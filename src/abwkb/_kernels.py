@@ -13,7 +13,11 @@ each sweep builds its coefficients from them with NumPy, once over the
 whole grid, and walks a forward or reversed view of them.  Sweeps return
 u on an arbitrary scale, shared by the values of one sweep; the oracle
 reads only their Prufer angle.  The power law is written out in
-_grid_table, and in _series_ratio's start of the outward walk.
+_grid_table, and in _series_rows, the regular Frobenius series that
+starts the outward walk: summed to rounding, it is exact wherever the
+oracle starts the walk, which on a tail is well out from the grid's
+inner edge.  Its energy-free rows, like the table, are built once per
+grid and held in a one-entry cache.
 """
 
 from __future__ import annotations
@@ -151,16 +155,61 @@ def _sweep(f, a, h, ratio):
     return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
 
 
+_ROUNDING = 2.0**-53  # a series term below this of its row's sum no longer moves it
+
+
+@functools.lru_cache(maxsize=1)
+def _series_rows(lam, nu, gamma, x0, h):
+    """Rows a <= 2 of the regular Frobenius series at r0 = e^{x0} and
+    r1 = e^{x0 + h}, less its power r**(gamma+1): (A0, B0, C0, A1, B1, C1),
+    with the series A - E (B - E C), the second point's times
+    e^{(gamma+1/2) h}.
+
+    u = r**(gamma+1) sum_ab c_ab r**s, s = 2a + (nu+2)b, with c_00 = 1 and
+    c_ab s(s + 2 gamma + 1) = lam c_a(b-1) - E c_(a-1)b, so c_ab = (-E)**a e_ab
+    with e_ab energy-free: A, B and C are r**(2a) sum_b e_ab t**b,
+    t = r**(nu+2), for a = 0, 1, 2, each summed until its terms fall below
+    _ROUNDING of its sum.  So a grid builds them once and each sweep
+    combines them.  Where the oracle starts the walk, |E| r**2 is below
+    1e-6 (gamma + 1/2)**2, and row 3 starts below rounding for gamma up
+    to about 40; row 2 can still be a thousand ulp of the sum (gamma = 4).
+    Dividing out r**(gamma+1) leaves no underflow however far in x0 lies.
+    """
+    k = 2.0 * gamma + 1.0
+    p = nu + 2.0
+    lead1 = 1.0 / (2.0 * (2.0 + k))
+    lead2 = lead1 / (4.0 * (4.0 + k))
+    rows = []
+    for x in (x0, x0 + h):
+        t = lam * math.exp(p * x)
+        # the terms e_ab t**b of rows 0, 1, 2 at b, and their sums
+        e0 = sum0 = 1.0
+        e1 = sum1 = lead1
+        e2 = sum2 = lead2
+        b = 0
+        while abs(e0) > _ROUNDING * abs(sum0) or abs(e1) > _ROUNDING * abs(sum1) or abs(e2) > _ROUNDING * abs(sum2):
+            b += 1
+            s = p * b
+            e0 = t * e0 / (s * (s + k))
+            s += 2.0
+            e1 = (t * e1 + e0) / (s * (s + k))
+            s += 2.0
+            e2 = (t * e2 + e1) / (s * (s + k))
+            sum0 += e0
+            sum1 += e1
+            sum2 += e2
+        r2 = math.exp(2.0 * x)
+        rows += (sum0, r2 * sum1, r2 * r2 * sum2)
+    step = math.exp((gamma + 0.5) * h)
+    a0, b0, c0, a1, b1, c1 = rows
+    return a0, b0, c0, step * a1, step * b1, step * c1
+
+
 def _series_ratio(E, lam, nu, gamma, x0, h):
-    """u(x0 + h) / u(x0) on the regular series r**(gamma+1/2)
-    (1 + sa r**2 + sb r**(nu+2)), which has no underflow however far in
-    x0 lies: the outward walk's start."""
-    sa = -E / (2.0 * (2.0 * gamma + 3.0))
-    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-    r0, r1 = math.exp(x0), math.exp(x0 + h)
-    u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
-    u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
-    return u1 / u0
+    """u(x0 + h) / u(x0) on the regular series (_series_rows): the outward
+    walk's start."""
+    a0, b0, c0, a1, b1, c1 = _series_rows(lam, nu, gamma, x0, h)
+    return (a1 - E * (b1 - E * c1)) / (a0 - E * (b0 - E * c0))
 
 
 def numerov_count(

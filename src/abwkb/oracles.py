@@ -42,7 +42,13 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
 _START_POINTS = 1200  # every solve starts on grids of this many points
 _MAX_POINTS = 2**17  # no grid, its nested refinements included, grows past this
 _MAX_SWEEPS = 260  # Numerov sweeps of one solve
-_INNER_EPS = 1e-6  # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2
+# inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2; it
+# fixes the grid's extent, and so its step, but the walk starts further out
+_INNER_EPS = 1e-6
+_SERIES_EPS = 1e-2  # walk start: |lam| r**(nu+2) below this of (gamma + 1/2)**2,
+# and below this of (nu + 2)(nu + 2 gamma + 3), the first ratio of the series'
+# terms, so that on a tail its alternating sum loses at most ~600 ulp
+_SERIES_TERM = 4.0
 _DECAY_TARGET = 18.5  # -ln(1e-8): tail below 1e-8 of the interior amplitude
 # h**2 |g| / 12 anywhere on the grid: above 1/2 the Numerov recurrence
 # oscillates with period two where g > 0, and its forbidden-region
@@ -57,7 +63,7 @@ _MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds flo
 
 
 def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
-    """Log grid (x0, h, N, im, scale) for energies in [lo, hi] around E.
+    """Log grid (x0, h, N, im, scale, start) for energies in [lo, hi] around E.
 
     x_i = x0 + i h covers the inner edge of the larger |E| and the outer
     edge of hi, whose turning point is the outermost and whose tail
@@ -69,13 +75,27 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     allowed region if E has one, and scale is sqrt(g) there (at least
     gamma + 1/2): the local wavenumber, with which the Prufer angle of
     _miss advances evenly.
+
+    The kernels walk only x_start .. x_{N-1}: start is the last point at
+    or below x_walk, the inner edge with _SERIES_EPS in place of
+    _INNER_EPS for the power law, and capped by _SERIES_TERM, where the
+    regular series (_kernels._series_rows) is still exact to rounding.
+    On a tail (lam < 0) the factor 1 / (nu + 2) puts the power-law edge
+    far in (x0 = -12 to -17 at perfbench's tail exponents, -249 at
+    nu = -1.95), and the walk skips 38-55 % of the grid there and about
+    two thirds at nu = -1.95 and -1.99; where the energy edge binds, as
+    on confined (nu > 0) grids around their levels, start is 0.  The
+    step h, the points floor and the cap still count the whole grid from
+    x0, so every grid keeps the step and the size it had when the walk
+    began at x0.  Over 3,000 random tail windows start stayed 396 or more
+    points below im.
     """
     c = (gamma + 0.5) ** 2
     nu2 = nu + 2.0
-    x0 = min(
-        math.log(_INNER_EPS * c / abs(lam)) / nu2,
-        0.5 * math.log(_INNER_EPS * c / max(abs(lo), abs(hi))),
-    )
+    energy_edge = 0.5 * math.log(_INNER_EPS * c / max(abs(lo), abs(hi)))
+    x0 = min(math.log(_INNER_EPS * c / abs(lam)) / nu2, energy_edge)
+    series_edge = min(_SERIES_EPS * c, _SERIES_TERM * nu2 * (nu2 + 2.0 * gamma + 1.0))
+    x_walk = min(math.log(series_edge / abs(lam)) / nu2, energy_edge)
 
     def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
         exponent = max(nu2, 2.0) * x
@@ -112,7 +132,8 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     xm = math.log(2.0 * E / (nu2 * lam)) / nu
     im = max(2, min(points - 4, int(round((xm - x0) / h))))
     scale = math.sqrt(max(-kappa2(E, x0 + im * h), c))
-    return x0, h, points, im, scale
+    start = max(0, math.floor((x_walk - x0) / h))
+    return x0, h, points, im, scale, start
 
 
 def _miss(E: float, lam: float, nu: float, gamma: float, grid) -> tuple[float, int]:
@@ -125,8 +146,10 @@ def _miss(E: float, lam: float, nu: float, gamma: float, grid) -> tuple[float, i
     node.  F is continuous and increasing in E on a fixed grid (Sturm),
     and equals n pi exactly where the two solutions match with n nodes.
     """
-    x0, h, points, im, scale = grid
-    nodes_out, uo, do, nodes_in, ui, di = _kernels.numerov_match(E, lam, nu, gamma, x0, h, points, im)
+    x0, h, points, im, scale, start = grid
+    nodes_out, uo, do, nodes_in, ui, di = _kernels.numerov_match(
+        E, lam, nu, gamma, x0 + start * h, h, points - start, im - start
+    )
     nodes = nodes_out + nodes_in
     return nodes * math.pi + math.atan2(scale * uo, do) % math.pi - math.atan2(scale * ui, di) % math.pi, nodes
 
@@ -137,8 +160,11 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     u(0) = 0 and a decaying tail.
 
     Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of N
-    points (_grid), outward from the r**(gamma+1/2) series and inward
-    from a decaying seed.  One safeguarded secant search finds the root
+    points (_grid), inward from a decaying seed and outward from the
+    regular series, summed to rounding at the grid's walk start: on a
+    tail that start lies well out from the inner edge x0, which still
+    sets the step and N, so the walk skips the points where the series
+    is already exact.  One safeguarded secant search finds the root
     of the increasing miss-distance F(E) - n pi (_miss) over
     |ln|E|| <= _MAX_Y from the log of the closed-form level and its slope,
     on the grid for the window E / r .. E r (_SEARCH_RATIO) around an
@@ -230,7 +256,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
     level, tol, measured = math.inf, 0.125 * _REFINE_REL_TOL, False
     while True:
-        x0, h, points, im, scale = grid
+        x0, h, points, im, scale, start = grid
         y, nodes, slope = _secant(residual, y, slope, lo, hi, tol, measured)
         if nodes is None:
             raise ConvergenceError(f"the level on {points} points left its polish window (E={energy(y)!r})")
@@ -241,7 +267,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
                 f"levels on {points // 2 + 1} and {points} points differ by more than {_REFINE_REL_TOL:g} relative "
                 f"(E={energy(y)!r}); the next check, on {2 * points - 1} points, passes the cap {_MAX_POINTS}"
             )
-        level, grid, tol, measured = y, (x0, 0.5 * h, 2 * points - 1, 2 * im, scale), _REL_TOL, True
+        level, grid, tol, measured = y, (x0, 0.5 * h, 2 * points - 1, 2 * im, scale, 2 * start), _REL_TOL, True
     if nodes != n:
         raise ConvergenceError(f"converged solution has {nodes} nodes, expected {n} (E={energy(y)!r})")
     # E_2N - E_N is 15 times the h**4 error of E_2N

@@ -3,10 +3,13 @@
 _sweep carries u itself on the logarithmic grid x = ln r, with one exp
 per term at every point and a 1e250 rescale; _kernels now carries the
 ratios of w = f u instead.  The kernel tests compare node counts and the
-Prufer angle atan2(S u, u') at the matching point with these.
+Prufer angle atan2(S u, u') at the matching point with these.  The
+outward walk starts on the kernels' own series, the one formula for it.
 """
 
 import math
+
+from abwkb import _kernels
 
 
 def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, u_prev, u_cur):
@@ -52,12 +55,7 @@ def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, u_prev, u_cur):
 
 
 def _outward(E, lam, nu, gamma, x0, h, stop):
-    """_sweep from x0 upward, started on the regular series
-    r**(gamma+1/2) (1 + sa r**2 + sb r**(nu+2)) divided by its leading
-    power at r0 = e^{x0}, so that a far-in x0 cannot underflow it."""
-    sa = -E / (2.0 * (2.0 * gamma + 3.0))
-    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-    r0, r1 = math.exp(x0), math.exp(x0 + h)
-    u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
-    u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
-    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u0, u1)
+    """_sweep from x0 upward, started on the kernels' regular series
+    (_kernels._series_ratio), taken as u[0] = 1 so that a far-in x0
+    cannot underflow it."""
+    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, 1.0, _kernels._series_ratio(E, lam, nu, gamma, x0, h))

@@ -20,14 +20,14 @@ PINNED_SWEEPS = [
     # Coulomb tail: one node outward of im, two inward
     pytest.param((-0.02, -1.0, -1.0, 0.0, -15.0, 0.01, 2100, 1700), "3", "(1, -0.9999496100967846, -0.10399780730967478, 2, 0.9999496100967846, -10.392003615256545)", id="coulomb_tail"),
     # confined oscillator, im at either end of the grid
-    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0, 1.0000046875020017, 1.5000191764721338, 2, 1.0000046875020017, -1.5000115007021808)", id="oscillator_im_inner"),
+    pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 2), "2", "(0, 1.0000046875020017, 1.500019176473455, 2, 1.0000046875020017, -1.5000115007021808)", id="oscillator_im_inner"),
     pytest.param((11.3, 1.0, 2.0, 1.0, -7.0, 0.005, 2000, 1996), "2", "(2, 1.4365402250630068, 1007.831839915597, 0, 1.4365402250630068, -991.2097668728675)", id="oscillator_im_outer"),
     # nu = -1.5 tail, im at the turning point
     pytest.param((-0.05, -0.7, -1.5, 0.5, -27.0, 0.0157, 2000, 1773), "0", "(0, 1.0000041676648652, 0.5774448579020006, 0, 1.0000041676648652, -0.7815604695839874)", id="nu_-1.5_turning_point"),
     # linear well, one node on each side of im
     pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(1, -0.9999642671131646, 0.3274249600716428, 1, -0.9999642671131646, -9.399894184949076)", id="linear_well"),
     # deep forbidden region: u spans more than the double range
-    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.0000000047413589, 0.49218360698977115, 0, 1.0000000047413589, -0.6195139664405547)", id="deep_forbidden"),
+    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.0000000047413589, 0.49218525933192314, 0, 1.0000000047413589, -0.6195139664405547)", id="deep_forbidden"),
 ]
 
 
@@ -69,7 +69,7 @@ def _seeded_state(seed):
         lam, nu = math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.2, 40.0)
     gamma = rng.choice([0.0, rng.uniform(0.0, 20.0)])
     E = closed_form.closed_form_energy(PowerLaw(lam, nu), rng.randrange(5), gamma) * rng.uniform(0.8, 1.25)
-    x0, h, n, im, scale = oracles._grid(E, *sorted((0.9 * E, E / 0.9)), lam, nu, gamma, 2000)
+    x0, h, n, im, scale, _ = oracles._grid(E, *sorted((0.9 * E, E / 0.9)), lam, nu, gamma, 2000)
     return E, lam, nu, gamma, x0, h, n, im, scale
 
 
@@ -337,12 +337,7 @@ def _uncached_sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
 
 
 def _uncached_outward(E, lam, nu, gamma, x0, h, stop):
-    sa = -E / (2.0 * (2.0 * gamma + 3.0))
-    sb = lam / ((nu + 2.0) * (nu + 2.0 * gamma + 3.0))
-    r0, r1 = math.exp(x0), math.exp(x0 + h)
-    u0 = 1.0 + sa * r0 * r0 + sb * r0 ** (nu + 2.0)
-    u1 = math.exp((gamma + 0.5) * h) * (1.0 + sa * r1 * r1 + sb * r1 ** (nu + 2.0))
-    return _uncached_sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, u1 / u0)
+    return _uncached_sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, _kernels._series_ratio(E, lam, nu, gamma, x0, h))
 
 
 def _uncached_count(E, lam, nu, gamma, x0, h, n):
@@ -442,6 +437,72 @@ class TestNodeOnGridPoint:
         assert all(math.isfinite(v) for v in out[1:])
         assert out[1:] == pytest.approx((-1.0 / (2.1 * self.F), -1.0 / self.F, -(2.5 - 1.0 / 2.1) / self.F))
 
+
+def _series_terms(E, lam, nu, gamma, x, rows, count):
+    """Terms c_ab r**(2a + (nu+2)b) of the regular series, a < rows, b < count,
+    r = e^x, each from c_ab s(s + 2 gamma + 1) = lam c_a(b-1) - E c_(a-1)b."""
+    r2, t = math.exp(2.0 * x), lam * math.exp((nu + 2.0) * x)
+    terms = [[0.0] * count for _ in range(rows)]
+    for a in range(rows):
+        for b in range(count):
+            s = 2.0 * a + (nu + 2.0) * b
+            if s == 0.0:
+                terms[a][b] = 1.0
+            else:
+                lam_part = t * terms[a][b - 1] if b else 0.0
+                energy_part = E * r2 * terms[a - 1][b] if a else 0.0
+                terms[a][b] = (lam_part - energy_part) / (s * (s + 2.0 * gamma + 1.0))
+    return terms
+
+
+# the tail states of test_oracles.TestWalkStart
+WALK_STATES = [
+    (nu, gamma, n) for nu in (-1.99, -1.95, -1.9, -1.8, -1.5, -0.5, -0.2) for gamma in (0.0, 1.5, 4.0) for n in (0, 3, 10)
+]
+
+
+class TestSeriesStart:
+    @pytest.fixture(scope="class")
+    def walk_starts(self):
+        """(E, lam, nu, gamma, x0, h) of every outward walk of the solves of WALK_STATES."""
+        starts = set()
+        kernel = _kernels.numerov_match
+
+        def record(E, lam, nu, gamma, x0, h, n, im):
+            starts.add((E, lam, nu, gamma, x0, h))
+            return kernel(E, lam, nu, gamma, x0, h, n, im)
+
+        _kernels.numerov_match = record
+        try:
+            for nu, gamma, n in WALK_STATES:
+                oracles.shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, n)
+        finally:
+            _kernels.numerov_match = kernel
+        return sorted(starts)
+
+    def test_first_omitted_terms_below_rounding(self, walk_starts):
+        # the kernel sums rows a <= 2 until each row's terms fall below
+        # 2**-53 of its sum; past that, each row's next term and row 3's
+        # first term are below 2**-52 of the series
+        assert len(walk_starts) > 600
+        for E, lam, nu, gamma, x0, h in walk_starts:
+            for x in (x0, x0 + h):
+                terms = _series_terms(E, lam, nu, gamma, x, 4, 80)
+                stop = next(
+                    b for b in range(1, 79)
+                    if all(abs(row[b]) <= 2.0**-53 * abs(sum(row[: b + 1])) for row in terms[:3])
+                )
+                total = abs(sum(sum(row[: stop + 1]) for row in terms[:3]))
+                omitted = [row[stop + 1] for row in terms[:3]] + [terms[3][0]]
+                assert max(map(abs, omitted)) < 2.0**-52 * total, (nu, gamma, E)
+
+    def test_ratio_is_the_series_ratio(self, walk_starts):
+        # against rows a <= 2 summed here in another order: 7.8e-16 apart at
+        # worst, where the rows a <= 1 alone would be 1.6e-14 off
+        for E, lam, nu, gamma, x0, h in walk_starts:
+            u0, u1 = (math.fsum(map(math.fsum, _series_terms(E, lam, nu, gamma, x, 3, 80))) for x in (x0, x0 + h))
+            want = math.exp((gamma + 0.5) * h) * u1 / u0
+            assert _kernels._series_ratio(E, lam, nu, gamma, x0, h) == pytest.approx(want, rel=2e-15, abs=0)
 
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments

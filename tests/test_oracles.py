@@ -368,7 +368,7 @@ class TestLogGridOracle:
             E = sign * math.exp(sign * y)
             lo, hi = sorted(sign * math.exp(sign * (y + d)) for d in (-width, width))
             try:
-                x0, h, points, _, _ = _grid(E, lo, hi, sign, nu, gamma, oracles._START_POINTS)
+                x0, h, points, *_ = _grid(E, lo, hi, sign, nu, gamma, oracles._START_POINTS)
             except ConvergenceError:
                 continue
             xs = math.log(2.0 * hi / ((nu + 2.0) * sign)) / nu
@@ -397,18 +397,21 @@ class TestLogGridOracle:
             shoot_eigenvalue(PowerLaw(lam, nu), 0.0, n)
 
     @pytest.mark.parametrize(
-        "lam,nu,gamma,n,largest",
+        "lam,nu,gamma,n,largest,walked",
         [
-            (1.0, 800.0, 0.0, 0, 58_439),
-            (-1.0, -1.5, 0.5, 10, 4861),
-            (1.0, 2.0, 0.0, 0, 2399),
-            (-1.0, -1.95, 0.0, 0, 10_169),
+            (1.0, 800.0, 0.0, 0, 58_439, 58_439),
+            (-1.0, -1.5, 0.5, 10, 4861, 2533),
+            (1.0, 2.0, 0.0, 0, 2399, 2399),
+            (-1.0, -1.95, 0.0, 0, 10_169, 3683),
         ],
         ids=["800-g0-n0", "-1.5-g0.5-n10", "2-g0-n0", "-1.95-g0-n0"],
     )
-    def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, lam, nu, gamma, n, largest):
+    def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, miss_grids, lam, nu, gamma, n, largest, walked):
+        # largest counts the whole grid from its inner edge, as the checks
+        # do; a tail's walk starts further out, so its kernels see fewer points
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
-        assert max(kernel_sizes) == largest <= oracles._MAX_POINTS
+        assert max(grid[2] for grid in miss_grids) == largest <= oracles._MAX_POINTS
+        assert max(kernel_sizes) == walked
 
     def test_census_edge_state_near_nu_minus_1_8(self):
         # the default grid agrees with the level at N = 16000, -0.0041319455138
@@ -458,8 +461,10 @@ class TestRichardsonExtrapolation:
         # differences fall 16-fold (15.98, 16.02 and 16.01 here)
         E = shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         window = sorted((E * math.exp(-_POLISH_WIDTH), E * math.exp(_POLISH_WIDTH)))
-        x0, h, points, im, scale = _grid(E, *window, lam, nu, gamma, oracles._START_POINTS)
-        levels = [_level_on((x0, h / k, k * (points - 1) + 1, k * im, scale), lam, nu, gamma, n, E) for k in (1, 2, 4)]
+        x0, h, points, im, scale, start = _grid(E, *window, lam, nu, gamma, oracles._START_POINTS)
+        levels = [
+            _level_on((x0, h / k, k * (points - 1) + 1, k * im, scale, k * start), lam, nu, gamma, n, E) for k in (1, 2, 4)
+        ]
         ratio = (levels[0] - levels[1]) / (levels[1] - levels[2])
         assert ratio == pytest.approx(16.0, rel=0.03, abs=0)
 
@@ -522,12 +527,20 @@ class TestDualOracle:
 
 @pytest.fixture
 def kernel_sizes(monkeypatch):
-    """The grid size of each Numerov kernel call."""
+    """The points each Numerov kernel call walks: the grid from its walk start."""
     sizes = []
     for name in ("numerov_count", "numerov_match"):
         kernel = getattr(_kernels, name)
         monkeypatch.setattr(_kernels, name, lambda *a, k=kernel: sizes.append(a[6]) or k(*a))
     return sizes
+
+
+@pytest.fixture
+def miss_grids(monkeypatch):
+    """The grid of each miss-distance evaluation, as _grid builds it."""
+    grids = []
+    monkeypatch.setattr(oracles, "_miss", lambda E, *a, miss=_miss: grids.append(a[-1]) or miss(E, *a))
+    return grids
 
 
 def _bench_shoot_states():
@@ -540,8 +553,11 @@ def _bench_shoot_states():
 
 class TestSweepCount:
     # the benchmark's states in perfbench's strata; its nested_* states are
-    # pinned in test_each_nested_grid_solves_once
-    @pytest.mark.parametrize("name,lam,nu,gamma,n", [s for s in _bench_shoot_states() if not s[0].startswith("nested")])
+    # pinned in test_each_nested_grid_solves_once, and its floor_* states
+    # lie below the strata
+    @pytest.mark.parametrize(
+        "name,lam,nu,gamma,n", [s for s in _bench_shoot_states() if s[0].startswith(("tail", "confined"))]
+    )
     def test_benchmark_states_within_12_sweeps(self, kernel_sizes, name, lam, nu, gamma, n):
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert len(kernel_sizes) <= 12
@@ -584,24 +600,27 @@ class TestSweepCount:
 
 # (lam, nu, gamma, n, repr of the level): the states of
 # benchmarks/bench_shoot.py, one per stratum of perfbench's shoot_oracle
-# workload plus four whose polish refines past 2N - 1 points
+# workload plus four whose polish refines past 2N - 1 points and two near
+# the nu = -2 floor
 PINNED_LEVELS = [
-    pytest.param(-1.0, -1.0, 0.5, 0, "-0.11111111111172549", id="tail_coulomb_n0_q0"),
-    pytest.param(-1.0, -1.0, 1.5, 1, "-0.020408163265308372", id="tail_coulomb_n1_q1"),
+    pytest.param(-1.0, -1.0, 0.5, 0, "-0.11111111111175197", id="tail_coulomb_n0_q0"),
+    pytest.param(-1.0, -1.0, 1.5, 1, "-0.0204081632653084", id="tail_coulomb_n1_q1"),
     pytest.param(-1.0, -1.275, 1.5, 0, "-0.007302456020349395", id="tail_strong_n0_q1"),
-    pytest.param(-1.0, -1.275, 0.5, 1, "-0.009684848491986362", id="tail_strong_n1_q0"),
+    pytest.param(-1.0, -1.275, 0.5, 1, "-0.00968484849198607", id="tail_strong_n1_q0"),
     pytest.param(-1.0, -0.875, 0.5, 0, "-0.15230804113661006", id="tail_weak_n0_q0"),
-    pytest.param(-1.0, -0.875, 1.5, 1, "-0.04029268085039071", id="tail_weak_n1_q1"),
+    pytest.param(-1.0, -0.875, 1.5, 1, "-0.04029268085038828", id="tail_weak_n1_q1"),
     pytest.param(1.75, 2.0, 1.3, 2, "17.991108915272516", id="confined_oscillator"),
     pytest.param(1.0, 1.0, 0.0, 2, "5.520559828093463", id="confined_airy"),
     pytest.param(1.0, 1.0, 1.3, 2, "6.408777483155773", id="confined_linear"),
     pytest.param(1.0, 0.55, 1.3, 1, "3.146307001240021", id="confined_nu_0.55"),
     pytest.param(1.0, 2.6, 1.3, 1, "12.147429573422336", id="confined_nu_2.6"),
     pytest.param(1.0, 8.0, 1.3, 1, "27.678650643168666", id="confined_nu_8"),
-    pytest.param(-1.0, -1.0, 0.0, 20, "-0.0005668934240348697", id="nested_coulomb_n20"),
+    pytest.param(-1.0, -1.0, 0.0, 20, "-0.0005668934240348708", id="nested_coulomb_n20"),
     pytest.param(1.0, 2.0, 0.0, 20, "83.00000000548536", id="nested_oscillator_n20"),
     pytest.param(1.0, 3.0, 0.0, 20, "184.95175961225686", id="nested_nu3_n20"),
-    pytest.param(-1.0, -1.5, 0.5, 10, "-6.504812949190039e-07", id="nested_tail_n10"),
+    pytest.param(-1.0, -1.5, 0.5, 10, "-6.50481294919003e-07", id="nested_tail_n10"),
+    pytest.param(-1.0, -1.95, 1.5, 3, "-9.108730742305947e-34", id="floor_nu_-1.95"),
+    pytest.param(-1.0, -1.99, 1.5, 3, "-9.948286749722503e-138", id="floor_nu_-1.99"),
 ]
 
 
@@ -634,7 +653,7 @@ def _step_parameter(grid, lam, nu, gamma, E, points=None):
     """max h**2 |g(x_i)| / 12 over the points x_i of grid, or of the grid of
     the same extent on `points` points, for phi'' = g phi with
     g = r**2 (lam r**nu - E) + (gamma + 1/2)**2 and r = e**x."""
-    x0, h, count, _, _ = grid
+    x0, h, count = grid[:3]
     points = points or count
     h = h * (count - 1) / (points - 1)
     r = np.exp(x0 + h * np.arange(points))
@@ -688,6 +707,65 @@ class TestGridStepBound:
     def test_steep_wall_and_floor_windows(self, lam, nu, gamma, E, ratio):
         # on 2000 points nu = 1000 had a step parameter of 131
         assert self.check(lam, nu, gamma, E, *sorted((E / ratio, E * ratio))) > 2000
+
+
+# tail states from the nu = -2 floor to -0.2, whose outward walk starts
+# where the regular series is exact, well out from the grid's inner edge
+WALK_NUS = (-1.99, -1.95, -1.9, -1.8, -1.5, -0.5, -0.2)
+WALK_GAMMAS = (0.0, 1.5, 4.0)
+WALK_NS = (0, 3, 10)
+
+
+class TestWalkStart:
+    def test_confined_windows_walk_the_whole_grid(self, monkeypatch):
+        # on nu > 0 the energy edge binds, so the kernels get the grid's x0,
+        # N and im as _grid builds them, from the inner edge that sizes it
+        walks = []
+        monkeypatch.setattr(_kernels, "numerov_match", lambda *a: walks.append(a[4:]) or (0, 1.0, 1.0, 0, 1.0, 1.0))
+        windows = [w for w in _seeded_windows(400) if w[0] > 0.0]
+        steep = [p.values for p in STEEP_WINDOWS if p.values[1] > 0.0]
+        windows += [(lam, nu, gamma, E, E / ratio, E * ratio) for lam, nu, gamma, E, ratio in steep]
+        assert len(windows) > 150
+        for lam, nu, gamma, E, lo, hi in windows:
+            grid = _grid(E, lo, hi, lam, nu, gamma, 2000)
+            x0, h, points, im, _, start = grid
+            c = (gamma + 0.5) ** 2
+            inner = min(math.log(oracles._INNER_EPS * c / lam) / (nu + 2.0), 0.5 * math.log(oracles._INNER_EPS * c / hi))
+            assert x0 == inner and start == 0, (nu, gamma, E)
+            _miss(E, lam, nu, gamma, grid)
+            assert walks.pop() == (x0, h, points, im)
+
+    @pytest.mark.parametrize("nu", WALK_NUS)
+    def test_tail_levels_match_the_walk_from_the_inner_edge(self, monkeypatch, kernel_sizes, miss_grids, nu):
+        # with the series edge back at the inner edge's 1e-6 the walk starts
+        # at x0, as it did on the two-term series; the levels agree to 1e-11
+        # (1.1e-12 measured, at nu = -1.99, n = 10) on fewer walked points
+        for gamma in WALK_GAMMAS:
+            for n in WALK_NS:
+                kernel_sizes.clear()
+                miss_grids.clear()
+                got = shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, n)
+                walked = sum(kernel_sizes)
+                assert all(grid[5] > 0 for grid in miss_grids)
+                kernel_sizes.clear()
+                miss_grids.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracles, "_SERIES_EPS", oracles._INNER_EPS)
+                    want = shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, n)
+                assert all(grid[5] == 0 for grid in miss_grids)
+                assert abs(got / want - 1.0) <= 1e-11, (gamma, n)
+                assert walked < sum(kernel_sizes), (gamma, n)
+
+    def test_floor_walk_stays_off_cancellation(self, miss_grids):
+        # at nu = -1.999 the series edge alone would put the walk where the
+        # series' first term ratio is 22.5 and its alternating sum loses
+        # every digit; _SERIES_TERM holds the walk start to a ratio of 4
+        with pytest.raises(ConvergenceError, match=r"_MAX_Y = 650"):
+            shoot_eigenvalue(PowerLaw(-1.0, -1.999), 4.0, 0)
+        assert miss_grids
+        for x0, h, _, _, _, start in miss_grids:
+            ratio = math.exp(0.001 * (x0 + start * h)) / (0.001 * 9.001)
+            assert 3.9 < ratio <= oracles._SERIES_TERM
 
 
 # (lam, nu, gamma) for the miss-distance checks
