@@ -26,13 +26,12 @@ Couplings are +-1.25 and the well radius 1.25, the middle of the stream's
 - action_sums and nodes: calls of the kernel _kernels.action_sum, and the
   nodes they summed (2 kmax + 1, kmax its 6th positional argument, as
   perfbench's tracer counts it): one call per mesh level used past the
-  nested ones (per mesh level used, at a checkout without nesting);
+  nested ones;
 - integrand_evaluations and integrand_nodes: evaluations of the integrand
   over a whole node table, and the nodes evaluated, counted on the kernel
   that every evaluation goes through (_kernels.nested_action_sums, which
-  action_sum calls, or action_sum at a checkout without it); the well's
-  integrand is the constant sqrt(E), whose sums read cached weight sums
-  and count as none;
+  action_sum calls); the well's integrand is the constant sqrt(E), whose
+  sums read cached weight sums and count as none;
 - nested_sums_seconds: the call action_integral_numeric makes first,
   _kernels.nested_action_sums at mesh level action._NESTED_LEVEL (4),
   drained: one evaluation of the state's own integrand and the sums of
@@ -78,14 +77,13 @@ def measure() -> dict:
     from abwkb import _kernels, action, closed_form
     from abwkb.model import InfiniteWell, PowerLaw
 
-    evaluator = "nested_action_sums" if hasattr(_kernels, "nested_action_sums") else "action_sum"
     states = {}
     for name, lam, nu, n in STATES:
         pot = InfiniteWell(RADIUS) if lam == 0.0 else PowerLaw(lam, nu)
         setup = action.QuantizationSetup(pot, GAMMA)
         with (
             harness.counting(_kernels, "action_sum", lambda args: 2 * args[5] + 1) as work,
-            harness.counting(_kernels, evaluator, lambda args: 2 * args[5] + 1 if args[1] != 0.0 else 0) as evaluated,
+            harness.counting(_kernels, "nested_action_sums", lambda args: 2 * args[5] + 1 if args[1] != 0.0 else 0) as evaluated,
         ):
             energy = action.quantize_energy(setup, n)
         best = harness.best_of(lambda: action.quantize_energy(setup, n), REPEAT)

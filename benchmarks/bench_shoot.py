@@ -31,8 +31,7 @@ the outward walk starts farthest out from it.  For each state it records:
   argument, as perfbench's tracer counts it, which on a tail counts from
   the walk start, not from the grid's inner edge);
 - tables: the grid tables the solve built (misses of
-  _kernels._grid_table, from an empty cache), null for a checkout
-  without that cache;
+  _kernels._grid_table, from an empty cache);
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
 
 In pair mode (--parent-src) the headline figures are seconds_ref_total
@@ -77,15 +76,13 @@ def measure() -> dict:
     from abwkb import _kernels, oracles
     from abwkb.model import PowerLaw
 
-    table = getattr(_kernels, "_grid_table", None)
     states = {}
     for name, lam, nu, gamma, n in STATES:
         pot = PowerLaw(lam, nu)
-        if table is not None:
-            table.cache_clear()
+        _kernels._grid_table.cache_clear()
         with harness.counting(_kernels, "numerov_match", lambda args: args[6]) as work:
             energy = oracles.shoot_eigenvalue(pot, gamma, n)
-        tables = None if table is None else table.cache_info().misses
+        tables = _kernels._grid_table.cache_info().misses
         best = harness.best_of(lambda: oracles.shoot_eigenvalue(pot, gamma, n), REPEAT)
         states[name] = {
             "lam": lam, "nu": nu, "gamma": gamma, "n": n,
@@ -106,7 +103,7 @@ def measure() -> dict:
         "confined_seconds_total": sum(s["seconds"] for s in confined),
         "sweeps_per_solve": sum(s["sweeps"] for s in states.values()) / len(states),
         "points_per_solve": sum(s["points"] for s in states.values()) / len(states),
-        "tables_per_solve": None if table is None else sum(s["tables"] for s in states.values()) / len(states),
+        "tables_per_solve": sum(s["tables"] for s in states.values()) / len(states),
         "seconds_ref_total": sum(s["seconds_ref"] for s in states.values()),
         "ns_per_point": 1e9 * sum(s["seconds"] for s in states.values()) / sum(s["points"] for s in states.values()),
     }
@@ -123,7 +120,7 @@ def counters(result: dict) -> dict:
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms {s['seconds_ref']:6.3f} ref  "
-              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} tables={s['tables']!s:<4s} "
+              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} tables={s['tables']:<4d} "
               f"{s['ns_per_point']:6.1f} ns/point")
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
           f"tables {result['tables_per_solve']}, {result['ns_per_point']:.1f} ns/point; "

@@ -6,18 +6,17 @@ and one evaluation of its integrand on a fine mesh serves every coarser
 mesh it nests, each a strided view of the one array;
 both Numerov sweeps run the one recurrence _sweep on the logarithmic grid
 x = ln r, its ratio recurrence a Python loop that reads the coefficients
-through a memoryview, in place.  The coefficients'
-energy-free parts, e^{2x} and the power-law term lam e^{(nu+2)x}, come
-from _grid_table, built once per grid and held in a one-entry cache;
-each sweep builds its coefficients from them with NumPy, once over the
-whole grid, and walks a forward or reversed view of them.  Sweeps return
-u on an arbitrary scale, shared by the values of one sweep; the oracle
-reads only their Prufer angle.  The power law is written out in
-_grid_table, and in _series_rows, the regular Frobenius series that
-starts the outward walk: summed to rounding, it is exact wherever the
-oracle starts the walk, which on a tail is well out from the grid's
-inner edge.  Its energy-free rows, like the table, are built once per
-grid and held in a one-entry cache.
+through a memoryview, in place.  A grid's energy-free parts are one
+record, _grid_table, built once per grid and held in a one-entry cache:
+e^{2x}, the power-law term lam e^{(nu+2)x}, and the rows of the regular
+Frobenius series that starts the outward walk (_series_rows), summed to
+rounding and so exact wherever the oracle starts the walk, which on a
+tail is well out from the grid's inner edge.  A kernel call reads the
+record once (_setup), builds its coefficients with NumPy over the whole
+grid and its outward start ratio, and walks a forward or reversed view
+of them.  Sweeps return u on an arbitrary scale, shared by the values of
+one sweep; the oracle reads only their Prufer angle.  The power law is
+written out in _grid_table and _series_rows.
 """
 
 from __future__ import annotations
@@ -92,8 +91,9 @@ def nested_action_sums(E: float, lam: float, nu: float, rc: float, h: float, kma
 
 @functools.lru_cache(maxsize=1)
 def _grid_table(lam: float, nu: float, gamma: float, x0: float, h: float, n: int):
-    """The Numerov coefficients' energy-free parts on x_j = x0 + j h,
-    j = 0..n: (1 - h**2 (gamma + 1/2)**2 / 12, e^{2x}, h**2 lam e^{(nu+2)x} / 12).
+    """The energy-free record of the grid x_j = x0 + j h, j = 0..n: the Numerov
+    coefficients' parts (1 - h**2 (gamma + 1/2)**2 / 12, e^{2x}, h**2 lam e^{(nu+2)x} / 12)
+    and the series rows at the walk start (_series_rows).
 
     A solve sweeps one grid back to back at many energies (search window,
     polish grid, each refinement), so one entry holds the grid in use;
@@ -105,19 +105,19 @@ def _grid_table(lam: float, nu: float, gamma: float, x0: float, h: float, n: int
     pot = h12 * lam * np.exp((nu + 2.0) * x)
     e2x.flags.writeable = False
     pot.flags.writeable = False
-    return 1.0 - h12 * (gamma + 0.5) ** 2, e2x, pot
+    return 1.0 - h12 * (gamma + 0.5) ** 2, e2x, pot, _series_rows(lam, nu, gamma, x0, h)
 
 
-def _coefficients(E, lam, nu, gamma, x0, h, n):
-    """f = 1 + h**2 g / 12 and a = 12 / f - 10 over the whole grid j = 0..n,
-    g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2."""
-    base, e2x, pot = _grid_table(lam, nu, gamma, x0, h, n)
-    h12 = h * h / 12.0
-    f = base + h12 * E * e2x - pot
-    return f, 12.0 / f - 10.0
+def _setup(E, lam, nu, gamma, x0, h, n):
+    """A kernel call's one read of its grid's record (_grid_table): f = 1 + h**2 g / 12
+    and a = 12 / f - 10 over j = 0..n, g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2,
+    and the outward walk's start u(x0 + h) / u(x0) on the regular series."""
+    base, e2x, pot, (a0, b0, c0, a1, b1, c1) = _grid_table(lam, nu, gamma, x0, h, n)
+    f = base + h * h / 12.0 * E * e2x - pot
+    return f, 12.0 / f - 10.0, (a1 - E * (b1 - E * c1)) / (a0 - E * (b0 - E * c0))
 
 
-def _sweep(f, a, h, ratio):
+def _sweep(f, a, ratio):
     """Numerov walk of u'' + g u = 0 over the coefficients f, a of one walk,
     in walk order, from u[0] > 0 and u[1] = ratio u[0] to u[m + 1], m = len(f) - 2.
 
@@ -127,18 +127,15 @@ def _sweep(f, a, h, ratio):
     and the walk carries only the ratio R = w_next / w = a - 1 / R_prev
     (Johnson's renormalized Numerov), which never overflows.  f > 0 on the
     walk (h**2 |g| / 12 < 1 where g < 0), so a negative R is a sign change
-    of u.  ratio=None starts a decaying solution, ratio = exp(kappa h)
-    with kappa = sqrt(-g) at u[0].  Returns (crossings, u[m - 1], u[m],
-    u[m + 1]), crossings being the sign changes from u[1] through u[m],
+    of u.  The caller picks the start: the regular series outward, a
+    decaying solution inward (numerov_match).  Returns (crossings, u[m - 1],
+    u[m], u[m + 1]), crossings being the sign changes from u[1] through u[m],
     and the three values scaled by one positive factor so that |w[m]| = 1.
     The loop iterates a memoryview of a[1:m], which yields the same
     Python floats as a list of them without building one; a may be any
     1-D float64 view, reversed (negative stride) or read-only.
     """
     m = len(f) - 2  # the walk's index of its stop
-    if ratio is None:
-        h12 = h * h / 12.0
-        ratio = math.exp(min(math.sqrt(max((1.0 - f[0]) / h12, 1e-12)) * h, 600.0))
     R = ratio * float(f[1] / f[0])
     sign = math.copysign(1.0, R)
     crossings = 0
@@ -158,7 +155,6 @@ def _sweep(f, a, h, ratio):
 _ROUNDING = 2.0**-53  # a series term below this of its row's sum no longer moves it
 
 
-@functools.lru_cache(maxsize=1)
 def _series_rows(lam, nu, gamma, x0, h):
     """Rows a <= 2 of the regular Frobenius series at r0 = e^{x0} and
     r1 = e^{x0 + h}, less its power r**(gamma+1): (A0, B0, C0, A1, B1, C1),
@@ -169,11 +165,12 @@ def _series_rows(lam, nu, gamma, x0, h):
     c_ab s(s + 2 gamma + 1) = lam c_a(b-1) - E c_(a-1)b, so c_ab = (-E)**a e_ab
     with e_ab energy-free: A, B and C are r**(2a) sum_b e_ab t**b,
     t = r**(nu+2), for a = 0, 1, 2, each summed until its terms fall below
-    _ROUNDING of its sum.  So a grid builds them once and each sweep
-    combines them.  Where the oracle starts the walk, |E| r**2 is below
-    1e-6 (gamma + 1/2)**2, and row 3 starts below rounding for gamma up
-    to about 40; row 2 can still be a thousand ulp of the sum (gamma = 4).
-    Dividing out r**(gamma+1) leaves no underflow however far in x0 lies.
+    _ROUNDING of its sum.  So _grid_table builds them once per grid and
+    each sweep combines them.  Where the oracle starts the walk, |E| r**2
+    is below 1e-6 (gamma + 1/2)**2, and row 3 starts below rounding for
+    gamma up to about 40; row 2 can still be a thousand ulp of the sum
+    (gamma = 4).  Dividing out r**(gamma+1) leaves no underflow however
+    far in x0 lies.
     """
     k = 2.0 * gamma + 1.0
     p = nu + 2.0
@@ -205,21 +202,15 @@ def _series_rows(lam, nu, gamma, x0, h):
     return a0, b0, c0, step * a1, step * b1, step * c1
 
 
-def _series_ratio(E, lam, nu, gamma, x0, h):
-    """u(x0 + h) / u(x0) on the regular series (_series_rows): the outward
-    walk's start."""
-    a0, b0, c0, a1, b1, c1 = _series_rows(lam, nu, gamma, x0, h)
-    return (a1 - E * (b1 - E * c1)) / (a0 - E * (b0 - E * c0))
-
-
 def numerov_count(
     E: float, lam: float, nu: float, gamma: float, x0: float, h: float, n: int
 ) -> int:
     """Outward Numerov sweep of the radial equation over x_i = x0 + i h,
-    i = 0..n-1 (r = e^x); returns the interior node count.
-    The sweep also steps to x_n, whose value is not used."""
-    f, a = _coefficients(E, lam, nu, gamma, x0, h, n)
-    return _sweep(f, a, h, _series_ratio(E, lam, nu, gamma, x0, h))[0]
+    i = 0..n-1 (r = e^x); returns the interior node count.  The sweep also
+    steps to x_n, whose value is not used.  No src/ path calls it; it
+    stays for perfbench's tracer and the pinned sweeps (ROADMAP item 12)."""
+    f, a, ratio = _setup(E, lam, nu, gamma, x0, h, n)
+    return _sweep(f, a, ratio)[0]
 
 
 def numerov_match(
@@ -234,9 +225,11 @@ def numerov_match(
     central-difference derivative du/dx at im.  Each pair is on its own
     arbitrary scale, shared by u and du, and carries the sign of u.
     The outward walk reads a forward view of the grid's coefficients,
-    x_0..x_{im+1}, and the inward walk a reversed view, x_{n-1}..x_{im-1}.
+    x_0..x_{im+1}, and the inward walk a reversed view, x_{n-1}..x_{im-1},
+    from u[n - 2] = e^{kappa h} u[n - 1], kappa = sqrt(-g) at x_{n-1}.
     """
-    f, a = _coefficients(E, lam, nu, gamma, x0, h, n)
-    nodes_out, uo_m1, uo_0, uo_p1 = _sweep(f[: im + 2], a[: im + 2], h, _series_ratio(E, lam, nu, gamma, x0, h))
-    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(f[im - 1 : n][::-1], a[im - 1 : n][::-1], h, None)
+    f, a, ratio = _setup(E, lam, nu, gamma, x0, h, n)
+    decay = math.exp(min(math.sqrt(max((1.0 - f[n - 1]) / (h * h / 12.0), 1e-12)) * h, 600.0))
+    nodes_out, uo_m1, uo_0, uo_p1 = _sweep(f[: im + 2], a[: im + 2], ratio)
+    nodes_in, ui_p1, ui_0, ui_m1 = _sweep(f[im - 1 : n][::-1], a[im - 1 : n][::-1], decay)
     return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h

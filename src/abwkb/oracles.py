@@ -109,16 +109,15 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     # -g is least at xs and rises monotonically on either side of it
     xs = math.log(2.0 * hi / (nu2 * lam)) / nu
     dx = 0.2 / max(nu2, 2.0)  # about a tenth of an e-fold of kappa
-    x, k2, decay, xt = xs, kappa2(hi, xs), 0.0, None
+    x, k2, decay, forbidden = xs, kappa2(hi, xs), 0.0, False
     g_allowed = -k2
     # the walk ends: from ln((nu + 2) / 2) / nu past xs on, kappa**2 >= (gamma + 1/2)**2,
     # so decay grows by dx / 2 or more a step, and kappa2 raises past _MAX_EXPONENT
     while decay < _DECAY_TARGET:
-        if k2 >= 0.0 and xt is None:
-            xt = x
+        forbidden = forbidden or k2 >= 0.0  # past the turning point: the tail decays from here
         x_next = x + dx
         k2_next = kappa2(hi, x_next)
-        if xt is not None:
+        if forbidden:
             decay += 0.5 * dx * (math.sqrt(k2) + math.sqrt(k2_next))
         x, k2 = x_next, k2_next
     g_max = max(c, g_allowed, kappa2(lo, x))
@@ -179,7 +178,11 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     extrapolation E_2N + (E_2N - E_N) / 15 of those two (Andrew & Paine,
     Numer. Math. 47, 289 (1985)), within 6.6e-11 relative of 40 exact
     Coulomb and oscillator levels with n up to 20; at nu <= -1.8, searches
-    by other paths, to other grids, differ by up to 5.7e-10.
+    by other paths, to other grids, differ by up to 5.7e-10.  A level is
+    reproducible only to about _REL_TOL = 1e-10 relative: the last
+    refinement's secant stops on a 1e-10 step in ln|E|, so a change in
+    the 13th digit of its iterates can end it a step earlier, which moved
+    levels by up to 1.06e-10 (nu = -0.5, gamma = 20, n = 20).
 
     N starts at _START_POINTS and grows only where a check measures that
     it must: _grid gives any window the points that keep h**2 |g| / 12

@@ -54,8 +54,8 @@ def _sweep(E, lam, nu, gamma, x0, h, i, stop, step, u_prev, u_cur):
     return crossings, u_back, u_prev, u_cur
 
 
-def _outward(E, lam, nu, gamma, x0, h, stop):
-    """_sweep from x0 upward, started on the kernels' regular series
-    (_kernels._series_ratio), taken as u[0] = 1 so that a far-in x0
-    cannot underflow it."""
-    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, 1.0, _kernels._series_ratio(E, lam, nu, gamma, x0, h))
+def _outward(E, lam, nu, gamma, x0, h, n, stop):
+    """_sweep from x0 upward, started on the kernels' regular series (the
+    ratio _kernels._setup gives on the grid j = 0..n), taken as u[0] = 1
+    so that a far-in x0 cannot underflow it."""
+    return _sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, 1.0, _kernels._setup(E, lam, nu, gamma, x0, h, n)[2])

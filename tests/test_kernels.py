@@ -53,7 +53,7 @@ class TestNumerov:
 
 def _reference_match(E, lam, nu, gamma, x0, h, n, im):
     """numerov_match built on the scalar reference recurrence."""
-    nodes_out, uo_m1, uo_0, uo_p1 = reference_numerov._outward(E, lam, nu, gamma, x0, h, im)
+    nodes_out, uo_m1, uo_0, uo_p1 = reference_numerov._outward(E, lam, nu, gamma, x0, h, n, im)
     nodes_in, ui_p1, ui_0, ui_m1 = reference_numerov._sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, 1e-280, None)
     return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h
 
@@ -80,7 +80,7 @@ class TestAgainstReferenceRecurrence:
     @staticmethod
     def check(E, lam, nu, gamma, x0, h, n, im, scale):
         assert _kernels.numerov_count(E, lam, nu, gamma, x0, h, n) == reference_numerov._outward(
-            E, lam, nu, gamma, x0, h, n - 1
+            E, lam, nu, gamma, x0, h, n, n - 1
         )[0]
         got = _kernels.numerov_match(E, lam, nu, gamma, x0, h, n, im)
         want = _reference_match(E, lam, nu, gamma, x0, h, n, im)
@@ -313,7 +313,8 @@ class TestNestedLevels:
 
 def _uncached_sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
     """_kernels._sweep as it was before its coefficients came from the
-    grid table: every walk builds x, e^{2x} and lam e^{(nu+2)x} itself."""
+    grid table: every walk builds x, e^{2x} and lam e^{(nu+2)x} itself,
+    and ratio=None starts a decaying solution."""
     x = x0 + h * np.arange(i, stop + 2 * step, step, dtype=np.float64)
     h12 = h * h / 12.0
     f = 1.0 - h12 * (gamma + 0.5) ** 2 + h12 * E * np.exp(2.0 * x) - h12 * lam * np.exp((nu + 2.0) * x)
@@ -336,16 +337,16 @@ def _uncached_sweep(E, lam, nu, gamma, x0, h, i, stop, step, ratio):
     return crossings, sign / (R * f_back), sign / f_stop, sign * (float(a[m]) - 1.0 / R) / f_ahead
 
 
-def _uncached_outward(E, lam, nu, gamma, x0, h, stop):
-    return _uncached_sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, _kernels._series_ratio(E, lam, nu, gamma, x0, h))
+def _uncached_outward(E, lam, nu, gamma, x0, h, n, stop):
+    return _uncached_sweep(E, lam, nu, gamma, x0, h, 0, stop, 1, _kernels._setup(E, lam, nu, gamma, x0, h, n)[2])
 
 
 def _uncached_count(E, lam, nu, gamma, x0, h, n):
-    return _uncached_outward(E, lam, nu, gamma, x0, h, n - 1)[0]
+    return _uncached_outward(E, lam, nu, gamma, x0, h, n, n - 1)[0]
 
 
 def _uncached_match(E, lam, nu, gamma, x0, h, n, im):
-    nodes_out, uo_m1, uo_0, uo_p1 = _uncached_outward(E, lam, nu, gamma, x0, h, im)
+    nodes_out, uo_m1, uo_0, uo_p1 = _uncached_outward(E, lam, nu, gamma, x0, h, n, im)
     nodes_in, ui_p1, ui_0, ui_m1 = _uncached_sweep(E, lam, nu, gamma, x0, h, n - 1, im, -1, None)
     return nodes_out, uo_0, 0.5 * (uo_p1 - uo_m1) / h, nodes_in, ui_0, 0.5 * (ui_p1 - ui_m1) / h
 
@@ -377,18 +378,42 @@ class TestNumerovGridTable:
         assert _kernels._grid_table.cache_info().hits == hits + 1
 
     def test_cached_arrays_are_read_only(self):
-        _, e2x, pot = _kernels._grid_table(-1.0, -1.0, 0.0, -15.0, 0.01, 2100)
+        _, e2x, pot, rows = _kernels._grid_table(-1.0, -1.0, 0.0, -15.0, 0.01, 2100)
         for array in (e2x, pot):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        assert isinstance(rows, tuple)
 
     def test_cache_holds_one_grid(self):
         for param in PINNED_SWEEPS[:3]:  # two grids: the oscillator cases share one
             _kernels.numerov_count(*param.values[0][:7])
         assert _kernels._grid_table.cache_info().currsize == 1
+        # the series rows are part of the one record, not a cache of their own
+        assert not hasattr(_kernels._series_rows, "cache_info")
+        lam, nu, gamma, x0, h, n = PINNED_SWEEPS[2].values[0][1:7]
+        assert _kernels._grid_table(lam, nu, gamma, x0, h, n)[3] == _kernels._series_rows(lam, nu, gamma, x0, h)
+
+    def test_rows_built_once_per_table(self, monkeypatch):
+        # bench_shoot.py's confined_oscillator state: each grid of the solve
+        # (search window, polish grid, refinement) builds its series rows in
+        # its one _grid_table miss, and a second sweep on a grid rebuilds
+        # neither the rows nor the table
+        states = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_shoot.py"))["STATES"]
+        _, lam, nu, gamma, n = next(state for state in states if state[0] == "confined_oscillator")
+        builds, sweeps = [], []
+        rows, match = _kernels._series_rows, _kernels.numerov_match
+        monkeypatch.setattr(_kernels, "_series_rows", lambda *args: builds.append(args) or rows(*args))
+        monkeypatch.setattr(_kernels, "numerov_match", lambda *args: sweeps.append(args) or match(*args))
+        _kernels._grid_table.cache_clear()
+        oracles.shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
+        misses = _kernels._grid_table.cache_info().misses
+        assert len(builds) == misses == 3
+        E, *grid = sweeps[-1]
+        match(1.01 * E, *grid)
+        assert (len(builds), _kernels._grid_table.cache_info().misses) == (misses, misses)
 
 
-def _list_sweep(f, a, h, ratio):
+def _list_sweep(f, a, ratio):
     """_kernels._sweep's walk over a list of a[1:m], as it ran before it read a memoryview."""
     m = len(f) - 2
     R = ratio * float(f[1] / f[0])
@@ -430,8 +455,8 @@ class TestNodeOnGridPoint:
     def test_node_on_grid_point_is_counted(self, shape):
         f, a = self.views()[shape]
         assert a.tolist() == self.A
-        out = _kernels._sweep(f, a, 0.01, 2.0)
-        assert out == _list_sweep(f, a, 0.01, 2.0)
+        out = _kernels._sweep(f, a, 2.0)
+        assert out == _list_sweep(f, a, 2.0)
         # R: 2 -> 0 (passed as -1e-300) -> 2.5 + 1e300 -> 2.5 -> 2.5 - 1/2.5 = 2.1, one sign change
         assert out[0] == 1
         assert all(math.isfinite(v) for v in out[1:])
@@ -464,12 +489,12 @@ WALK_STATES = [
 class TestSeriesStart:
     @pytest.fixture(scope="class")
     def walk_starts(self):
-        """(E, lam, nu, gamma, x0, h) of every outward walk of the solves of WALK_STATES."""
+        """(E, lam, nu, gamma, x0, h, n) of every outward walk of the solves of WALK_STATES."""
         starts = set()
         kernel = _kernels.numerov_match
 
         def record(E, lam, nu, gamma, x0, h, n, im):
-            starts.add((E, lam, nu, gamma, x0, h))
+            starts.add((E, lam, nu, gamma, x0, h, n))
             return kernel(E, lam, nu, gamma, x0, h, n, im)
 
         _kernels.numerov_match = record
@@ -485,7 +510,7 @@ class TestSeriesStart:
         # 2**-53 of its sum; past that, each row's next term and row 3's
         # first term are below 2**-52 of the series
         assert len(walk_starts) > 600
-        for E, lam, nu, gamma, x0, h in walk_starts:
+        for E, lam, nu, gamma, x0, h, _ in walk_starts:
             for x in (x0, x0 + h):
                 terms = _series_terms(E, lam, nu, gamma, x, 4, 80)
                 stop = next(
@@ -499,10 +524,10 @@ class TestSeriesStart:
     def test_ratio_is_the_series_ratio(self, walk_starts):
         # against rows a <= 2 summed here in another order: 7.8e-16 apart at
         # worst, where the rows a <= 1 alone would be 1.6e-14 off
-        for E, lam, nu, gamma, x0, h in walk_starts:
+        for E, lam, nu, gamma, x0, h, n in walk_starts:
             u0, u1 = (math.fsum(map(math.fsum, _series_terms(E, lam, nu, gamma, x, 3, 80))) for x in (x0, x0 + h))
             want = math.exp((gamma + 0.5) * h) * u1 / u0
-            assert _kernels._series_ratio(E, lam, nu, gamma, x0, h) == pytest.approx(want, rel=2e-15, abs=0)
+            assert _kernels._setup(E, lam, nu, gamma, x0, h, n)[2] == pytest.approx(want, rel=2e-15, abs=0)
 
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments
