@@ -28,15 +28,20 @@ the outward walk starts farthest out from it.  For each state it records:
   them (harness.best_of), which drifts less with the machine's speed;
 - sweeps and points: calls of the Numerov kernel numerov_match, the only
   one a solve uses, and the grid points they walked (its 7th positional
-  argument, as perfbench's tracer counts it, which on a tail counts from
-  the walk start, not from the grid's inner edge);
+  argument, as perfbench's tracer counts it, which counts from the walk
+  start, not from the grid's inner edge, on tail and confined grids
+  alike);
 - tables: the grid tables the solve built (misses of
   _kernels._grid_table, from an empty cache);
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
+  It rises when the walk shortens, because a solve's fixed costs (grid,
+  tables, search) stay; it compares solves of equal walks only.
 
-In pair mode (--parent-src) the headline figures are seconds_ref_total
-and ns_per_point, and the counters every state's sweeps, points, tables
-and energy.  --src, --label, --record, --parent-src and --pairs are
+In pair mode (--parent-src) the headline figures are seconds_ref_total,
+ns_per_point and the per-class totals confined_ref_total and
+tail_ref_total (seconds_ref summed over the six confined_* and the six
+tail_* states, perfbench's two strata), and the counters every state's
+sweeps, points, tables and energy.  --src, --label, --record, --parent-src and --pairs are
 harness.main's.
 """
 
@@ -105,12 +110,14 @@ def measure() -> dict:
         "points_per_solve": sum(s["points"] for s in states.values()) / len(states),
         "tables_per_solve": sum(s["tables"] for s in states.values()) / len(states),
         "seconds_ref_total": sum(s["seconds_ref"] for s in states.values()),
+        "confined_ref_total": sum(s["seconds_ref"] for s in confined),
+        "tail_ref_total": sum(s["seconds_ref"] for s in tails),
         "ns_per_point": 1e9 * sum(s["seconds"] for s in states.values()) / sum(s["points"] for s in states.values()),
     }
 
 
 def figures(result: dict) -> dict:
-    return {"seconds_ref_total": result["seconds_ref_total"], "ns_per_point": result["ns_per_point"]}
+    return {k: result[k] for k in ("seconds_ref_total", "ns_per_point", "confined_ref_total", "tail_ref_total")}
 
 
 def counters(result: dict) -> dict:
@@ -125,7 +132,8 @@ def report(result: dict) -> None:
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
           f"tables {result['tables_per_solve']}, {result['ns_per_point']:.1f} ns/point; "
           f"total {result['seconds_ref_total']:.3f} ref, "
-          f"tail {1e3 * result['tail_seconds_total']:.2f} ms, confined {1e3 * result['confined_seconds_total']:.2f} ms")
+          f"tail {1e3 * result['tail_seconds_total']:.2f} ms ({result['tail_ref_total']:.3f} ref), "
+          f"confined {1e3 * result['confined_seconds_total']:.2f} ms ({result['confined_ref_total']:.3f} ref)")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,15 @@ x = ln r, its ratio recurrence a Python loop that reads the coefficients
 through a memoryview, in place.  A grid's energy-free parts are one
 record, _grid_table, built once per grid and held in a one-entry cache:
 e^{2x}, the power-law term lam e^{(nu+2)x}, and the rows of the regular
-Frobenius series that starts the outward walk (_series_rows), summed to
-rounding and so exact wherever the oracle starts the walk, which on a
-tail is well out from the grid's inner edge.  A kernel call reads the
-record once (_setup), builds its coefficients with NumPy over the whole
-grid and its outward start ratio, and walks a forward or reversed view
-of them.  Sweeps return u on an arbitrary scale, shared by the values of
-one sweep; the oracle reads only their Prufer angle.  The power law is
-written out in _grid_table and _series_rows.
+Frobenius series that starts the outward walk (_series_rows): its five
+energy rows a <= 4, each summed to rounding in the power law, and so
+exact wherever the oracle starts the walk, well out from the grid's
+inner edge.  A kernel call reads the record once (_setup), builds its
+coefficients with NumPy over the whole grid and its outward start
+ratio, the rows combined in Horner form in E, and walks a forward or
+reversed view of them.  Sweeps return u on an arbitrary scale, shared
+by the values of one sweep; the oracle reads only their Prufer angle.
+The power law is written out in _grid_table and _series_rows.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ def _setup(E, lam, nu, gamma, x0, h, n):
     """A kernel call's one read of its grid's record (_grid_table): f = 1 + h**2 g / 12
     and a = 12 / f - 10 over j = 0..n, g = e^{2x}(E - lam e^{nu x}) - (gamma + 1/2)**2,
     and the outward walk's start u(x0 + h) / u(x0) on the regular series."""
-    base, e2x, pot, (a0, b0, c0, a1, b1, c1) = _grid_table(lam, nu, gamma, x0, h, n)
+    base, e2x, pot, (a0, b0, c0, d0, f0, a1, b1, c1, d1, f1) = _grid_table(lam, nu, gamma, x0, h, n)
     f = base + h * h / 12.0 * E * e2x - pot
-    return f, 12.0 / f - 10.0, (a1 - E * (b1 - E * c1)) / (a0 - E * (b0 - E * c0))
+    u0 = a0 - E * (b0 - E * (c0 - E * (d0 - E * f0)))
+    u1 = a1 - E * (b1 - E * (c1 - E * (d1 - E * f1)))
+    return f, 12.0 / f - 10.0, u1 / u0
 
 
 def _sweep(f, a, ratio):
@@ -156,35 +159,46 @@ _ROUNDING = 2.0**-53  # a series term below this of its row's sum no longer move
 
 
 def _series_rows(lam, nu, gamma, x0, h):
-    """Rows a <= 2 of the regular Frobenius series at r0 = e^{x0} and
-    r1 = e^{x0 + h}, less its power r**(gamma+1): (A0, B0, C0, A1, B1, C1),
-    with the series A - E (B - E C), the second point's times
-    e^{(gamma+1/2) h}.
+    """Rows a <= 4 of the regular Frobenius series at r0 = e^{x0} and
+    r1 = e^{x0 + h}, less its power r**(gamma+1): (A0, B0, C0, D0, F0,
+    A1, B1, C1, D1, F1), with the series A - E (B - E (C - E (D - E F))),
+    the second point's rows times e^{(gamma+1/2) h}.
 
     u = r**(gamma+1) sum_ab c_ab r**s, s = 2a + (nu+2)b, with c_00 = 1 and
     c_ab s(s + 2 gamma + 1) = lam c_a(b-1) - E c_(a-1)b, so c_ab = (-E)**a e_ab
-    with e_ab energy-free: A, B and C are r**(2a) sum_b e_ab t**b,
-    t = r**(nu+2), for a = 0, 1, 2, each summed until its terms fall below
+    with e_ab energy-free: each row is r**(2a) sum_b e_ab t**b,
+    t = lam r**(nu+2), for a = 0..4, each summed until its terms fall below
     _ROUNDING of its sum.  So _grid_table builds them once per grid and
-    each sweep combines them.  Where the oracle starts the walk, |E| r**2
-    is below 1e-6 (gamma + 1/2)**2, and row 3 starts below rounding for
-    gamma up to about 40; row 2 can still be a thousand ulp of the sum
-    (gamma = 4).  Dividing out r**(gamma+1) leaves no underflow however
-    far in x0 lies.
+    each sweep combines them.  The oracle starts the walk where row 5's
+    first term, (|E| r**2)**5 / prod_{a=1..5} 2a(2a + 2 gamma + 1), is
+    2**-54 at the window's largest |E| (oracles._grid), so the five rows
+    are the series to rounding there; row 4 can still be over a thousand
+    ulp of the sum (gamma = 0).  Dividing out r**(gamma+1) leaves no
+    underflow however far in x0 lies.
     """
     k = 2.0 * gamma + 1.0
     p = nu + 2.0
     lead1 = 1.0 / (2.0 * (2.0 + k))
     lead2 = lead1 / (4.0 * (4.0 + k))
+    lead3 = lead2 / (6.0 * (6.0 + k))
+    lead4 = lead3 / (8.0 * (8.0 + k))
     rows = []
     for x in (x0, x0 + h):
         t = lam * math.exp(p * x)
-        # the terms e_ab t**b of rows 0, 1, 2 at b, and their sums
+        # the terms e_ab t**b of rows 0..4 at b, and their sums
         e0 = sum0 = 1.0
         e1 = sum1 = lead1
         e2 = sum2 = lead2
+        e3 = sum3 = lead3
+        e4 = sum4 = lead4
         b = 0
-        while abs(e0) > _ROUNDING * abs(sum0) or abs(e1) > _ROUNDING * abs(sum1) or abs(e2) > _ROUNDING * abs(sum2):
+        while (
+            abs(e0) > _ROUNDING * abs(sum0)
+            or abs(e1) > _ROUNDING * abs(sum1)
+            or abs(e2) > _ROUNDING * abs(sum2)
+            or abs(e3) > _ROUNDING * abs(sum3)
+            or abs(e4) > _ROUNDING * abs(sum4)
+        ):
             b += 1
             s = p * b
             e0 = t * e0 / (s * (s + k))
@@ -192,14 +206,21 @@ def _series_rows(lam, nu, gamma, x0, h):
             e1 = (t * e1 + e0) / (s * (s + k))
             s += 2.0
             e2 = (t * e2 + e1) / (s * (s + k))
+            s += 2.0
+            e3 = (t * e3 + e2) / (s * (s + k))
+            s += 2.0
+            e4 = (t * e4 + e3) / (s * (s + k))
             sum0 += e0
             sum1 += e1
             sum2 += e2
+            sum3 += e3
+            sum4 += e4
         r2 = math.exp(2.0 * x)
-        rows += (sum0, r2 * sum1, r2 * r2 * sum2)
+        r4 = r2 * r2
+        rows += (sum0, r2 * sum1, r4 * sum2, r4 * r2 * sum3, r4 * r4 * sum4)
     step = math.exp((gamma + 0.5) * h)
-    a0, b0, c0, a1, b1, c1 = rows
-    return a0, b0, c0, step * a1, step * b1, step * c1
+    a0, b0, c0, d0, f0, a1, b1, c1, d1, f1 = rows
+    return a0, b0, c0, d0, f0, step * a1, step * b1, step * c1, step * d1, step * f1
 
 
 def numerov_count(

@@ -44,6 +44,7 @@ _MAX_POINTS = 2**17  # no grid, its nested refinements included, grows past this
 _MAX_SWEEPS = 260  # Numerov sweeps of one solve
 # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2; it
 # fixes the grid's extent, and so its step, but the walk starts further out
+# (_SERIES_EPS, _SERIES_TERM and _series_reach)
 _INNER_EPS = 1e-6
 _SERIES_EPS = 1e-2  # walk start: |lam| r**(nu+2) below this of (gamma + 1/2)**2,
 # and below this of (nu + 2)(nu + 2 gamma + 3), the first ratio of the series'
@@ -62,6 +63,15 @@ _MAX_EXPONENT = 700.0  # e^{2x} and e^{(nu+2)x} stay finite on the grid
 _MAX_Y = 650.0  # the search bound on |ln|E|| at unit coupling; _grid builds floor grids out to it
 
 
+def _series_reach(gamma: float) -> float:
+    """ln z, z the |E| r**2 out to which the five energy rows of the regular
+    series (_kernels._series_rows) are exact: there row 5's first term,
+    z**5 / prod_{a=1..5} 2a(2a + 2 gamma + 1), is 2**-54, below half an ulp
+    of the sum.  z is 0.0186 at gamma = 0 and grows about as 0.006 gamma;
+    the sum of logs keeps the product finite for any gamma the solver takes."""
+    return (sum(math.log(2.0 * a * (2.0 * a + 2.0 * gamma + 1.0)) for a in range(1, 6)) - 54.0 * math.log(2.0)) / 5.0
+
+
 def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, points: int):
     """Log grid (x0, h, N, im, scale, start) for energies in [lo, hi] around E.
 
@@ -77,25 +87,29 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     _miss advances evenly.
 
     The kernels walk only x_start .. x_{N-1}: start is the last point at
-    or below x_walk, the inner edge with _SERIES_EPS in place of
-    _INNER_EPS for the power law, and capped by _SERIES_TERM, where the
-    regular series (_kernels._series_rows) is still exact to rounding.
-    On a tail (lam < 0) the factor 1 / (nu + 2) puts the power-law edge
-    far in (x0 = -12 to -17 at perfbench's tail exponents, -249 at
-    nu = -1.95), and the walk skips 38-55 % of the grid there and about
-    two thirds at nu = -1.95 and -1.99; where the energy edge binds, as
-    on confined (nu > 0) grids around their levels, start is 0.  The
-    step h, the points floor and the cap still count the whole grid from
-    x0, so every grid keeps the step and the size it had when the walk
-    began at x0.  Over 3,000 random tail windows start stayed 396 or more
-    points below im.
+    or below x_walk, where the regular series (_kernels._series_rows) is
+    still exact to rounding, and at most im - 2.  x_walk is the lesser of
+    two edges.  The power-law edge is the inner edge with _SERIES_EPS in
+    place of _INNER_EPS, capped by _SERIES_TERM; on a tail (lam < 0) the
+    factor 1 / (nu + 2) puts x0 far in (-12 to -17 at perfbench's tail
+    exponents, -249 at nu = -1.95), and this edge skips 38-55 % of the
+    grid there and about two thirds at nu = -1.95 and -1.99.  The energy
+    edge is |E| r**2 = z at the window's largest |E|, z from
+    _series_reach, where the series' five energy rows are exact; it binds
+    on confined (nu > 0) grids, whose walks it halves (0.50-0.56 of the
+    points of bench_shoot.py's confined solves), and on Coulomb and weak
+    tails.  The step h, the points floor and the cap still count the
+    whole grid from x0, so every grid keeps the step and the size it had
+    when the walk began at x0.  Over 400 seeded windows and the steep-wall
+    and floor windows on 2000 points, start stayed 596 or more points
+    below im.
     """
     c = (gamma + 0.5) ** 2
     nu2 = nu + 2.0
-    energy_edge = 0.5 * math.log(_INNER_EPS * c / max(abs(lo), abs(hi)))
-    x0 = min(math.log(_INNER_EPS * c / abs(lam)) / nu2, energy_edge)
+    e_max = max(abs(lo), abs(hi))
+    x0 = min(math.log(_INNER_EPS * c / abs(lam)) / nu2, 0.5 * math.log(_INNER_EPS * c / e_max))
     series_edge = min(_SERIES_EPS * c, _SERIES_TERM * nu2 * (nu2 + 2.0 * gamma + 1.0))
-    x_walk = min(math.log(series_edge / abs(lam)) / nu2, energy_edge)
+    x_walk = min(math.log(series_edge / abs(lam)) / nu2, 0.5 * (_series_reach(gamma) - math.log(e_max)))
 
     def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
         exponent = max(nu2, 2.0) * x
@@ -131,7 +145,7 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     xm = math.log(2.0 * E / (nu2 * lam)) / nu
     im = max(2, min(points - 4, int(round((xm - x0) / h))))
     scale = math.sqrt(max(-kappa2(E, x0 + im * h), c))
-    start = max(0, math.floor((x_walk - x0) / h))
+    start = max(0, min(im - 2, math.floor((x_walk - x0) / h)))
     return x0, h, points, im, scale, start
 
 
@@ -160,10 +174,10 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
 
     Numerov integrates phi = u / sqrt(r) in x = ln r on a grid of N
     points (_grid), inward from a decaying seed and outward from the
-    regular series, summed to rounding at the grid's walk start: on a
-    tail that start lies well out from the inner edge x0, which still
-    sets the step and N, so the walk skips the points where the series
-    is already exact.  One safeguarded secant search finds the root
+    regular series, its five energy rows summed to rounding at the grid's
+    walk start: that start lies well out from the inner edge x0, which
+    still sets the step and N, so the walk skips the points where the
+    series is already exact, on tails and confined grids alike.  One safeguarded secant search finds the root
     of the increasing miss-distance F(E) - n pi (_miss) over
     |ln|E|| <= _MAX_Y from the log of the closed-form level and its slope,
     on the grid for the window E / r .. E r (_SEARCH_RATIO) around an

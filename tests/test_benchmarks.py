@@ -30,28 +30,34 @@ def test_script_loads_by_path(name):
 
 def test_shoot_pair_figures_read_a_committed_record():
     shoot = _load("bench_shoot")
-    with open(BENCHMARKS.parent / "BENCH_36.json", encoding="utf-8") as fh:
+    with open(BENCHMARKS.parent / "BENCH_38.json", encoding="utf-8") as fh:
         record = json.load(fh)
     result = record["change"]
-    assert shoot.figures(result) == {"seconds_ref_total": result["seconds_ref_total"], "ns_per_point": result["ns_per_point"]}
+    assert shoot.figures(result) == {
+        k: result[k] for k in ("seconds_ref_total", "ns_per_point", "confined_ref_total", "tail_ref_total")
+    }
+    for stratum in ("confined", "tail"):
+        states = [s for name, s in result["states"].items() if name.startswith(stratum)]
+        assert len(states) == 6
+        assert result[f"{stratum}_ref_total"] == sum(s["seconds_ref"] for s in states)
     counters = shoot.counters(result)
     assert list(counters) == list(result["states"])
     assert counters["confined_airy"] == {
         k: result["states"]["confined_airy"][k] for k in ("sweeps", "points", "tables", "energy")
     }
-    # the walk from the series edge: a single run's counters are the pair
-    # runs' change side; tail and floor states walk fewer points in the
-    # same sweeps, and every other state walks as the parent did
+    # the walk from the energy rows' edge: a single run's counters are the
+    # pair runs' change side; every state keeps its sweeps and tables,
+    # confined states walk at most 0.6 of the parent's points, and no
+    # state walks more
     pairs = record["pairs"]
     assert list(pairs["figures"]) == list(shoot.figures(result))
     assert pairs["counters"]["change"] == counters
     parent = pairs["counters"]["parent"]
     for name, c in counters.items():
         assert (c["sweeps"], c["tables"]) == (parent[name]["sweeps"], parent[name]["tables"]), name
-        if name.startswith(("tail", "floor", "nested_coulomb", "nested_tail")):
-            assert c["points"] < parent[name]["points"], name
-        else:
-            assert c == parent[name], name
+        assert c["points"] <= parent[name]["points"], name
+        if name.startswith("confined"):
+            assert c["points"] <= 0.6 * parent[name]["points"], name
 
 
 def test_action_pair_figures_read_a_committed_record():

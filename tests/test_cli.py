@@ -574,14 +574,14 @@ class TestJsonCommands:
         # the unit-coupling level times (1e-300)**(2/1002)
         code, out, _ = run_cli(capsys, "shoot", "--nu", "1000", "--lambda", "1e-300", "--gamma", "0", "--n", "0")
         assert code == 0
-        assert json.loads(out)["energy"] == 2.42392150263
+        assert json.loads(out)["energy"] == 2.42392149622
 
     def test_shoot_reach_ends_between_nu_1500_and_2000(self, capsys):
         # the step bound on one uniform log grid needs about 34 nu points;
         # at nu = 2000 their 2N - 1 point refinement passes _MAX_POINTS = 2**17
         code, out, _ = run_cli(capsys, "shoot", "--nu", "1500", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert code == 0
-        assert json.loads(out)["energy"] == 9.69410091922
+        assert json.loads(out)["energy"] == 9.6941008466
         code, out, err = run_cli(capsys, "shoot", "--nu", "2000", "--lambda", "1", "--gamma", "0", "--n", "0")
         assert (code, out) == (3, "")
         assert "grid step too coarse: h^2 |g| / 12 <= 0.5 needs 67976 points" in err

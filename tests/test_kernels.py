@@ -27,7 +27,7 @@ PINNED_SWEEPS = [
     # linear well, one node on each side of im
     pytest.param((6.0, 1.0, 1.0, 0.0, -8.0, 0.005, 2000, 1750), "3", "(1, -0.9999642671131646, 0.3274249600716428, 1, -0.9999642671131646, -9.399894184949076)", id="linear_well"),
     # deep forbidden region: u spans more than the double range
-    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.0000000047413589, 0.49218525933192314, 0, 1.0000000047413589, -0.6195139664405547)", id="deep_forbidden"),
+    pytest.param((0.5, 1.0, 2.0, 0.0, -2.0, 0.0005, 11901, 1000), "0", "(0, 1.0000000047413589, 0.49218525876448815, 0, 1.0000000047413589, -0.6195139664405547)", id="deep_forbidden"),
 ]
 
 
@@ -480,10 +480,17 @@ def _series_terms(E, lam, nu, gamma, x, rows, count):
     return terms
 
 
-# the tail states of test_oracles.TestWalkStart
+# (lam, nu, gamma, n): the tail states of test_oracles.TestWalkStart, and
+# confined states from nu = 0.2 to the steep walls
 WALK_STATES = [
-    (nu, gamma, n) for nu in (-1.99, -1.95, -1.9, -1.8, -1.5, -0.5, -0.2) for gamma in (0.0, 1.5, 4.0) for n in (0, 3, 10)
+    (-1.0, nu, gamma, n) for nu in (-1.99, -1.95, -1.9, -1.8, -1.5, -0.5, -0.2) for gamma in (0.0, 1.5, 4.0) for n in (0, 3, 10)
+] + [
+    (1.0, nu, gamma, n)
+    for nu in (0.2, 0.55, 1.0, 2.0, 2.6, 8.0, 12.0, 100.0, 400.0)
+    for gamma in (0.0, 1.5, 4.0, 20.0)
+    for n in (0, 3, 10)
 ]
+ROWS = 5  # the energy rows _kernels._series_rows sums
 
 
 class TestSeriesStart:
@@ -499,35 +506,38 @@ class TestSeriesStart:
 
         _kernels.numerov_match = record
         try:
-            for nu, gamma, n in WALK_STATES:
-                oracles.shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, n)
+            for lam, nu, gamma, n in WALK_STATES:
+                oracles.shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         finally:
             _kernels.numerov_match = kernel
         return sorted(starts)
 
     def test_first_omitted_terms_below_rounding(self, walk_starts):
-        # the kernel sums rows a <= 2 until each row's terms fall below
-        # 2**-53 of its sum; past that, each row's next term and row 3's
-        # first term are below 2**-52 of the series
-        assert len(walk_starts) > 600
+        # the kernel sums rows a <= 4 until each row's terms fall below
+        # 2**-53 of its sum; past that, each row's next term and row 5's
+        # first term are below 2**-52 of the series (0.27 of it at worst),
+        # on tails and on confined walks alike
+        assert len(walk_starts) > 1400
+        assert {lam for _, lam, *_ in walk_starts} == {-1.0, 1.0}
         for E, lam, nu, gamma, x0, h, _ in walk_starts:
             for x in (x0, x0 + h):
-                terms = _series_terms(E, lam, nu, gamma, x, 4, 80)
+                terms = _series_terms(E, lam, nu, gamma, x, ROWS + 1, 80)
                 stop = next(
                     b for b in range(1, 79)
-                    if all(abs(row[b]) <= 2.0**-53 * abs(sum(row[: b + 1])) for row in terms[:3])
+                    if all(abs(row[b]) <= 2.0**-53 * abs(sum(row[: b + 1])) for row in terms[:ROWS])
                 )
-                total = abs(sum(sum(row[: stop + 1]) for row in terms[:3]))
-                omitted = [row[stop + 1] for row in terms[:3]] + [terms[3][0]]
+                total = abs(sum(sum(row[: stop + 1]) for row in terms[:ROWS]))
+                omitted = [row[stop + 1] for row in terms[:ROWS]] + [terms[ROWS][0]]
                 assert max(map(abs, omitted)) < 2.0**-52 * total, (nu, gamma, E)
 
     def test_ratio_is_the_series_ratio(self, walk_starts):
-        # against rows a <= 2 summed here in another order: 7.8e-16 apart at
-        # worst, where the rows a <= 1 alone would be 1.6e-14 off
+        # against rows a <= 4 summed here in another order: 7.8e-16 apart at
+        # worst, where the rows a <= 2 alone would be 7.7e-11 off
         for E, lam, nu, gamma, x0, h, n in walk_starts:
-            u0, u1 = (math.fsum(map(math.fsum, _series_terms(E, lam, nu, gamma, x, 3, 80))) for x in (x0, x0 + h))
+            u0, u1 = (math.fsum(map(math.fsum, _series_terms(E, lam, nu, gamma, x, ROWS, 80))) for x in (x0, x0 + h))
             want = math.exp((gamma + 0.5) * h) * u1 / u0
             assert _kernels._setup(E, lam, nu, gamma, x0, h, n)[2] == pytest.approx(want, rel=2e-15, abs=0)
+
 
 class TestTracedSignatures:
     # perfbench/tracing.py wraps these names and reads their positional arguments

@@ -272,9 +272,9 @@ class TestLogGridOracle:
 
     def test_nu_1000_solves_below_the_well(self):
         # the step bound grows the grid to 36,090 points; a 64,000-point
-        # solve lies 1.2e-7 higher, within the 1e-6 N-vs-2N check
+        # solve lies 1.1e-7 higher, within the 1e-6 N-vs-2N check
         got = shoot_eigenvalue(PowerLaw(1.0, 1000.0), 0.0, 0)
-        assert got == pytest.approx(9.623231789735597, rel=1e-10, abs=0)
+        assert got == pytest.approx(9.623231764280465, rel=1e-10, abs=0)
         assert got < math.pi**2
 
     @pytest.mark.parametrize("nu", [250.0, 500.0, 1000.0])
@@ -317,11 +317,11 @@ class TestLogGridOracle:
             shoot_eigenvalue(PowerLaw(-1.4e-77, -1.5), 0.0, 0)
 
     def test_steep_wall_at_tiny_coupling(self):
-        # the unit-coupling level 9.6232317897 times (1e-300)**(2/1002); solving
+        # the unit-coupling level 9.6232317643 times (1e-300)**(2/1002); solving
         # at lam = 1e-300 itself would put the turning point past r = 2
         got = shoot_eigenvalue(PowerLaw(1e-300, 1000.0), 0.0, 0)
-        assert got == pytest.approx(9.623231789735597 * 1e-300 ** (1.0 / 501.0), rel=1e-10, abs=0)
-        assert f"{got:.12g}" == "2.42392150263"
+        assert got == pytest.approx(9.623231764280465 * 1e-300 ** (1.0 / 501.0), rel=1e-10, abs=0)
+        assert f"{got:.12g}" == "2.42392149622"
 
     def test_levels_scale_with_the_coupling(self):
         # E(lam) = |lam|**(2/(nu+2)) E(sign lam): r scales by |lam|**(-1/(nu+2))
@@ -399,16 +399,18 @@ class TestLogGridOracle:
     @pytest.mark.parametrize(
         "lam,nu,gamma,n,largest,walked",
         [
-            (1.0, 800.0, 0.0, 0, 58_439, 58_439),
+            (1.0, 800.0, 0.0, 0, 58_439, 20_999),
             (-1.0, -1.5, 0.5, 10, 4861, 2533),
-            (1.0, 2.0, 0.0, 0, 2399, 2399),
+            (1.0, 2.0, 0.0, 0, 2399, 1063),
             (-1.0, -1.95, 0.0, 0, 10_169, 3683),
         ],
         ids=["800-g0-n0", "-1.5-g0.5-n10", "2-g0-n0", "-1.95-g0-n0"],
     )
     def test_grids_grow_only_where_a_check_asks(self, kernel_sizes, miss_grids, lam, nu, gamma, n, largest, walked):
         # largest counts the whole grid from its inner edge, as the checks
-        # do; a tail's walk starts further out, so its kernels see fewer points
+        # do; the walk starts further out, on a tail where the power law's
+        # series edge binds and on a confined grid where the energy rows'
+        # does, so the kernels see fewer points
         shoot_eigenvalue(PowerLaw(lam, nu), gamma, n)
         assert max(grid[2] for grid in miss_grids) == largest <= oracles._MAX_POINTS
         assert max(kernel_sizes) == walked
@@ -603,21 +605,21 @@ class TestSweepCount:
 # workload plus four whose polish refines past 2N - 1 points and two near
 # the nu = -2 floor
 PINNED_LEVELS = [
-    pytest.param(-1.0, -1.0, 0.5, 0, "-0.11111111111175197", id="tail_coulomb_n0_q0"),
-    pytest.param(-1.0, -1.0, 1.5, 1, "-0.0204081632653084", id="tail_coulomb_n1_q1"),
+    pytest.param(-1.0, -1.0, 0.5, 0, "-0.11111111111172549", id="tail_coulomb_n0_q0"),
+    pytest.param(-1.0, -1.0, 1.5, 1, "-0.020408163265307987", id="tail_coulomb_n1_q1"),
     pytest.param(-1.0, -1.275, 1.5, 0, "-0.007302456020349395", id="tail_strong_n0_q1"),
     pytest.param(-1.0, -1.275, 0.5, 1, "-0.00968484849198607", id="tail_strong_n1_q0"),
     pytest.param(-1.0, -0.875, 0.5, 0, "-0.15230804113661006", id="tail_weak_n0_q0"),
-    pytest.param(-1.0, -0.875, 1.5, 1, "-0.04029268085038828", id="tail_weak_n1_q1"),
-    pytest.param(1.75, 2.0, 1.3, 2, "17.991108915272516", id="confined_oscillator"),
-    pytest.param(1.0, 1.0, 0.0, 2, "5.520559828093463", id="confined_airy"),
-    pytest.param(1.0, 1.0, 1.3, 2, "6.408777483155773", id="confined_linear"),
-    pytest.param(1.0, 0.55, 1.3, 1, "3.146307001240021", id="confined_nu_0.55"),
-    pytest.param(1.0, 2.6, 1.3, 1, "12.147429573422336", id="confined_nu_2.6"),
-    pytest.param(1.0, 8.0, 1.3, 1, "27.678650643168666", id="confined_nu_8"),
+    pytest.param(-1.0, -0.875, 1.5, 1, "-0.04029268085038826", id="tail_weak_n1_q1"),
+    pytest.param(1.75, 2.0, 1.3, 2, "17.991108915272417", id="confined_oscillator"),
+    pytest.param(1.0, 1.0, 0.0, 2, "5.520559828093907", id="confined_airy"),
+    pytest.param(1.0, 1.0, 1.3, 2, "6.408777483155706", id="confined_linear"),
+    pytest.param(1.0, 0.55, 1.3, 1, "3.1463070012400265", id="confined_nu_0.55"),
+    pytest.param(1.0, 2.6, 1.3, 1, "12.147429573422272", id="confined_nu_2.6"),
+    pytest.param(1.0, 8.0, 1.3, 1, "27.678650643168726", id="confined_nu_8"),
     pytest.param(-1.0, -1.0, 0.0, 20, "-0.0005668934240348708", id="nested_coulomb_n20"),
-    pytest.param(1.0, 2.0, 0.0, 20, "83.00000000548536", id="nested_oscillator_n20"),
-    pytest.param(1.0, 3.0, 0.0, 20, "184.95175961225686", id="nested_nu3_n20"),
+    pytest.param(1.0, 2.0, 0.0, 20, "83.0000000054735", id="nested_oscillator_n20"),
+    pytest.param(1.0, 3.0, 0.0, 20, "184.95175961240113", id="nested_nu3_n20"),
     pytest.param(-1.0, -1.5, 0.5, 10, "-6.50481294919003e-07", id="nested_tail_n10"),
     pytest.param(-1.0, -1.95, 1.5, 3, "-9.108730742305947e-34", id="floor_nu_-1.95"),
     pytest.param(-1.0, -1.99, 1.5, 3, "-9.948286749722503e-138", id="floor_nu_-1.99"),
@@ -714,30 +716,73 @@ class TestGridStepBound:
 WALK_NUS = (-1.99, -1.95, -1.9, -1.8, -1.5, -0.5, -0.2)
 WALK_GAMMAS = (0.0, 1.5, 4.0)
 WALK_NS = (0, 3, 10)
+# confined states, whose walk starts where the series' five energy rows are exact
+CONFINED_WALK_NUS = (0.2, 0.55, 1.0, 2.0, 2.6, 8.0, 12.0)
+CONFINED_WALK_GAMMAS = (0.0, 1.5, 4.0, 20.0)
+
+
+def _inner_edge_reach(gamma):
+    """oracles._series_reach as the grid's inner edge: |E| r**2 = _INNER_EPS (gamma + 1/2)**2."""
+    return math.log(oracles._INNER_EPS * (gamma + 0.5) ** 2)
 
 
 class TestWalkStart:
-    def test_confined_windows_walk_the_whole_grid(self, monkeypatch):
-        # on nu > 0 the energy edge binds, so the kernels get the grid's x0,
-        # N and im as _grid builds them, from the inner edge that sizes it
+    def test_windows_keep_the_walk_start_well_below_im(self, monkeypatch):
+        # the grid (x0, h, N, im) is built from the inner edge as before; the
+        # kernels get it from the walk start, which stays hundreds of points
+        # below the matching index (596 at least here), far from its cap im - 2
         walks = []
         monkeypatch.setattr(_kernels, "numerov_match", lambda *a: walks.append(a[4:]) or (0, 1.0, 1.0, 0, 1.0, 1.0))
-        windows = [w for w in _seeded_windows(400) if w[0] > 0.0]
-        steep = [p.values for p in STEEP_WINDOWS if p.values[1] > 0.0]
-        windows += [(lam, nu, gamma, E, E / ratio, E * ratio) for lam, nu, gamma, E, ratio in steep]
-        assert len(windows) > 150
+        windows = list(_seeded_windows(400))
+        for lam, nu, gamma, E, ratio in (p.values for p in STEEP_WINDOWS):
+            windows.append((lam, nu, gamma, E, *sorted((E / ratio, E * ratio))))
         for lam, nu, gamma, E, lo, hi in windows:
             grid = _grid(E, lo, hi, lam, nu, gamma, 2000)
             x0, h, points, im, _, start = grid
             c = (gamma + 0.5) ** 2
-            inner = min(math.log(oracles._INNER_EPS * c / lam) / (nu + 2.0), 0.5 * math.log(oracles._INNER_EPS * c / hi))
-            assert x0 == inner and start == 0, (nu, gamma, E)
+            inner = min(
+                math.log(oracles._INNER_EPS * c / abs(lam)) / (nu + 2.0),
+                0.5 * math.log(oracles._INNER_EPS * c / max(abs(lo), abs(hi))),
+            )
+            assert x0 == inner and 0 < start and im - start >= 500, (nu, gamma, E)
             _miss(E, lam, nu, gamma, grid)
-            assert walks.pop() == (x0, h, points, im)
+            assert walks.pop() == (x0 + start * h, h, points - start, im - start)
+
+    def test_walk_start_is_capped_below_im(self, monkeypatch):
+        # with every edge pushed past the grid, the walk starts at im - 2,
+        # the last start from which the outward walk still reaches im + 1
+        monkeypatch.setattr(oracles, "_SERIES_EPS", 1e300)
+        monkeypatch.setattr(oracles, "_SERIES_TERM", 1e300)
+        monkeypatch.setattr(oracles, "_series_reach", lambda gamma: 1e3)
+        grid = _grid(3.0, 2.9, 3.1, 1.0, 2.0, 0.0, 2000)
+        assert grid[5] == grid[3] - 2
+        phase, nodes = _miss(3.0, 1.0, 2.0, 0.0, grid)
+        assert math.isfinite(phase) and nodes >= 0
+
+    @pytest.mark.parametrize("nu", CONFINED_WALK_NUS)
+    def test_confined_levels_match_the_walk_from_the_inner_edge(self, monkeypatch, kernel_sizes, miss_grids, nu):
+        # with the energy walk edge back at the inner edge's 1e-6 the walk
+        # starts at x0, as it did on the three-row series; the levels agree
+        # to 1e-11 (2.3e-12 measured) on 0.39-0.70 of the walked points
+        for gamma in CONFINED_WALK_GAMMAS:
+            for n in WALK_NS:
+                kernel_sizes.clear()
+                miss_grids.clear()
+                got = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n)
+                walked = sum(kernel_sizes)
+                assert all(grid[5] > 0 for grid in miss_grids)
+                kernel_sizes.clear()
+                miss_grids.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracles, "_series_reach", _inner_edge_reach)
+                    want = shoot_eigenvalue(PowerLaw(1.0, nu), gamma, n)
+                assert all(grid[5] == 0 for grid in miss_grids)
+                assert abs(got / want - 1.0) <= 1e-11, (gamma, n)
+                assert walked < 0.8 * sum(kernel_sizes), (gamma, n)
 
     @pytest.mark.parametrize("nu", WALK_NUS)
     def test_tail_levels_match_the_walk_from_the_inner_edge(self, monkeypatch, kernel_sizes, miss_grids, nu):
-        # with the series edge back at the inner edge's 1e-6 the walk starts
+        # with both series edges back at the inner edge's 1e-6 the walk starts
         # at x0, as it did on the two-term series; the levels agree to 1e-11
         # (1.1e-12 measured, at nu = -1.99, n = 10) on fewer walked points
         for gamma in WALK_GAMMAS:
@@ -751,6 +796,7 @@ class TestWalkStart:
                 miss_grids.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(oracles, "_SERIES_EPS", oracles._INNER_EPS)
+                    patch.setattr(oracles, "_series_reach", _inner_edge_reach)
                     want = shoot_eigenvalue(PowerLaw(-1.0, nu), gamma, n)
                 assert all(grid[5] == 0 for grid in miss_grids)
                 assert abs(got / want - 1.0) <= 1e-11, (gamma, n)
