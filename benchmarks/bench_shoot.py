@@ -14,9 +14,10 @@ from run to run on a shared machine; performance claims rest on perfbench
 The states sit at the middle of each stratum of perfbench/inputs.py: six
 tail states (lam < 0: Coulomb, -1.45 <= nu <= -1.1 and -0.95 <= nu <= -0.8,
 each at two (n, q)) and six confined ones (oscillator, Airy, linear with
-gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), none of
-which grows its grid past the starting 1200 points or refines it past
-2N - 1 points.  Four more states, at n = 10 and 20, outside perfbench's
+gamma > 0, and 0.2 <= nu <= 0.9, 1.2 <= nu <= 4, 4 <= nu <= 12), each of
+which searches on one window grid of the step bound's 319 to 572 points,
+then polishes on the 1200-point floor and refines once, to 2N - 1
+points.  Four more states, at n = 10 and 20, outside perfbench's
 strata, have levels on N and 2N - 1 points that differ by more than the
 oracle's refinement tolerance, so their solves refine the polish grid
 to 4N - 3 points and beyond.  Two more sit near the nu = -2 floor, at
@@ -31,6 +32,8 @@ the outward walk starts farthest out from it.  For each state it records:
   argument, as perfbench's tracer counts it, which counts from the walk
   start, not from the grid's inner edge, on tail and confined grids
   alike);
+- search_points: the points of those walked on the search's window
+  grids, before the solve builds its last grid, the polish grid;
 - tables: the grid tables the solve built (misses of
   _kernels._grid_table, from an empty cache);
 - ns_per_point: seconds / points, the whole solve's cost per grid point.
@@ -41,7 +44,7 @@ In pair mode (--parent-src) the headline figures are seconds_ref_total,
 ns_per_point and the per-class totals confined_ref_total and
 tail_ref_total (seconds_ref summed over the six confined_* and the six
 tail_* states, perfbench's two strata), and the counters every state's
-sweeps, points, tables and energy.  --src, --label, --record, --parent-src and --pairs are
+sweeps, points, search_points, tables and energy.  --src, --label, --record, --parent-src and --pairs are
 harness.main's.
 """
 
@@ -85,8 +88,10 @@ def measure() -> dict:
     for name, lam, nu, gamma, n in STATES:
         pot = PowerLaw(lam, nu)
         _kernels._grid_table.cache_clear()
+        walked = []  # the points walked so far at each window grid built; the last is the polish grid
         with harness.counting(_kernels, "numerov_match", lambda args: args[6]) as work:
-            energy = oracles.shoot_eigenvalue(pot, gamma, n)
+            with harness.counting(oracles, "_grid", lambda args: walked.append(work.size) or 0):
+                energy = oracles.shoot_eigenvalue(pot, gamma, n)
         tables = _kernels._grid_table.cache_info().misses
         best = harness.best_of(lambda: oracles.shoot_eigenvalue(pot, gamma, n), REPEAT)
         states[name] = {
@@ -96,6 +101,7 @@ def measure() -> dict:
             "seconds_ref": best.ref,
             "sweeps": work.calls,
             "points": work.size,
+            "search_points": walked[-1],
             "tables": tables,
             "ns_per_point": 1e9 * best.seconds / work.size,
         }
@@ -121,13 +127,16 @@ def figures(result: dict) -> dict:
 
 
 def counters(result: dict) -> dict:
-    return {name: {k: s[k] for k in ("sweeps", "points", "tables", "energy")} for name, s in result["states"].items()}
+    return {
+        name: {k: s[k] for k in ("sweeps", "points", "search_points", "tables", "energy")}
+        for name, s in result["states"].items()
+    }
 
 
 def report(result: dict) -> None:
     for name, s in result["states"].items():
         print(f"  {name:20s} E={s['energy']:<22.15g} {1e3 * s['seconds']:8.1f} ms {s['seconds_ref']:6.3f} ref  "
-              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} tables={s['tables']:<4d} "
+              f"sweeps={s['sweeps']:<4d} points={s['points']:<6d} search={s['search_points']:<6d} tables={s['tables']:<4d} "
               f"{s['ns_per_point']:6.1f} ns/point")
     print(f"  per solve: sweeps {result['sweeps_per_solve']:.1f}, points {result['points_per_solve']:.0f}, "
           f"tables {result['tables_per_solve']}, {result['ns_per_point']:.1f} ns/point; "

@@ -39,7 +39,7 @@ def well_exact_spectrum(gamma: float, a: float, count: int) -> list[float]:
     return [(z / math.pi) ** 2 for z in zeros]
 
 
-_START_POINTS = 1200  # every solve starts on grids of this many points
+_START_POINTS = 1200  # the polish grid, the N of the Richardson pair, has at least this many points
 _MAX_POINTS = 2**17  # no grid, its nested refinements included, grows past this
 _MAX_SWEEPS = 260  # Numerov sweeps of one solve
 # inner edge: |lam| r**(nu+2) and |E| r**2 below this of (gamma + 1/2)**2; it
@@ -198,10 +198,14 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     the 13th digit of its iterates can end it a step earlier, which moved
     levels by up to 1.06e-10 (nu = -0.5, gamma = 20, n = 20).
 
-    N starts at _START_POINTS and grows only where a check measures that
-    it must: _grid gives any window the points that keep h**2 |g| / 12
-    within _MAX_STEP_PARAM, no window gets fewer than the one before it,
+    N grows only where a check measures that it must: _grid gives every
+    window, search or polish, the least N that keeps h**2 |g| / 12 within
+    _MAX_STEP_PARAM, no window gets fewer points than the one before it,
     and the polish grid is refined only while its nested levels differ.
+    The polish grid alone also gets at least _START_POINTS: its level and
+    its refinement's are the Richardson pair, while the search stops at
+    0.5 _POLISH_WIDTH in ln|E|, which its window grids meet on the step
+    bound's N (319-572 points on bench_shoot.py's strata states).
 
     The levels of lam r**nu are |lam|**(2/(nu+2)) times those of
     sign(lam) r**nu (r scales by |lam|**(-1/(nu+2))), so the search runs at
@@ -230,7 +234,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     # decades of E
     lam = sign = math.copysign(1.0, potential.lam)
 
-    sweeps, points, grid, center = 0, _START_POINTS, None, math.inf
+    sweeps, points, grid, center = 0, 0, None, math.inf
     width = min(1.0, abs(nu)) * math.log(_SEARCH_RATIO)
 
     def energy(y):
@@ -269,6 +273,7 @@ def shoot_eigenvalue(potential: PowerLaw, gamma: float, n: int) -> float:
     # 2. the level once on a grid of N points built around it, then once on
     # each of its nested 2N - 1, 4N - 3, ... point refinements, each solve
     # starting from the last level and slope, until two nested levels agree
+    points = max(points, _START_POINTS)
     grid, width = grid_for(y, _POLISH_WIDTH), math.inf  # no iterate moves these grids
     lo, hi = y - _POLISH_WIDTH, y + _POLISH_WIDTH
     level, tol, measured = math.inf, 0.125 * _REFINE_REL_TOL, False

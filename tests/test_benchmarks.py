@@ -30,7 +30,7 @@ def test_script_loads_by_path(name):
 
 def test_shoot_pair_figures_read_a_committed_record():
     shoot = _load("bench_shoot")
-    with open(BENCHMARKS.parent / "BENCH_38.json", encoding="utf-8") as fh:
+    with open(BENCHMARKS.parent / "BENCH_39.json", encoding="utf-8") as fh:
         record = json.load(fh)
     result = record["change"]
     assert shoot.figures(result) == {
@@ -43,21 +43,25 @@ def test_shoot_pair_figures_read_a_committed_record():
     counters = shoot.counters(result)
     assert list(counters) == list(result["states"])
     assert counters["confined_airy"] == {
-        k: result["states"]["confined_airy"][k] for k in ("sweeps", "points", "tables", "energy")
+        k: result["states"]["confined_airy"][k] for k in ("sweeps", "points", "search_points", "tables", "energy")
     }
-    # the walk from the energy rows' edge: a single run's counters are the
-    # pair runs' change side; every state keeps its sweeps and tables,
-    # confined states walk at most 0.6 of the parent's points, and no
-    # state walks more
+    # search windows sized by the step bound alone: a single run's counters
+    # are the pair runs' change side; the strata states keep their sweeps
+    # and tables and walk at most 0.9 of the parent's points, all of the
+    # saving on the search's windows; the nested_* and floor_* states walk
+    # at most 1.05 of them
     pairs = record["pairs"]
     assert list(pairs["figures"]) == list(shoot.figures(result))
     assert pairs["counters"]["change"] == counters
     parent = pairs["counters"]["parent"]
     for name, c in counters.items():
-        assert (c["sweeps"], c["tables"]) == (parent[name]["sweeps"], parent[name]["tables"]), name
-        assert c["points"] <= parent[name]["points"], name
-        if name.startswith("confined"):
-            assert c["points"] <= 0.6 * parent[name]["points"], name
+        p = parent[name]
+        if name.startswith(("tail", "confined")):
+            assert (c["sweeps"], c["tables"]) == (p["sweeps"], p["tables"]), name
+            assert c["points"] <= 0.9 * p["points"], name
+            assert c["points"] - c["search_points"] == p["points"] - p["search_points"], name
+        else:
+            assert c["points"] <= 1.05 * p["points"], name
 
 
 def test_action_pair_figures_read_a_committed_record():
