@@ -17,7 +17,12 @@ file (main_svg).  The grids are the fixed 1e5-row nu = 3 census grid of
 perfbench's grid_cli workload, a 10k-row grid and a 12-row command.  A
 500-row tendency --format csv --svg command on the same potential, the
 light grid_cli shape whose time goes mostly to the figure, is timed
-end to end only (main_svg, with its rows and SVG bytes).  Each figure is
+end to end only (main_svg, with its rows and SVG bytes).  On the
+12-row command it also counts ArgumentParser.parse_known_args calls
+per cli.main call (parses_per_main): 2 where the top-level parser hands
+a command's options on to the command's own parser, which parses them
+again, and 1 where main hands them to the command's parser directly.
+Each figure is
 harness.best_of over REPEAT samples, recorded in seconds and, under
 "ref", in the yardstick passes timed next to them, which drift less with
 the machine's speed.  The first cli.main call of the process is timed on
@@ -33,13 +38,15 @@ bare interpreter's, and whether NumPy is among them.
 
 Work counters go with the times: rows per grid and bytes per output.
 In pair mode (--parent-src) the headline figures are the census grid's
-main_json and main_csv ref figures and the start-up ratio, and the
-counters every grid's rows and bytes and the start-up's imports.
+main_json and main_csv ref figures, the 12-row command's main_csv ref
+figure and the start-up ratio, and the counters every grid's rows and
+bytes, the start-up's imports and parses_per_main.
 --src, --label, --record, --parent-src and --pairs are harness.main's.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -60,7 +67,7 @@ GRIDS = (
     ("command_12", 3, 2, (0, 0)),
 )
 NU, LAM, MU0 = 3.0, 1.0, 0.3
-# the grid whose cli.main is also timed with --svg
+# the grid whose cli.main is also timed with --svg, and whose parses are counted
 SVG_GRID = "command_12"
 # (name, n_max, q_max) of the tendency --svg command, at k = 0
 TENDENCY_SVG = ("tendency_500", 24, 19)
@@ -131,6 +138,8 @@ def measure() -> dict:
     start = time.perf_counter()
     _run_main(cli, first_argv)
     first_call_s = time.perf_counter() - start
+    with harness.counting(argparse.ArgumentParser, "parse_known_args", lambda args: 0) as parses:
+        _run_main(cli, first_argv)
 
     pot = PowerLaw(LAM, NU)
     grids = {}
@@ -178,6 +187,7 @@ def measure() -> dict:
         "repeat": REPEAT,
         "startup": startup,
         "first_main_call_s": first_call_s,
+        "parses_per_main": parses.calls,
         "build_parser_s": build_parser.seconds,
         "build_parser_ref": build_parser.ref,
         "grids": grids,
@@ -187,13 +197,15 @@ def measure() -> dict:
 def figures(result: dict) -> dict:
     census = result["grids"]["census_1e5"]["ref"]
     return {"census_main_json_ref": census["main_json"], "census_main_csv_ref": census["main_csv"],
+            "command_main_csv_ref": result["grids"][SVG_GRID]["ref"]["main_csv"],
             "startup_ratio_to_bare": result["startup"]["ratio_to_bare"]}
 
 
 def counters(result: dict) -> dict:
     grids = {name: {k: v for k, v in grid.items() if k not in ("seconds", "ref")} for name, grid in result["grids"].items()}
     startup = result["startup"]
-    return {"grids": grids, "modules_imported": startup["modules_imported"], "numpy_imported": startup["numpy_imported"]}
+    return {"grids": grids, "modules_imported": startup["modules_imported"], "numpy_imported": startup["numpy_imported"],
+            "parses_per_main": result["parses_per_main"]}
 
 
 def report(result: dict) -> None:
@@ -202,7 +214,8 @@ def report(result: dict) -> None:
           f"{1e3 * st['spectrum_s']:.1f} ms, bare {1e3 * st['bare_s']:.1f} ms, ratio {st['ratio_to_bare']:.2f}; "
           f"{st['modules_imported']} modules imported, numpy {'in' if st['numpy_imported'] else 'not in'} them")
     print(f"  first cli.main call {1e3 * result['first_main_call_s']:.2f} ms, "
-          f"build_parser {1e3 * result['build_parser_s']:.3f} ms, {result['build_parser_ref']:.4g} ref")
+          f"build_parser {1e3 * result['build_parser_s']:.3f} ms, {result['build_parser_ref']:.4g} ref, "
+          f"{result['parses_per_main']} parse_known_args calls per {SVG_GRID} cli.main call")
     for name, grid in result["grids"].items():
         times = "  ".join(f"{k} {1e3 * v:.3f}" for k, v in grid["seconds"].items())
         refs = "  ".join(f"{k} {v:.4g}" for k, v in grid["ref"].items())

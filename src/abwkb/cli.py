@@ -434,8 +434,26 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse_args(argv: list[str] | None):
+    """The namespace _parser().parse_args(argv) gives, parsed once.
+
+    Where argv starts with a command, that command's parser reads the
+    rest, as the top-level parser would hand it over.  An argv that names
+    no command, or leaves words its command's parser cannot place, goes
+    through the top-level parser, which writes the usage and errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         result = args.func(args)
         # a table command returns its text and figure, any other one its JSON document

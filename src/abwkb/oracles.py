@@ -111,29 +111,33 @@ def _grid(E: float, lo: float, hi: float, lam: float, nu: float, gamma: float, p
     series_edge = min(_SERIES_EPS * c, _SERIES_TERM * nu2 * (nu2 + 2.0 * gamma + 1.0))
     x_walk = min(math.log(series_edge / abs(lam)) / nu2, 0.5 * (_series_reach(gamma) - math.log(e_max)))
 
+    steep = max(nu2, 2.0)
+
     def kappa2(E, x):  # -g: the decay rate squared, negative where allowed
-        exponent = max(nu2, 2.0) * x
-        if exponent > _MAX_EXPONENT:
+        if steep * x > _MAX_EXPONENT:
             raise ConvergenceError(
                 f"the grid for E={E!r} would reach past ln r = {x:.4g}, "
-                f"where max(nu + 2, 2) ln r = {exponent:.4g} > _MAX_EXPONENT = {_MAX_EXPONENT:g}"
+                f"where max(nu + 2, 2) ln r = {steep * x:.4g} > _MAX_EXPONENT = {_MAX_EXPONENT:g}"
             )
         return lam * math.exp(nu2 * x) - E * math.exp(2.0 * x) + c
 
     # -g is least at xs and rises monotonically on either side of it
     xs = math.log(2.0 * hi / (nu2 * lam)) / nu
-    dx = 0.2 / max(nu2, 2.0)  # about a tenth of an e-fold of kappa
-    x, k2, decay, forbidden = xs, kappa2(hi, xs), 0.0, False
+    dx = 0.2 / steep  # about a tenth of an e-fold of kappa
+    x, k2 = xs, kappa2(hi, xs)
     g_allowed = -k2
     # the walk ends: from ln((nu + 2) / 2) / nu past xs on, kappa**2 >= (gamma + 1/2)**2,
     # so decay grows by dx / 2 or more a step, and kappa2 raises past _MAX_EXPONENT
-    while decay < _DECAY_TARGET:
-        forbidden = forbidden or k2 >= 0.0  # past the turning point: the tail decays from here
-        x_next = x + dx
-        k2_next = kappa2(hi, x_next)
-        if forbidden:
-            decay += 0.5 * dx * (math.sqrt(k2) + math.sqrt(k2_next))
-        x, k2 = x_next, k2_next
+    while not k2 >= 0.0:  # to the turning point, where the tail starts to decay
+        x += dx
+        k2 = kappa2(hi, x)
+    decay, kappa = 0.0, math.sqrt(k2)
+    while decay < _DECAY_TARGET:  # the trapezoid rule for the integral of kappa
+        x += dx
+        k2 = kappa2(hi, x)
+        kappa_next = math.sqrt(k2)
+        decay += 0.5 * dx * (kappa + kappa_next)
+        kappa = kappa_next
     g_max = max(c, g_allowed, kappa2(lo, x))
     points = max(points, 1 + math.ceil((x - x0) * math.sqrt(g_max / (12.0 * _MAX_STEP_PARAM))))
     if 2 * points - 1 > _MAX_POINTS:

@@ -86,6 +86,23 @@ def test_action_pair_figures_read_a_committed_record():
     assert all(pairs["counters"]["parent"][name]["energy"] == c["energy"] for name, c in counters.items())
 
 
+def test_grid_pair_figures_read_a_committed_record():
+    grid = _load("bench_grid")
+    with open(BENCHMARKS.parent / "BENCH_40.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    result = record["change"]
+    assert grid.figures(result)["command_main_csv_ref"] == result["grids"]["command_12"]["ref"]["main_csv"]
+    # each command parsed once: the parent's top-level parser handed the
+    # options on to the command's parser, which parsed them again; rows,
+    # bytes and imports are the same on both sides
+    pairs = record["pairs"]
+    assert list(pairs["figures"]) == list(grid.figures(result))
+    assert pairs["counters"]["change"] == grid.counters(result)
+    parent, change = dict(pairs["counters"]["parent"]), dict(pairs["counters"]["change"])
+    assert (parent.pop("parses_per_main"), change.pop("parses_per_main")) == (2, 1)
+    assert parent == change
+
+
 class TestMergeRecord:
     def test_keeps_other_labels_and_replaces_its_own(self, tmp_path):
         path = str(tmp_path / "record.json")

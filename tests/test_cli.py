@@ -1,5 +1,6 @@
 """CLI contract tests: schemas, exit codes, round trips, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,6 +17,7 @@ from abwkb import (
     QuantizationSetup,
     _kernels,
     action_integral_numeric,
+    cli,
     closed_form_energy,
     oracles,
     quantize_energy,
@@ -779,6 +781,87 @@ def test_version_is_the_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"abwkb {abwkb.__version__}\n"
+
+
+_SPECTRUM = ("spectrum", "--nu", "3", "--lambda", "1", "--n-max", "2", "--q-max", "1")
+
+
+def _parse_path_corpus(tmp):
+    """(id, argv): valid commands, and argvs that take the top-level parser's errors, help and version."""
+    return [
+        ("spectrum-csv", [*_SPECTRUM]),
+        ("spectrum-json-svg", [*_SPECTRUM, "--format", "json", "--svg", f"{tmp}/spectrum.svg"]),
+        ("spectrum-out", [*_SPECTRUM, "--k-range=-1..1", "--out", f"{tmp}/spectrum.csv"]),
+        ("compare-well-json-svg", ["compare-well", "--gamma", "0.5", "--n-max", "3", "--format", "json",
+                                   "--svg", f"{tmp}/well.svg"]),
+        ("tendency-csv", ["tendency", "--nu", "2", "--lambda", "1", "--n-max", "2", "--q-max", "1"]),
+        ("tendency-json-svg", ["tendency", "--nu", "-1", "--lambda", "-1", "--n-max", "2", "--q-max", "1",
+                               "--format", "json", "--svg", f"{tmp}/tendency.svg"]),
+        ("verify-action", ["verify-action", "--nu", "-1.5", "--lambda", "-0.7", "--energy", "-.5"]),
+        ("quantize", ["quantize", "--nu", "2", "--lambda", "1", "--gamma", "0.5", "--n", "1"]),
+        ("shoot", ["shoot", "--nu", "2", "--lambda", "1", "--gamma", "0", "--n", "0"]),
+        ("zeros", ["zeros", "--order", "0.5", "--count", "3"]),
+        ("domain-error", ["spectrum", "--nu", "2", "--lambda", "-1", "--n-max", "1", "--q-max", "1"]),
+        ("mu0-exponent", [*_SPECTRUM, "--mu0", "-1e-05"]),
+        ("mu0-point", [*_SPECTRUM, "--mu0", "-.5"]),
+        ("bad-int", ["spectrum", "--nu", "3", "--lambda", "1", "--n-max", "oops", "--q-max", "1"]),
+        ("missing-q-max", ["spectrum", "--nu", "3", "--lambda", "1", "--n-max", "2"]),
+        ("bogus-flag", [*_SPECTRUM, "--bogus"]),
+        ("stray-word", [*_SPECTRUM, "stray"]),
+        ("k-and-k-range", [*_SPECTRUM, "--k", "1", "--k-range=0..1"]),
+        ("spectrum-help", ["spectrum", "-h"]),
+        ("help", ["--help"]),
+        ("version", ["--version"]),
+        ("empty", []),
+        ("abbreviated-command", ["spec", *_SPECTRUM[1:]]),
+        ("version-after-command", [*_SPECTRUM, "--version"]),
+    ]
+
+
+class TestParsePaths:
+    # main parses a command's options once, with the command's own parser;
+    # what it writes must be what one parse through the top-level parser gives
+
+    @staticmethod
+    def outcome(capsys, tmp_path, argv):
+        """(exit code or SystemExit, stdout, stderr, files written) of main(argv)."""
+        for path in tmp_path.iterdir():
+            path.unlink()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        return code, captured.out, captured.err, files
+
+    def test_matches_the_top_level_parse(self, capsys, tmp_path, monkeypatch):
+        corpus = _parse_path_corpus(tmp_path)
+        for name, argv in corpus[:10]:
+            assert cli._parse_args(argv) == cli._parser().parse_args(argv), name
+        once = {name: self.outcome(capsys, tmp_path, argv) for name, argv in corpus}
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        top = {name: self.outcome(capsys, tmp_path, argv) for name, argv in corpus}
+        for name, _ in corpus:
+            assert once[name] == top[name], name
+        codes = {name: code for name, (code, _, _, _) in once.items()}
+        assert [name for name, code in codes.items() if code == 0] == [name for name, _ in corpus[:10]] + [
+            "mu0-exponent", "mu0-point"]
+        assert codes["domain-error"] == 2
+        assert codes["spectrum-help"] == codes["help"] == codes["version"] == "SystemExit(0)"
+        assert once["bogus-flag"][2].endswith("\nabwkb: error: unrecognized arguments: --bogus\n")
+        assert once["version-after-command"][2].endswith("\nabwkb: error: unrecognized arguments: --version\n")
+        assert len(once["spectrum-json-svg"][3]) == 1 and len(once["spectrum-out"][3]) == 1
+
+    def test_a_command_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a: calls.append(self.prog) or original(self, *a))
+        for name, argv in _parse_path_corpus(tmp_path)[:10]:
+            calls.clear()
+            assert self.outcome(capsys, tmp_path, argv)[0] == 0, name
+            assert calls == [f"abwkb {argv[0]}"], name
 
 
 class TestLibraryDefaults:
